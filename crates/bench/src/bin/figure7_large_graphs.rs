@@ -12,7 +12,7 @@ use bench::cli::input_dataset_from;
 use bench::datasets::DatasetKind;
 use bench::output::{format_table, write_artifact};
 use bench::parallelism::parallelism_from;
-use bench::pipeline::{run_edge_pipeline_with, run_vertex_pipeline_with};
+use graph_terrain::{Measure, TerrainPipeline};
 use measures::{core_numbers, truss_numbers_with};
 use ugraph::CsrGraph;
 
@@ -58,18 +58,23 @@ fn main() {
         };
         let graph = &graph;
         let name = &name;
-        // Full pipelines (also produce the terrains as SVG via the pipeline
-        // helpers' internals; here we re-run the decompositions to report the
-        // densest structures of Figures 7(e,f)).
-        let vreport = match run_vertex_pipeline_with(graph, parallelism) {
-            Ok(report) => report,
+        // `Nt` of both terrains: the sessions stop at the super tree, the
+        // only stage the table reads. The decompositions are re-run below to
+        // report the densest structures of Figures 7(e,f).
+        let super_tree_nodes = |measure: Measure| {
+            let mut session = TerrainPipeline::from_measure(graph, measure);
+            session.set_parallelism(parallelism);
+            session.super_tree().map(|tree| tree.node_count())
+        };
+        let vertex_nodes = match super_tree_nodes(Measure::KCore) {
+            Ok(nodes) => nodes,
             Err(e) => {
                 eprintln!("[figure7] {name} KC(v) pipeline failed: {e}");
                 continue;
             }
         };
-        let ereport = match run_edge_pipeline_with(graph, false, parallelism) {
-            Ok(report) => report,
+        let edge_nodes = match super_tree_nodes(Measure::KTruss) {
+            Ok(nodes) => nodes,
             Err(e) => {
                 eprintln!("[figure7] {name} KT(e) pipeline failed: {e}");
                 continue;
@@ -87,8 +92,8 @@ fn main() {
             graph.edge_count().to_string(),
             format!("K={} ({} vertices)", cores.degeneracy, densest_core.len()),
             format!("K={} ({} edges)", truss.max_truss, densest_truss.len()),
-            vreport.super_tree_nodes.to_string(),
-            ereport.super_tree_nodes.to_string(),
+            vertex_nodes.to_string(),
+            edge_nodes.to_string(),
         ]);
     }
 

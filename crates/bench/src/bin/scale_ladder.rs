@@ -29,12 +29,10 @@
 //! pipeline timings are.
 //!
 //! After the pipeline measurements, each rung is additionally saved as a
-//! binary v2 and a binary v3 snapshot in a temp directory and reopened both
-//! ways — `storage: "snapshot-v2"` times the full v2 deserialize (CSR
-//! rebuild + invariant check), `storage: "snapshot-v3-mapped"` times
-//! [`ugraph::MappedCsrGraph::open`] (mmap + checksum + validation walk, no
-//! array copies). The `open_seconds` gap between the two is the headline of
-//! the zero-copy storage layer.
+//! binary v3 snapshot in a temp directory and reopened — `storage:
+//! "snapshot-v3-mapped"` times [`ugraph::MappedCsrGraph::open`] (mmap +
+//! checksum + validation walk, no array copies), with the save time in
+//! `generate_seconds`.
 //!
 //! Each rung also runs the delta bench: a fixed ≤1k-edge batch (half
 //! deletes of existing edges, half fresh inserts) applied to a warm session
@@ -66,9 +64,7 @@ use bench::{format_table_for, parallelism_list_from};
 use graph_terrain::{Measure, TerrainPipeline};
 use ugraph::delta::{DeltaOp, DeltaOverlay, GraphDelta};
 use ugraph::generators::rmat;
-use ugraph::io::{
-    decode_binary_auto, encode_binary_v2, write_binary_v3_file, GraphFormat, GraphSource,
-};
+use ugraph::io::{write_binary_v3_file, GraphFormat, GraphSource};
 use ugraph::{CsrGraph, GraphStorage, MappedCsrGraph};
 
 /// One ladder rung: name, RMAT scale, and the number of edge samples.
@@ -251,72 +247,46 @@ fn main() {
             );
         }
 
-        // Snapshot-open rungs: save the graph both ways, then time how long
-        // it takes to get a queryable graph back from disk.
-        let v2_path = snapshot_dir.join(format!("{rung_name}.v2.gtsb"));
+        // Snapshot-open rung: save the graph, then time how long it takes
+        // to get a queryable graph back from disk.
         let v3_path = snapshot_dir.join(format!("{rung_name}.v3.gtsb"));
         let save_started = std::time::Instant::now();
-        let v2_bytes = encode_binary_v2(&graph, None).expect("v2 encode");
-        std::fs::write(&v2_path, &v2_bytes).expect("write v2 snapshot");
-        drop(v2_bytes);
-        let v2_save_seconds = save_started.elapsed().as_secs_f64();
-        let save_started = std::time::Instant::now();
         write_binary_v3_file(&graph, None, &v3_path).expect("write v3 snapshot");
-        let v3_save_seconds = save_started.elapsed().as_secs_f64();
-
-        let open_started = std::time::Instant::now();
-        let v2_graph = std::fs::read(&v2_path)
-            .map_err(ugraph::GraphError::from)
-            .and_then(|bytes| decode_binary_auto(&bytes))
-            .expect("v2 snapshot reopens")
-            .graph;
-        let v2_open_seconds = open_started.elapsed().as_secs_f64();
-        std::hint::black_box(v2_graph.edge_count());
-        let v2_rss = peak_rss_bytes();
-        drop(v2_graph);
+        let save_seconds = save_started.elapsed().as_secs_f64();
 
         let open_started = std::time::Instant::now();
         let v3_graph = MappedCsrGraph::open(&v3_path).expect("v3 snapshot reopens");
-        let v3_open_seconds = open_started.elapsed().as_secs_f64();
+        let open_seconds = open_started.elapsed().as_secs_f64();
         std::hint::black_box(v3_graph.edge_count());
-        let v3_rss = peak_rss_bytes();
+        let rss = peak_rss_bytes();
         let v3_mapped = v3_graph.is_memory_mapped();
         drop(v3_graph);
 
-        for (storage, open_seconds, save_seconds, rss) in [
-            ("snapshot-v2", v2_open_seconds, v2_save_seconds, v2_rss),
-            ("snapshot-v3-mapped", v3_open_seconds, v3_save_seconds, v3_rss),
-        ] {
-            report.rungs.push(RungResult {
-                rung: rung_name.to_string(),
-                generator: "rmat".to_string(),
-                scale,
-                target_edges,
-                vertices: graph.vertex_count(),
-                edges: graph.edge_count(),
-                generate_seconds: save_seconds,
-                measure: measure_name.clone(),
-                storage: storage.to_string(),
-                open_seconds: Some(open_seconds),
-                parallelism: "serial".to_string(),
-                threads: 1,
-                width: 1,
-                stages: StageSeconds::default(),
-                total_seconds: open_seconds,
-                edges_per_second: if open_seconds > 0.0 {
-                    graph.edge_count() as f64 / open_seconds
-                } else {
-                    0.0
-                },
-                peak_rss_bytes: rss,
-            });
-        }
-        let _ = std::fs::remove_file(&v2_path);
+        report.rungs.push(RungResult {
+            rung: rung_name.to_string(),
+            generator: "rmat".to_string(),
+            scale,
+            target_edges,
+            vertices: graph.vertex_count(),
+            edges: graph.edge_count(),
+            generate_seconds: save_seconds,
+            measure: measure_name.clone(),
+            storage: "snapshot-v3-mapped".to_string(),
+            open_seconds: Some(open_seconds),
+            parallelism: "serial".to_string(),
+            threads: 1,
+            width: 1,
+            stages: StageSeconds::default(),
+            total_seconds: open_seconds,
+            edges_per_second: if open_seconds > 0.0 {
+                graph.edge_count() as f64 / open_seconds
+            } else {
+                0.0
+            },
+            peak_rss_bytes: rss,
+        });
         let _ = std::fs::remove_file(&v3_path);
-        println!(
-            "  open: v2 {v2_open_seconds:.3}s vs v3-mapped {v3_open_seconds:.3}s ({:.1}x, mmap: {v3_mapped})",
-            v2_open_seconds / v3_open_seconds.max(1e-9)
-        );
+        println!("  open: v3-mapped {open_seconds:.3}s (mmap: {v3_mapped})");
 
         // Delta bench: apply the fixed ≤1k-edge batch to a warm session and
         // re-render, vs the from-scratch path — rebuild the final graph

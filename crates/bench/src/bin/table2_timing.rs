@@ -16,11 +16,12 @@
 
 use bench::cli::input_dataset_from;
 use bench::datasets::DatasetKind;
+use bench::naive_edge_tree_seconds;
 use bench::output::{format_table, write_artifact};
 use bench::parallelism::parallelism_from;
-use bench::pipeline::{
-    run_edge_pipeline_configured, run_vertex_pipeline_configured, PipelineConfig,
-};
+use graph_terrain::{Measure, SimplificationConfig, TerrainPipeline};
+use terrain::TerrainResult;
+use ugraph::par::Parallelism;
 use ugraph::CsrGraph;
 
 /// One unit of table work: a pre-loaded real file, or an analog generated
@@ -35,13 +36,15 @@ fn main() {
     let large = args.iter().any(|a| a == "--large");
     let skip_naive = args.iter().any(|a| a == "--skip-naive");
     let parallelism = parallelism_from(&args);
+    let defaults = SimplificationConfig::default();
     let budget = args
         .iter()
         .position(|a| a == "--render-budget")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(PipelineConfig::default().render_node_budget);
-    let config = PipelineConfig { parallelism, render_node_budget: budget, ..Default::default() };
+        .or(defaults.node_budget)
+        .expect("the default simplification has a node budget");
+    let simplification = SimplificationConfig { node_budget: Some(budget), ..defaults };
     eprintln!("[table2] measure parallelism: {parallelism}; render budget: {budget}");
 
     // The workload: one real file (--input), or the four synthetic analogs.
@@ -84,45 +87,40 @@ fn main() {
         let graph = &graph;
         let name = &name;
         // KC(v) row.
-        let vreport = match run_vertex_pipeline_configured(graph, &config) {
-            Ok(report) => report,
+        let vsession = match rendered_session(graph, Measure::KCore, parallelism, simplification) {
+            Ok(session) => session,
             Err(e) => {
                 eprintln!("[table2] {name} KC(v) pipeline failed: {e}");
                 continue;
             }
         };
-        rows.push(vec![
-            name.clone(),
-            "KC(v)".to_string(),
-            vreport.super_tree_nodes.to_string(),
-            format!("{:.4}", vreport.tree_seconds),
-            "-".to_string(),
-            format!("{:.4}", vreport.visualization_seconds),
-        ]);
+        rows.push(row(name, "KC(v)", vsession, "-".to_string()));
 
         // KT(e) row. The naive baseline is only attempted on graphs whose dual
         // stays manageable, mirroring how the paper could not run it at all
         // scales either.
         let dual_edges = ugraph::dual::estimated_dual_edges(graph);
         let run_naive = !skip_naive && dual_edges < 30_000_000;
-        let ereport = match run_edge_pipeline_configured(graph, run_naive, &config) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("[table2] {name} KT(e) pipeline failed: {e}");
-                continue;
+        let mut esession =
+            match rendered_session(graph, Measure::KTruss, parallelism, simplification) {
+                Ok(session) => session,
+                Err(e) => {
+                    eprintln!("[table2] {name} KT(e) pipeline failed: {e}");
+                    continue;
+                }
+            };
+        let naive = if run_naive {
+            match esession.scalar().and_then(|scalar| naive_edge_tree_seconds(graph, scalar)) {
+                Ok(seconds) => format!("{seconds:.4}"),
+                Err(e) => {
+                    eprintln!("[table2] {name} KT(e) naive baseline failed: {e}");
+                    continue;
+                }
             }
+        } else {
+            "(skipped)".to_string()
         };
-        rows.push(vec![
-            name.clone(),
-            "KT(e)".to_string(),
-            ereport.super_tree_nodes.to_string(),
-            format!("{:.4}", ereport.tree_seconds),
-            ereport
-                .naive_tree_seconds
-                .map(|t| format!("{t:.4}"))
-                .unwrap_or_else(|| "(skipped)".to_string()),
-            format!("{:.4}", ereport.visualization_seconds),
-        ]);
+        rows.push(row(name, "KT(e)", esession, naive));
     }
 
     let table = format_table(&["dataset", "scalar", "Nt", "tc(s)", "te(s)", "tv(s)"], &rows);
@@ -136,4 +134,34 @@ fn main() {
     if let Ok(path) = write_artifact("table2_timing.txt", &table) {
         println!("wrote {}", path.display());
     }
+}
+
+/// Run `measure`'s terrain through SVG serialization, so the session's
+/// timings hold every Table II stage.
+fn rendered_session(
+    graph: &CsrGraph,
+    measure: Measure,
+    parallelism: Parallelism,
+    simplification: SimplificationConfig,
+) -> TerrainResult<TerrainPipeline<'_>> {
+    let mut session = TerrainPipeline::from_measure(graph, measure);
+    session.set_parallelism(parallelism).set_simplification(simplification);
+    session.svg()?;
+    Ok(session)
+}
+
+/// One table row: `Nt` is the full super tree, `tc` and `tv` the session's
+/// Table II timings, `te` the already formatted naive baseline. Consumes
+/// the session so only one graph's stages are alive at a time.
+fn row(name: &str, scalar: &str, mut session: TerrainPipeline<'_>, te: String) -> Vec<String> {
+    let timings = session.timings();
+    let nt = session.super_tree().map(|tree| tree.node_count()).expect("stage already built");
+    vec![
+        name.to_string(),
+        scalar.to_string(),
+        nt.to_string(),
+        format!("{:.4}", timings.tree_construction_seconds().unwrap_or(0.0)),
+        te,
+        format!("{:.4}", timings.visualization_seconds().unwrap_or(0.0)),
+    ]
 }

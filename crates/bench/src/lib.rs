@@ -8,9 +8,9 @@
 //! * [`datasets`] — the synthetic analogs of the paper's Table I datasets;
 //! * [`nn_graph`] — the attribute-table → nearest-neighbor-graph construction
 //!   of the Figure 11 query-result experiment;
-//! * [`pipeline`] — timed end-to-end runs of the scalar-tree + terrain
-//!   pipeline (the quantities of Table II), delegating every stage to the
-//!   façade's staged `TerrainPipeline` session;
+//! * [`naive`] — the naive dual-graph edge-tree timing, Table II's `te`
+//!   column (every other Table II quantity comes from the façade's staged
+//!   `TerrainPipeline` session);
 //! * [`output`] — helpers to write figure artifacts (SVG, JSON, text tables)
 //!   under `results/`;
 //! * [`parallelism`] — the shared `--threads <serial|auto|N>` flag wiring
@@ -29,20 +29,16 @@
 pub mod cli;
 pub mod datasets;
 pub mod load_report;
+pub mod naive;
 pub mod nn_graph;
 pub mod output;
 pub mod parallelism;
-pub mod pipeline;
 pub mod report;
 
 pub use cli::{exporter_from, exporter_from_args, input_dataset_from, input_dataset_from_args};
 pub use datasets::{load_dataset, DatasetKind, DatasetSpec, FileDataset, GeneratedDataset};
+pub use naive::naive_edge_tree_seconds;
 pub use nn_graph::{generate_plant_table, knn_graph, PlantTable};
 pub use output::format_table;
 pub use parallelism::{parallelism_from, parallelism_from_args, parallelism_list_from};
-pub use pipeline::{
-    run_edge_pipeline, run_edge_pipeline_configured, run_edge_pipeline_with, run_vertex_pipeline,
-    run_vertex_pipeline_configured, run_vertex_pipeline_with, EdgePipelineReport, PipelineConfig,
-    VertexPipelineReport,
-};
 pub use report::{format_table_for, BenchReport, RungResult, StageSeconds, SCHEMA_VERSION};

@@ -91,8 +91,9 @@ pub struct RungResult {
     /// Measure driving the scalar field (`"pagerank"`, `"degree"`, ...).
     pub measure: String,
     /// How the rung obtained its graph: `"generated"` (in-memory RMAT, the
-    /// pipeline rungs), `"snapshot-v2"` (binary v2 full deserialize) or
-    /// `"snapshot-v3-mapped"` (binary v3 via [`ugraph::MappedCsrGraph`]).
+    /// pipeline rungs) or `"snapshot-v3-mapped"` (binary v3 via
+    /// [`ugraph::MappedCsrGraph`]). Baselines recorded before the v2 codec
+    /// was retired also carry `"snapshot-v2"` rows.
     pub storage: String,
     /// Seconds to reopen the graph from its snapshot (checksum + validation
     /// included). `None` on `"generated"` rungs, which never touch disk.

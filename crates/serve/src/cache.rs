@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use ugraph::io::fnv1a64;
 
 /// One cached artifact: the exact response body plus its validators.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,16 +35,6 @@ pub struct CachedArtifact {
 /// The strong ETag for a canonical cache key: a quoted FNV-1a/64 hex digest.
 pub fn etag_for_key(key: &str) -> String {
     format!("\"{:016x}\"", fnv1a64(key.as_bytes()))
-}
-
-/// FNV-1a 64-bit over a byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A point-in-time snapshot of the cache counters, served by `/stats`.
@@ -318,6 +309,14 @@ mod tests {
             etag: etag_for_key(&format!("k{n}")),
             content_type: "image/svg+xml",
         })
+    }
+
+    #[test]
+    fn etags_of_a_fixed_key_never_change() {
+        // Clients hold ETags across server upgrades; a changed hash would
+        // silently turn every conditional request into a full re-download.
+        let key = "demo|terrain|gen=0|measure=kcore|budget=4000|levels=2|layout=default|mesh=default|color=height|svg=900x700|exporter=svg";
+        assert_eq!(etag_for_key(key), "\"047949dbfb229adc\"");
     }
 
     #[test]

@@ -60,7 +60,7 @@ use graph_terrain::{
 use measures::Parallelism;
 use terrain::{exporter_by_name_sized, highest_peaks, peaks_at_alpha, ColorScheme, Exporter, Peak};
 use ugraph::delta::{DeltaApplyStats, DeltaOp, GraphDelta};
-use ugraph::io::{GraphFormat, GraphSource};
+use ugraph::io::{GraphFormat, GraphSource, BINARY_MAGIC, BINARY_V3_VERSION};
 
 /// Most peak member ids echoed inline per peak (the full count is always
 /// reported; huge member lists would dwarf the artifact itself).
@@ -113,7 +113,7 @@ fn upload_graph(state: &AppState, req: &Request) -> Result<Response, ApiError> {
 
 /// The v3 snapshot magic + version sniff (`GTSB` then a little-endian 3).
 fn is_v3_snapshot(body: &[u8]) -> bool {
-    body.len() >= 8 && &body[..4] == b"GTSB" && body[4..8] == [3, 0, 0, 0]
+    body.len() >= 8 && body[..4] == *BINARY_MAGIC && body[4..8] == BINARY_V3_VERSION.to_le_bytes()
 }
 
 /// The `format` query parameter (default `edgelist`), shared by uploads
@@ -271,10 +271,7 @@ struct RenderParams {
 
 fn parse_render_params(req: &Request) -> Result<RenderParams, ApiError> {
     let measure = parse_measure(req)?;
-    let parallelism = match req.query_param("threads") {
-        Some(raw) => Parallelism::parse(raw)?,
-        None => Parallelism::Serial,
-    };
+    let parallelism = parse_parallelism(req)?;
     let simplification = SimplificationConfig {
         node_budget: match req.query_param("budget") {
             None => SimplificationConfig::default().node_budget,
@@ -349,6 +346,14 @@ fn parse_measure(req: &Request) -> Result<Measure, ApiError> {
     Ok(measure)
 }
 
+/// The `threads` query parameter (shared by every render route).
+fn parse_parallelism(req: &Request) -> Result<Parallelism, ApiError> {
+    match req.query_param("threads") {
+        Some(raw) => Ok(Parallelism::parse(raw)?),
+        None => Ok(Parallelism::Serial),
+    }
+}
+
 fn numeric_param<T: std::str::FromStr>(name: &'static str, raw: &str) -> Result<T, ApiError> {
     raw.parse().map_err(|_| {
         ApiError::invalid_parameter(name, format!("{name} value {raw:?} is not a valid number"))
@@ -406,31 +411,29 @@ fn terrain(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiErr
     let params = parse_render_params(req)?;
     let key = render_cache_key(&entry, &params);
     serve_cached(state, req, &key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), params.measure);
-        session.set_parallelism(params.parallelism);
-        session.set_simplification(params.simplification);
-        session.set_svg_size(params.svg_size);
-        if params.color == ColorChoice::Degree {
-            let degrees: Vec<f64> =
-                measures::degrees(entry.graph.storage()).into_iter().map(|d| d as f64).collect();
-            session.set_color(ColorScheme::BySecondaryScalar(degrees));
-        }
-        let mut bytes = Vec::new();
-        // The timing-free render: cached artifacts must depend on nothing
-        // but the key. Wall-clock timings still land in `/stats`.
-        session.render_deterministic_to(params.exporter.as_ref(), &mut bytes)?;
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((bytes, content_type_for(&params.exporter_name)))
+        with_session(state, &entry, params.measure, params.parallelism, |session| {
+            session.set_simplification(params.simplification);
+            session.set_svg_size(params.svg_size);
+            if params.color == ColorChoice::Degree {
+                let degrees: Vec<f64> = measures::degrees(entry.graph.storage())
+                    .into_iter()
+                    .map(|d| d as f64)
+                    .collect();
+                session.set_color(ColorScheme::BySecondaryScalar(degrees));
+            }
+            let mut bytes = Vec::new();
+            // The timing-free render: cached artifacts must depend on nothing
+            // but the key. Wall-clock timings still land in `/stats`.
+            session.render_deterministic_to(params.exporter.as_ref(), &mut bytes)?;
+            Ok((bytes, content_type_for(&params.exporter_name)))
+        })
     })
 }
 
 fn peaks(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError> {
     let entry = lookup(state, id)?;
     let measure = parse_measure(req)?;
-    let parallelism = match req.query_param("threads") {
-        Some(raw) => Parallelism::parse(raw)?,
-        None => Parallelism::Serial,
-    };
+    let parallelism = parse_parallelism(req)?;
     let alpha: Option<f64> = match req.query_param("alpha") {
         Some(raw) => Some(numeric_param("alpha", raw)?),
         None => None,
@@ -449,28 +452,19 @@ fn peaks(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError
         }
     );
     serve_cached(state, req, &key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-        session.set_parallelism(parallelism);
-        let stages = session.stages()?;
-        let peaks = match alpha {
-            Some(a) => peaks_at_alpha(stages.render_tree, stages.layout, a),
-            None => highest_peaks(stages.render_tree, stages.layout, count),
-        };
-        let body = peaks_json(id, &measure_name, alpha, &peaks);
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((body.into_bytes(), "application/json"))
+        with_session(state, &entry, measure, parallelism, |session| {
+            let stages = session.stages()?;
+            let peaks = match alpha {
+                Some(a) => peaks_at_alpha(stages.render_tree, stages.layout, a),
+                None => highest_peaks(stages.render_tree, stages.layout, count),
+            };
+            let body = peaks_json(id, &measure_name, alpha, &peaks);
+            Ok((body.into_bytes(), "application/json"))
+        })
     })
 }
 
 // ------------------------------------------------------------------- tiles
-
-/// The `threads` query parameter (shared by every render route).
-fn parse_parallelism(req: &Request) -> Result<Parallelism, ApiError> {
-    match req.query_param("threads") {
-        Some(raw) => Ok(Parallelism::parse(raw)?),
-        None => Ok(Parallelism::Serial),
-    }
-}
 
 /// `GET /graphs/{id}/tiles/{zoom}/{tx}/{ty}`: one pan/zoom tile over the
 /// server-fixed default layout and LOD configurations. `format=svg`
@@ -535,19 +529,16 @@ fn tile(
     );
     let content_type = if as_svg { "image/svg+xml" } else { "application/octet-stream" };
     serve_cached(state, req, &cache_key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-        session.set_parallelism(parallelism);
-        let mut bytes = Vec::new();
-        {
+        with_session(state, &entry, measure, parallelism, |session| {
             let scene = session.scene()?;
+            let mut bytes = Vec::new();
             if as_svg {
                 scene.write_tile_svg(&key, size, &mut bytes)?;
             } else {
                 scene.write_tile_gtsc(&key, &mut bytes)?;
             }
-        }
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((bytes, content_type))
+            Ok((bytes, content_type))
+        })
     })
 }
 
@@ -565,12 +556,11 @@ fn scene_document(state: &AppState, req: &Request, id: &str) -> Result<Response,
         measure_canonical(&measure),
     );
     serve_cached(state, req, &cache_key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-        session.set_parallelism(parallelism);
-        let mut bytes = Vec::new();
-        session.scene()?.write_scene_gtsc(&mut bytes)?;
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((bytes, "application/octet-stream"))
+        with_session(state, &entry, measure, parallelism, |session| {
+            let mut bytes = Vec::new();
+            session.scene()?.write_scene_gtsc(&mut bytes)?;
+            Ok((bytes, "application/octet-stream"))
+        })
     })
 }
 
@@ -632,6 +622,23 @@ fn serve_cached(
     let artifact = Arc::new(CachedArtifact { bytes, etag, content_type });
     state.cache.lock().expect("cache lock").insert(key.to_string(), Arc::clone(&artifact));
     Ok(artifact_response(&artifact, "miss"))
+}
+
+/// The render side of a cache miss: run `render` over a fresh session on
+/// the entry's shared graph at `parallelism`, then fold the session's stage
+/// timings into `/stats` (only for renders that succeed).
+fn with_session<T>(
+    state: &AppState,
+    entry: &GraphEntry,
+    measure: Measure,
+    parallelism: Parallelism,
+    render: impl FnOnce(&mut TerrainPipeline<'static>) -> Result<T, ApiError>,
+) -> Result<T, ApiError> {
+    let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
+    session.set_parallelism(parallelism);
+    let rendered = render(&mut session)?;
+    state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
+    Ok(rendered)
 }
 
 fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {

@@ -195,6 +195,22 @@ fn upload_registers_lists_describes_and_conflicts() {
 }
 
 #[test]
+fn retired_v2_snapshot_uploads_are_invalid_graph_400s_naming_the_version() {
+    let state = Arc::new(AppState::new(ServerConfig::default()));
+    // The v2 header: shared `GTSB` magic, little-endian version 2, padding.
+    let mut v2 = b"GTSB".to_vec();
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&[0; 16]);
+    let response = routes::handle(&state, &post("/graphs?format=binary", v2));
+    assert_eq!(response.status, 400);
+    let error = body_json(&response).get("error").cloned().expect("structured error");
+    assert_eq!(error.get("code").and_then(|c| c.as_str()), Some("invalid_graph"));
+    let message = error.get("message").and_then(|m| m.as_str()).unwrap_or_default();
+    assert!(message.contains("version 2"), "{message}");
+    assert!(state.graphs().is_empty());
+}
+
+#[test]
 fn peaks_returns_the_clique_and_stats_reflects_traffic() {
     let state = state_with_graph();
     let peaks = routes::handle(&state, &get("/graphs/g/peaks?count=2"));

@@ -4,9 +4,8 @@
 //! layout, mesh and SVG stages add failure modes of their own (inverted
 //! layout domains, non-finite height scales, coloring data that does not
 //! match the scalar field). [`TerrainError`] unifies both so that a whole
-//! pipeline run — `graph-terrain`'s `TerrainPipeline` session as well as
-//! `bench::pipeline` — propagates one non-panicking error type from every
-//! stage.
+//! pipeline run — `graph-terrain`'s `TerrainPipeline` session — propagates
+//! one non-panicking error type from every stage.
 
 use std::fmt;
 use ugraph::GraphError;

@@ -78,19 +78,7 @@ fn render_heightmap(layout: &TerrainLayout, cols: usize, rows: usize) -> String 
     out
 }
 
-/// Render the terrain's height field to ASCII art of `cols` by `rows`
-/// characters (plus newlines).
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `Ascii` exporter with a `RenderScene` \
-            (`Ascii::new(cols, rows).export_string(&scene)`)"
-)]
-pub fn ascii_heightmap(layout: &TerrainLayout, cols: usize, rows: usize) -> String {
-    render_heightmap(layout, cols, rows)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::layout2d::{layout_super_tree, LayoutConfig};
@@ -112,7 +100,7 @@ mod tests {
     #[test]
     fn heightmap_has_requested_dimensions() {
         let layout = sample_layout();
-        let art = ascii_heightmap(&layout, 40, 12);
+        let art = render_heightmap(&layout, 40, 12);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 12);
         assert!(lines.iter().all(|l| l.chars().count() == 40));
@@ -121,7 +109,7 @@ mod tests {
     #[test]
     fn heightmap_uses_multiple_height_levels() {
         let layout = sample_layout();
-        let art = ascii_heightmap(&layout, 60, 20);
+        let art = render_heightmap(&layout, 60, 20);
         let distinct: std::collections::BTreeSet<char> =
             art.chars().filter(|c| *c != '\n').collect();
         assert!(distinct.len() >= 2, "terrain with peaks should use several glyphs");
@@ -132,7 +120,7 @@ mod tests {
     #[test]
     fn degenerate_requests_return_empty_strings() {
         let layout = sample_layout();
-        assert!(ascii_heightmap(&layout, 0, 10).is_empty());
-        assert!(ascii_heightmap(&layout, 10, 0).is_empty());
+        assert!(render_heightmap(&layout, 0, 10).is_empty());
+        assert!(render_heightmap(&layout, 10, 0).is_empty());
     }
 }

@@ -45,25 +45,19 @@ fn write_obj(mesh: &TerrainMesh, out: &mut dyn Write) -> TerrainResult<()> {
     Ok(())
 }
 
-/// Serialize a terrain mesh to Wavefront OBJ text.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `Obj` exporter with a `RenderScene` (`Obj.write_to(&scene, &mut writer)`)"
-)]
-pub fn mesh_to_obj(mesh: &TerrainMesh) -> String {
-    let mut out = Vec::with_capacity(mesh.vertex_count() * 32 + mesh.triangle_count() * 16);
-    write_obj(mesh, &mut out).expect("writing to a Vec<u8> cannot fail");
-    String::from_utf8(out).expect("OBJ output is UTF-8")
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::layout2d::{layout_super_tree, LayoutConfig};
     use crate::mesh::{build_terrain_mesh, MeshConfig};
     use scalarfield::{build_super_tree, vertex_scalar_tree, VertexScalarGraph};
     use ugraph::GraphBuilder;
+
+    fn obj_text(mesh: &TerrainMesh) -> String {
+        let mut out = Vec::new();
+        write_obj(mesh, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
 
     fn sample_mesh() -> TerrainMesh {
         let mut b = GraphBuilder::new();
@@ -79,7 +73,7 @@ mod tests {
     #[test]
     fn obj_has_one_line_per_vertex_and_face() {
         let mesh = sample_mesh();
-        let obj = mesh_to_obj(&mesh);
+        let obj = obj_text(&mesh);
         let v_lines = obj.lines().filter(|l| l.starts_with("v ")).count();
         let f_lines = obj.lines().filter(|l| l.starts_with("f ")).count();
         assert_eq!(v_lines, mesh.vertex_count());
@@ -89,7 +83,7 @@ mod tests {
     #[test]
     fn obj_faces_are_one_based_and_in_range() {
         let mesh = sample_mesh();
-        let obj = mesh_to_obj(&mesh);
+        let obj = obj_text(&mesh);
         for line in obj.lines().filter(|l| l.starts_with("f ")) {
             for token in line.split_whitespace().skip(1) {
                 let idx: usize = token.parse().unwrap();
@@ -100,7 +94,7 @@ mod tests {
 
     #[test]
     fn empty_mesh_exports_header_only() {
-        let obj = mesh_to_obj(&TerrainMesh::default());
+        let obj = obj_text(&TerrainMesh::default());
         assert!(obj.contains("0 vertices, 0 triangles"));
         assert!(!obj.lines().any(|l| l.starts_with("v ")));
     }

@@ -14,7 +14,7 @@ use crate::treemap::{build_treemap, Treemap};
 use std::io::Write;
 
 /// The 3D terrain backend: streams the oblique-projected mesh as an SVG
-/// document. Output is byte-identical to the historical [`terrain_to_svg`].
+/// document.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Svg {
     /// Output width in pixels.
@@ -55,8 +55,7 @@ impl Exporter for Svg {
 }
 
 /// The flat 2D treemap backend (Figure 5(a)): builds the treemap from the
-/// scene's tree and layout and streams it as an SVG document. Output is
-/// byte-identical to the historical [`treemap_to_svg`] over the same treemap.
+/// scene's tree and layout and streams it as an SVG document.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TreemapSvg {
     /// Output width in pixels.
@@ -217,32 +216,6 @@ fn write_terrain_svg(
     Ok(())
 }
 
-/// Render a treemap to an SVG document of the given pixel size.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `TreemapSvg` exporter with a `RenderScene` \
-            (`TreemapSvg::new(w, h).write_to(&scene, &mut writer)`)"
-)]
-pub fn treemap_to_svg(map: &Treemap, width_px: f64, height_px: f64) -> String {
-    let mut out = Vec::new();
-    write_treemap_svg(map, width_px, height_px, &mut out)
-        .expect("writing to a Vec<u8> cannot fail");
-    String::from_utf8(out).expect("SVG output is UTF-8")
-}
-
-/// Render a terrain mesh to an SVG document using an oblique projection.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `Svg` exporter with a `RenderScene` \
-            (`Svg::new(w, h).write_to(&scene, &mut writer)`)"
-)]
-pub fn terrain_to_svg(mesh: &TerrainMesh, width_px: f64, height_px: f64) -> String {
-    let mut out = Vec::new();
-    write_terrain_svg(mesh, width_px, height_px, &mut out)
-        .expect("writing to a Vec<u8> cannot fail");
-    String::from_utf8(out).expect("SVG output is UTF-8")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,20 +263,24 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_are_byte_identical_to_the_backends() {
+    fn backends_stream_exactly_what_their_writers_write() {
         let (tree, layout, mesh, map) = pipeline();
         let scene = RenderScene::new(&tree, &layout, &mesh);
+        let mut direct = Vec::new();
+        write_terrain_svg(&mesh, 800.0, 600.0, &mut direct).unwrap();
         let streamed = Svg::new(800.0, 600.0).export_string(&scene).unwrap();
-        assert_eq!(streamed, terrain_to_svg(&mesh, 800.0, 600.0));
+        assert_eq!(streamed.as_bytes(), direct);
+        // The treemap backend builds its own treemap from the scene.
+        let mut direct = Vec::new();
+        write_treemap_svg(&map, 640.0, 480.0, &mut direct).unwrap();
         let streamed = TreemapSvg::new(640.0, 480.0).export_string(&scene).unwrap();
-        assert_eq!(streamed, treemap_to_svg(&map, 640.0, 480.0));
+        assert_eq!(streamed.as_bytes(), direct);
     }
 
     #[test]
-    #[allow(deprecated)]
     fn empty_mesh_still_produces_valid_svg() {
-        let svg = terrain_to_svg(&TerrainMesh::default(), 100.0, 100.0);
-        assert!(svg.contains("<svg"));
+        let mut svg = Vec::new();
+        write_terrain_svg(&TerrainMesh::default(), 100.0, 100.0, &mut svg).unwrap();
+        assert!(String::from_utf8(svg).unwrap().contains("<svg"));
     }
 }

@@ -30,8 +30,7 @@
 //! * [`treemap`] — the flat 2D treemap variant of Figure 5(a);
 //! * [`export`] — the render boundary: the [`Exporter`] trait over a borrowed
 //!   [`RenderScene`], with streaming SVG / treemap-SVG / OBJ / PLY / ASCII /
-//!   JSON backends used by the figure harness (the old `String`-returning
-//!   free functions remain as deprecated wrappers);
+//!   JSON backends used by the figure harness;
 //! * [`error`] — [`TerrainError`], the workspace-wide non-panicking error
 //!   type every staged terrain build propagates (wrapping
 //!   [`ugraph::GraphError`] and adding layout / mesh / config variants).
@@ -50,12 +49,6 @@ pub mod treemap;
 
 pub use color::{colormap, role_palette, Color, ColorScheme};
 pub use error::{TerrainError, TerrainResult};
-#[allow(deprecated)]
-pub use export::ascii::ascii_heightmap;
-#[allow(deprecated)]
-pub use export::obj::mesh_to_obj;
-#[allow(deprecated)]
-pub use export::svg::{terrain_to_svg, treemap_to_svg};
 pub use export::{
     builtin_exporters, exporter_by_name, exporter_by_name_sized, exporter_names, Ascii, Exporter,
     JsonScene, Obj, Ply, RenderScene, SceneBin, SceneTiming, Svg, TiledSvg, TreemapSvg,

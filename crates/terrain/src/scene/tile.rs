@@ -26,6 +26,7 @@
 use crate::error::{TerrainError, TerrainResult};
 use crate::layout2d::Rect;
 use crate::scene::lod::SceneItem;
+use ugraph::io::fnv1a64;
 
 /// Magic bytes opening every `GTSC` document.
 pub const GTSC_MAGIC: &[u8; 4] = b"GTSC";
@@ -116,17 +117,6 @@ pub fn tiles_overlapping(domain: &Rect, viewport: &Rect, zoom: u8) -> Vec<TileKe
 }
 
 // ------------------------------------------------------------------ encode
-
-/// FNV-1a 64-bit, the same cheap integrity hash the artifact cache keys
-/// with.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn push_rect(out: &mut Vec<u8>, rect: &Rect) {
     for v in [rect.x0, rect.y0, rect.x1, rect.y1] {

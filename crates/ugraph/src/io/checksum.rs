@@ -1,4 +1,5 @@
-//! The two-level chunked checksum of binary snapshot v3.
+//! The two-level chunked checksum of binary snapshot v3, and the plain
+//! byte-wise [`fnv1a64`] the rest of the workspace shares.
 //!
 //! Definition: the protected byte stream is cut into fixed
 //! [`CHECKSUM_CHUNK`]-sized chunks (the final chunk may be short; an empty
@@ -42,6 +43,14 @@ const PARALLEL_THRESHOLD: usize = 8 << 20;
 
 /// Upper bound on verification threads; beyond this the walk is memory-bound.
 const MAX_THREADS: usize = 8;
+
+/// Plain byte-wise FNV-1a 64 over `bytes` — the integrity check of the
+/// `GTSC` scene stream and the server's key-derived ETags. Deliberately
+/// simple and dependency-free: it guards against truncation and bit rot,
+/// not adversaries.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 #[inline]
 fn fold(hash: u64, word: u64) -> u64 {
@@ -251,6 +260,13 @@ pub(crate) fn chunked_checksum(body: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     /// Chunk-by-chunk reference implementation: no interleave, no threads.
     fn reference(body: &[u8]) -> u64 {

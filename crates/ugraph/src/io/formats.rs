@@ -29,8 +29,7 @@ pub enum GraphFormat {
     /// `[` / `]` / `,` framing lines ignored so a pretty-printed JSON array
     /// of records parses too.
     JsonAdjacency,
-    /// Binary snapshot — v2 ([`encode_binary_v2`](super::encode_binary_v2))
-    /// or the legacy v1 blob, told apart by the magic.
+    /// Binary snapshot v3 ([`encode_binary_v3`](super::encode_binary_v3)).
     Binary,
 }
 
@@ -87,7 +86,7 @@ impl GraphFormat {
 
     /// Sniff a format from the first bytes of the input.
     ///
-    /// The rules, in order: the v2 magic (or any non-UTF-8 / NUL byte) means
+    /// The rules, in order: the snapshot magic (or any non-UTF-8 / NUL byte) means
     /// [`Binary`](GraphFormat::Binary); a first non-whitespace `{` or `[`
     /// means [`JsonAdjacency`](GraphFormat::JsonAdjacency); a comma in the
     /// first data line means [`Csv`](GraphFormat::Csv); everything else is an
@@ -95,11 +94,11 @@ impl GraphFormat {
     /// `n m` header is indistinguishable from an edge-list line — so it must
     /// be chosen by extension (`.graph` / `.metis`) or explicitly.
     pub fn sniff(prefix: &[u8]) -> GraphFormat {
-        if prefix.starts_with(super::BINARY_V2_MAGIC) {
+        if prefix.starts_with(super::BINARY_MAGIC) {
             return GraphFormat::Binary;
         }
         // Text formats are ASCII-ish line protocols; embedded NULs or invalid
-        // UTF-8 in the probe window mean a binary payload (e.g. a v1 blob).
+        // UTF-8 in the probe window mean a binary payload.
         let text = match std::str::from_utf8(prefix) {
             Ok(text) => text,
             // A multi-byte code point cut at the window edge is still text.

@@ -1,7 +1,7 @@
 //! The ingest boundary: streaming graph readers, graph writers and the
 //! [`GraphSource`] builder.
 //!
-//! Four line-oriented text dialects and one binary snapshot format are
+//! Four line-oriented text dialects and one binary snapshot format (v3) are
 //! supported, all converging on the same [`ParsedEdgeList`] (a canonical
 //! [`CsrGraph`] plus optional per-edge weights):
 //!
@@ -11,7 +11,7 @@
 //! | CSV with header                 | [`read_csv`]             | —                              |
 //! | METIS adjacency                 | [`read_metis`]           | —                              |
 //! | JSON adjacency (one object/line)| [`read_json_adjacency`]  | —                              |
-//! | binary snapshot v2/v3 (+ legacy v1) | [`decode_binary_auto`] | [`encode_binary_v2`] / [`encode_binary_v3`] |
+//! | binary snapshot v3              | [`decode_binary_v3`] / [`MappedCsrGraph`] | [`encode_binary_v3`] / [`write_binary_v3`] |
 //!
 //! Callers rarely pick a reader by hand: [`GraphSource`] resolves the format
 //! from an explicit [`GraphFormat`], the file extension, or content sniffing,
@@ -38,24 +38,20 @@ use crate::error::{GraphError, Result};
 use std::io::{BufRead, Write};
 use std::path::Path;
 
-mod binary;
 mod checksum;
 mod formats;
 pub mod mmap;
 mod source;
 mod v3;
 
-pub use binary::{
-    decode_binary, decode_binary_auto, decode_binary_v2, encode_binary, encode_binary_v2,
-    BINARY_V2_MAGIC,
-};
+pub use checksum::fnv1a64;
 pub use formats::{read_csv, read_json_adjacency, read_metis, GraphFormat};
 pub use source::GraphSource;
 #[doc(hidden)]
 pub use v3::restamp_v3_checksum;
 pub use v3::{
     decode_binary_v3, encode_binary_v3, write_binary_v3, write_binary_v3_file, MappedCsrGraph,
-    BINARY_V3_VERSION,
+    BINARY_MAGIC, BINARY_V3_VERSION,
 };
 
 /// An edge list parsed from any ingest format: the graph plus optional
@@ -237,16 +233,6 @@ pub(crate) fn parse_field(field: Option<&str>, line: usize, what: &str) -> Resul
     let raw =
         field.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
     raw.parse().map_err(|_| GraphError::Parse { line, message: format!("invalid {what} `{raw}`") })
-}
-
-/// Read an edge list from a file path.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `GraphSource::path(path).with_format(GraphFormat::EdgeList).load()` \
-            (or `GraphSource::path(path).load()` to auto-detect the format)"
-)]
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<ParsedEdgeList> {
-    GraphSource::path(path.as_ref()).with_format(GraphFormat::EdgeList).load()
 }
 
 /// Write a graph as a plain edge list (`u v` per line, canonical order).

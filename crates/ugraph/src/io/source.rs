@@ -1,7 +1,7 @@
 //! [`GraphSource`] — the one ingest entry point over every supported format.
 
 use super::{
-    decode_binary_auto, read_csv, read_edge_list, read_json_adjacency, read_metis, GraphFormat,
+    decode_binary_v3, read_csv, read_edge_list, read_json_adjacency, read_metis, GraphFormat,
     ParsedEdgeList,
 };
 use crate::error::Result;
@@ -154,14 +154,14 @@ fn dispatch<R: BufRead>(format: GraphFormat, mut reader: R) -> Result<ParsedEdge
         GraphFormat::Binary => {
             let mut bytes = Vec::new();
             reader.read_to_end(&mut bytes)?;
-            decode_binary_auto(&bytes)
+            decode_binary_v3(&bytes)
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{encode_binary, encode_binary_v2};
+    use super::super::encode_binary_v3;
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::error::GraphError;
@@ -194,13 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn reader_sniffs_both_binary_generations() {
+    fn reader_sniffs_binary_snapshots() {
         let g = triangle();
-        let v2 = encode_binary_v2(&g, None).unwrap();
-        assert_eq!(GraphSource::reader(std::io::Cursor::new(v2)).load().unwrap().graph, g);
-        let v1 = encode_binary(&g);
-        let v1_bytes: Vec<u8> = v1.as_ref().to_vec();
-        assert_eq!(GraphSource::reader(std::io::Cursor::new(v1_bytes)).load().unwrap().graph, g);
+        let v3 = encode_binary_v3(&g, None).unwrap();
+        assert_eq!(GraphSource::reader(std::io::Cursor::new(v3)).load().unwrap().graph, g);
     }
 
     #[test]
@@ -244,7 +241,7 @@ mod tests {
             }
         }
         let g = triangle();
-        let blob = encode_binary_v2(&g, None).unwrap();
+        let blob = encode_binary_v3(&g, None).unwrap();
         let parsed = GraphSource::reader(OneByteReader { data: blob, pos: 0 }).load().unwrap();
         assert_eq!(parsed.graph, g);
         // Same for a text dialect: the whole prefix is probed, not one byte.

@@ -1,12 +1,11 @@
-//! Binary snapshot **v3**: the zero-copy generation.
+//! Binary snapshot **v3**: the one binary graph format.
 //!
-//! Where v2 serializes the *edge list* and rebuilds the CSR arrays on load,
 //! v3 serializes the **CSR arrays themselves**, laid out so a memory-mapped
 //! file can back a [`crate::GraphStorage`] directly — no parse, no sort, no
 //! allocation proportional to the graph:
 //!
 //! ```text
-//! offset 0   "GTSB"                                  magic (shared with v2)
+//! offset 0   "GTSB"                                  magic
 //! offset 4   version: u32 = 3
 //! offset 8   sections, each 8-byte aligned:
 //!              { tag: u32, reserved: u32 = 0, len: u64 }   16-byte header
@@ -57,7 +56,6 @@
 //! cross-link between half-edges and endpoint pairs; the owned decoder
 //! ([`decode_binary_v3`]) runs that too.
 
-use super::binary::{corrupt, BINARY_V2_MAGIC};
 use super::checksum::{chunked_checksum, ChunkedFnv};
 use super::mmap::MappedBytes;
 use super::ParsedEdgeList;
@@ -69,7 +67,12 @@ use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
 
-/// Version stamp of the zero-copy snapshot generation.
+/// Magic bytes opening every binary snapshot ("Graph Terrain Snapshot
+/// Binary").
+pub const BINARY_MAGIC: &[u8; 4] = b"GTSB";
+
+/// Version stamp of the zero-copy snapshot generation, the only one this
+/// reader accepts.
 pub const BINARY_V3_VERSION: u32 = 3;
 
 const SECTION_HEADER: u32 = 1;
@@ -82,6 +85,12 @@ const SECTION_WEIGHTS: u32 = 6;
 /// Reinterpretation is only sound where the in-memory layout matches the
 /// file layout: little-endian integers and 8-byte `usize`.
 const ZERO_COPY_SUPPORTED: bool = cfg!(all(target_endian = "little", target_pointer_width = "64"));
+
+/// Every snapshot defect — truncation, a wrong magic or version, a flipped
+/// bit, a broken structure — is a [`GraphError::Parse`], never a panic.
+fn corrupt(message: impl Into<String>) -> GraphError {
+    GraphError::Parse { line: 0, message: message.into() }
+}
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -155,7 +164,7 @@ pub fn write_binary_v3<G: GraphStorage + ?Sized, W: Write>(
         validate_weights(graph, weights)?;
     }
     let mut out = ChecksumWriter::new(writer);
-    out.write(BINARY_V2_MAGIC)?;
+    out.write(BINARY_MAGIC)?;
     out.write(&BINARY_V3_VERSION.to_le_bytes())?;
 
     write_section(&mut out, SECTION_HEADER, 16, |out| {
@@ -297,7 +306,7 @@ fn parse_v3(bytes: &[u8]) -> Result<V3Layout> {
 
 /// Reject snapshots whose magic or version stamp is not v3's.
 fn check_magic_version(bytes: &[u8]) -> Result<()> {
-    if &bytes[..4] != BINARY_V2_MAGIC {
+    if &bytes[..4] != BINARY_MAGIC {
         return Err(corrupt(format!(
             "bad magic {:02x?}: not a graph-terrain binary snapshot",
             &bytes[..4]
@@ -566,7 +575,7 @@ fn validate_arrays(bytes: &[u8], layout: &V3Layout) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Owned (copying) decode — the portable path, also used by decode_binary_auto
+// Owned (copying) decode — the portable path, also used by GraphSource
 // ---------------------------------------------------------------------------
 
 fn decode_owned(bytes: &[u8]) -> Result<(CsrGraph, Option<Vec<f64>>)> {
@@ -586,7 +595,7 @@ fn decode_owned(bytes: &[u8]) -> Result<(CsrGraph, Option<Vec<f64>>)> {
         .collect();
     let graph = CsrGraph::from_raw_parts(offsets, targets, edge_ids, endpoints);
     // `parse_v3` validated everything linear; the owned decoder also runs the
-    // full cross-linking check, keeping parity with the v2 rebuild guarantee.
+    // full cross-linking check.
     graph.check_invariants()?;
     let weights = layout.weights.map(|range| {
         (0..layout.edge_count).map(|i| f64::from_bits(read_u64(bytes, &range, i))).collect()
@@ -596,7 +605,7 @@ fn decode_owned(bytes: &[u8]) -> Result<(CsrGraph, Option<Vec<f64>>)> {
 
 /// Decode a v3 snapshot into an owned [`ParsedEdgeList`] — the copying
 /// counterpart of [`MappedCsrGraph::open`], and the path
-/// [`super::decode_binary_auto`] takes for version-3 blobs.
+/// [`GraphSource`](super::GraphSource) takes for binary input.
 pub fn decode_binary_v3(bytes: &[u8]) -> Result<ParsedEdgeList> {
     let (graph, edge_weights) = decode_owned(bytes)?;
     Ok(ParsedEdgeList { graph, edge_weights })
@@ -1009,7 +1018,7 @@ mod tests {
     fn v3_round_trips_through_owned_decode() {
         let g = sample_graph();
         let bytes = encode_binary_v3(&g, None).unwrap();
-        assert!(bytes.starts_with(BINARY_V2_MAGIC));
+        assert!(bytes.starts_with(BINARY_MAGIC));
         assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), BINARY_V3_VERSION);
         let decoded = decode_binary_v3(&bytes).unwrap();
         assert_eq!(decoded.graph, g);
@@ -1158,10 +1167,19 @@ mod tests {
 
     #[test]
     fn v2_snapshots_are_not_v3() {
-        let g = sample_graph();
-        let v2 = super::super::encode_binary_v2(&g, None).unwrap();
-        let err = decode_binary_v3(&v2).unwrap_err();
-        assert!(err.to_string().contains("version 2"), "{err}");
-        assert!(MappedCsrGraph::from_bytes(&v2).is_err());
+        // A retired v2 snapshot opens with the shared magic and a version-2
+        // stamp; the padding makes it long enough to reach the version check.
+        let mut v2 = BINARY_MAGIC.to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&[0; 16]);
+        let errors = [
+            decode_binary_v3(&v2).unwrap_err(),
+            MappedCsrGraph::from_bytes(&v2).unwrap_err(),
+            super::super::GraphSource::reader(std::io::Cursor::new(v2)).load().unwrap_err(),
+        ];
+        for err in errors {
+            assert!(matches!(err, GraphError::Parse { .. }), "{err}");
+            assert!(err.to_string().contains("version 2"), "{err}");
+        }
     }
 }

@@ -280,11 +280,6 @@ impl std::fmt::Display for Parallelism {
 /// declare a wider decomposition with [`Parallelism::with_width`].
 pub const DEFAULT_WIDTH: usize = 32;
 
-/// Historical name for [`DEFAULT_WIDTH`], from when the chunk-count cap was
-/// not configurable.
-#[deprecated(note = "use DEFAULT_WIDTH; the cap is now per-Parallelism (`with_width`)")]
-pub const MAX_CHUNKS: usize = DEFAULT_WIDTH;
-
 /// The deterministic chunk size for an input of `len` items under a
 /// chunk-count target of `width`: the smallest size that covers `len` with at
 /// most `width.max(1)` chunks.

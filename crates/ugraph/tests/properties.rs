@@ -6,10 +6,10 @@ use proptest::prelude::*;
 use ugraph::dual::{estimated_dual_edges, line_graph};
 use ugraph::generators::{lfr, rmat, rmat_with, RmatConfig};
 use ugraph::io::{
-    decode_binary, decode_binary_auto, decode_binary_v2, encode_binary, encode_binary_v2,
-    read_edge_list, write_edge_list, write_edge_list_weighted,
+    decode_binary_v3, encode_binary_v3, read_edge_list, write_edge_list, write_edge_list_weighted,
+    MappedCsrGraph,
 };
-use ugraph::{connected_components, CsrGraph, GraphBuilder, UnionFind, VertexId};
+use ugraph::{connected_components, CsrGraph, GraphBuilder, GraphStorage, UnionFind, VertexId};
 
 fn arbitrary_edges(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..max_n).prop_flat_map(|n| {
@@ -105,11 +105,14 @@ proptest! {
         };
         prop_assert_eq!(edges_of(&parsed.graph), edges_of(&g));
 
-        let decoded = decode_binary(encode_binary(&g)).unwrap();
-        prop_assert_eq!(decoded, g);
+        // The binary snapshot keeps isolated trailing vertices, so the whole
+        // graph compares equal — through both the owned and the mapped open.
+        let blob = encode_binary_v3(&g, None).unwrap();
+        prop_assert_eq!(&decode_binary_v3(&blob).unwrap().graph, &g);
+        prop_assert_eq!(MappedCsrGraph::from_bytes(&blob).unwrap().to_csr_graph(), g);
     }
 
-    /// The weighted edge-list writer and the binary v2 snapshot both
+    /// The weighted edge-list writer and the binary v3 snapshot both
     /// round-trip arbitrary graphs *and* arbitrary finite weights exactly —
     /// same graph, bit-identical weights — end-to-end through the readers.
     #[test]
@@ -142,17 +145,19 @@ proptest! {
             prop_assert_eq!(bits(&parsed.edge_weights.unwrap()), bits(&weights));
         }
 
-        // Binary v2: the snapshot also preserves isolated trailing vertices,
-        // so the whole graph compares equal, and both decoders agree.
-        let blob = encode_binary_v2(&g, Some(&weights)).unwrap();
-        let direct = decode_binary_v2(&blob).unwrap();
-        prop_assert_eq!(&direct.graph, &g);
-        prop_assert_eq!(bits(&direct.edge_weights.unwrap()), bits(&weights));
-        let auto = decode_binary_auto(&blob).unwrap();
-        prop_assert_eq!(&auto.graph, &g);
+        // Binary v3: the snapshot also preserves isolated trailing vertices,
+        // so the whole graph compares equal, and both openers agree on the
+        // graph and on every weight bit.
+        let blob = encode_binary_v3(&g, Some(&weights)).unwrap();
+        let owned = decode_binary_v3(&blob).unwrap();
+        prop_assert_eq!(&owned.graph, &g);
+        prop_assert_eq!(bits(&owned.edge_weights.unwrap()), bits(&weights));
+        let mapped = MappedCsrGraph::from_bytes(&blob).unwrap();
+        prop_assert_eq!(&mapped.to_csr_graph(), &g);
+        prop_assert_eq!(bits(mapped.edge_weights().unwrap()), bits(&weights));
 
-        // And an unweighted v2 snapshot round-trips the bare graph.
-        let bare = decode_binary_v2(&encode_binary_v2(&g, None).unwrap()).unwrap();
+        // And an unweighted v3 snapshot round-trips the bare graph.
+        let bare = decode_binary_v3(&encode_binary_v3(&g, None).unwrap()).unwrap();
         prop_assert_eq!(bare.graph, g);
         prop_assert!(bare.edge_weights.is_none());
     }

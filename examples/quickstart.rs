@@ -10,18 +10,16 @@
 //!                                [-- --format <svg|treemap|obj|ply|ascii|json>]
 //!                                [-- --out <artifact path>]
 //!                                [-- --save-graph <binary snapshot path>]
-//!                                [-- --snapshot-version <2|3>]
 //!                                [-- --mapped]
 //! ```
 //!
 //! Without `--input` a small built-in collaboration graph is used;
 //! `--save-graph` writes that graph as a binary snapshot which a later run
 //! can `--input` back (CI round-trips exactly this and diffs the SVG
-//! bytes). `--snapshot-version` picks the generation: `3` (the default) is
-//! the zero-copy CSR layout that `TerrainPipeline::open_mapped` serves
-//! straight from the mapped file; `2` keeps the legacy edge-list encoding
-//! for older readers. `--mapped` makes `--input` (which must then name a
-//! v3 snapshot) open memory-mapped instead of deserializing — the session
+//! bytes). The snapshot is binary v3, the zero-copy CSR layout that
+//! `TerrainPipeline::open_mapped` serves straight from the mapped file.
+//! `--mapped` makes `--input` (which must then name a snapshot) open
+//! memory-mapped instead of deserializing — the session
 //! runs off the page cache and the artifact bytes are identical to the
 //! owned path (CI diffs exactly that). The `--threads` knob is pure
 //! wall-clock: the emitted artifact is byte-identical for every setting
@@ -30,7 +28,7 @@
 use graph_terrain::prelude::*;
 use measures::Parallelism;
 use terrain::{exporter_by_name, peaks_at_alpha, Ascii, Exporter, RenderScene};
-use ugraph::io::{encode_binary_v2, write_binary_v3_file, GraphSource};
+use ugraph::io::{write_binary_v3_file, GraphSource};
 use ugraph::GraphBuilder;
 
 /// `--flag value` or `--flag=value`, matching the figure binaries' parser.
@@ -111,20 +109,11 @@ fn main() {
         );
 
         // Optionally snapshot the graph so a later run can `--input` it back,
-        // byte-identically. v3 (default) is the zero-copy CSR layout that
-        // `MappedCsrGraph` serves without deserializing; v2 stays available
-        // for readers that predate it.
+        // byte-identically: v3 is the zero-copy CSR layout that
+        // `MappedCsrGraph` serves without deserializing.
         if let Some(path) = flag(&args, "--save-graph") {
-            let version = flag(&args, "--snapshot-version").unwrap_or_else(|| "3".to_string());
-            match version.as_str() {
-                "3" => write_binary_v3_file(&owned_graph, None, &path).expect("write v3 snapshot"),
-                "2" => {
-                    let blob = encode_binary_v2(&owned_graph, None).expect("encode v2 snapshot");
-                    std::fs::write(&path, blob).expect("write v2 snapshot");
-                }
-                other => panic!("unsupported --snapshot-version {other:?} (expected 2 or 3)"),
-            }
-            println!("saved binary v{version} snapshot to {path}");
+            write_binary_v3_file(&owned_graph, None, &path).expect("write v3 snapshot");
+            println!("saved binary v3 snapshot to {path}");
         }
 
         TerrainPipeline::from_measure(&owned_graph, Measure::KCore)

@@ -321,8 +321,8 @@ impl SvgSize {
 ///
 /// The Table II mapping: [`tree_construction_seconds`](Self::tree_construction_seconds)
 /// is `tc`, [`visualization_seconds`](Self::visualization_seconds) is `tv`
-/// (the naive dual-graph baseline `te` is measured by `bench::pipeline`,
-/// which delegates everything else to this session API).
+/// (the naive dual-graph baseline `te` is timed outside the session, by
+/// `bench::naive_edge_tree_seconds`).
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct StageTimings {
     /// Computing the scalar field (`None` for user-provided scalars).
@@ -370,25 +370,6 @@ pub struct TerrainStages<'a> {
     pub layout: &'a TerrainLayout,
     /// The 3D mesh of the render tree.
     pub mesh: &'a TerrainMesh,
-}
-
-/// The owned stage outputs moved out of a finished session by
-/// [`TerrainPipeline::into_parts`].
-#[derive(Clone, Debug)]
-pub struct TerrainParts {
-    /// The scalar field the terrain was built from.
-    pub scalar: Vec<f64>,
-    /// The full super scalar tree (before simplification).
-    pub super_tree: SuperScalarTree,
-    /// The simplified tree, when the node budget triggered; `None` means the
-    /// super tree itself was rendered.
-    pub simplified: Option<SuperScalarTree>,
-    /// The 2D layout of the rendered tree.
-    pub layout: TerrainLayout,
-    /// The 3D mesh of the rendered tree.
-    pub mesh: TerrainMesh,
-    /// The per-stage timings recorded while building.
-    pub timings: StageTimings,
 }
 
 /// What [`TerrainPipeline::apply_delta`] did: the overlay's apply counters
@@ -1166,22 +1147,6 @@ impl<'g> TerrainPipeline<'g> {
         .into_iter()
         .filter_map(|(stage, seconds)| seconds.map(|seconds| SceneTiming { stage, seconds }))
         .collect()
-    }
-
-    /// Force every structural stage (through the mesh), then consume the
-    /// session and move its cached outputs out without copying — for one-shot
-    /// callers that want owned results (the deprecated `VertexTerrain` /
-    /// `EdgeTerrain` wrappers are built on this).
-    pub fn into_parts(mut self) -> TerrainResult<TerrainParts> {
-        self.ensure_mesh()?;
-        Ok(TerrainParts {
-            scalar: self.scalar.take().expect("ensured"),
-            super_tree: self.super_tree.take().expect("ensured"),
-            simplified: self.render_tree.take().expect("ensured"),
-            layout: self.layout.take().expect("ensured"),
-            mesh: self.mesh.take().expect("ensured"),
-            timings: self.timings,
-        })
     }
 
     // ------------------------------------------------------------------

@@ -1,13 +1,12 @@
 //! The I/O boundary, end to end: every ingest format resolves to the same
 //! `CsrGraph`, every export backend renders the same scene, and the whole
 //! chain `GraphSource -> TerrainPipeline -> Exporter` is byte-stable across
-//! ingest paths and identical to the pre-redesign output.
+//! ingest paths and pinned to a recorded golden digest.
 
 use graph_terrain::{Measure, TerrainPipeline};
 use terrain::{builtin_exporters, Exporter, RenderScene, Svg};
 use ugraph::io::{
-    encode_binary, encode_binary_v2, encode_binary_v3, restamp_v3_checksum, GraphFormat,
-    GraphSource, MappedCsrGraph,
+    encode_binary_v3, fnv1a64, restamp_v3_checksum, GraphFormat, GraphSource, MappedCsrGraph,
 };
 use ugraph::{CsrGraph, GraphBuilder};
 
@@ -73,8 +72,7 @@ fn every_ingest_format_round_trips_to_an_identical_graph() {
         (GraphFormat::Csv, csv_fixture(&reference).into_bytes()),
         (GraphFormat::Metis, metis_fixture(&reference).into_bytes()),
         (GraphFormat::JsonAdjacency, json_fixture(&reference).into_bytes()),
-        (GraphFormat::Binary, encode_binary_v2(&reference, None).unwrap()),
-        (GraphFormat::Binary, encode_binary(&reference).as_ref().to_vec()),
+        (GraphFormat::Binary, encode_binary_v3(&reference, None).unwrap()),
     ];
     for (format, bytes) in cases {
         // Explicit format.
@@ -93,26 +91,36 @@ fn every_ingest_format_round_trips_to_an_identical_graph() {
     }
 }
 
+/// Length and FNV-1a 64 of the quickstart K-Core terrain as a 900×700 SVG,
+/// recorded on x86_64 Linux while the retired `terrain_to_svg` free function
+/// still existed. Any byte change to the SVG path fails this pin.
+const QUICKSTART_SVG_LEN: usize = 2178;
+const QUICKSTART_SVG_FNV1A64: u64 = 0x44db_8e67_5c4a_b295;
+
+fn assert_quickstart_golden(svg: &[u8], path: &str) {
+    assert_eq!(
+        (svg.len(), fnv1a64(svg)),
+        (QUICKSTART_SVG_LEN, QUICKSTART_SVG_FNV1A64),
+        "{path} changed the quickstart SVG bytes"
+    );
+}
+
 #[test]
-#[allow(deprecated)]
 fn streaming_svg_is_byte_identical_to_the_pre_redesign_output() {
-    // The acceptance criterion of the redesign: the Exporter-based SVG path
-    // must reproduce the old `terrain_to_svg` free function byte for byte on
-    // the quickstart terrain — via the trait, via the session's cached
-    // `svg()` stage, and via `render_to`.
+    // The quickstart terrain through every SVG path — the exporter on a
+    // borrowed scene, the session's cached `svg()` stage, and `render_to` —
+    // must match the recorded golden digest byte for byte.
     let graph = quickstart_graph();
     let mut session = TerrainPipeline::from_measure(&graph, Measure::KCore);
     let stages = session.stages().unwrap();
-    let legacy = terrain::terrain_to_svg(stages.mesh, 900.0, 700.0);
-
     let scene = RenderScene::new(stages.render_tree, stages.layout, stages.mesh);
     let streamed = Svg::new(900.0, 700.0).export_string(&scene).unwrap();
-    assert_eq!(streamed, legacy);
+    assert_quickstart_golden(streamed.as_bytes(), "Svg::export_string");
 
     let mut via_render_to = Vec::new();
     session.render_to(&Svg::new(900.0, 700.0), &mut via_render_to).unwrap();
-    assert_eq!(String::from_utf8(via_render_to).unwrap(), legacy);
-    assert_eq!(session.svg().unwrap(), legacy);
+    assert_quickstart_golden(&via_render_to, "render_to");
+    assert_quickstart_golden(session.svg().unwrap().as_bytes(), "session.svg()");
 }
 
 #[test]
@@ -128,7 +136,7 @@ fn every_ingest_path_yields_the_same_svg_bytes() {
         (GraphFormat::Csv, csv_fixture(&reference).into_bytes()),
         (GraphFormat::Metis, metis_fixture(&reference).into_bytes()),
         (GraphFormat::JsonAdjacency, json_fixture(&reference).into_bytes()),
-        (GraphFormat::Binary, encode_binary_v2(&reference, None).unwrap()),
+        (GraphFormat::Binary, encode_binary_v3(&reference, None).unwrap()),
     ];
     for (format, bytes) in cases {
         let source = GraphSource::reader(std::io::Cursor::new(bytes)).with_format(format);
@@ -152,7 +160,7 @@ fn every_backend_renders_the_quickstart_scene_nonempty() {
 fn corrupt_snapshots_fail_loudly_through_the_whole_stack() {
     // Corruption must surface as an error from `from_source`, not a panic —
     // the session boundary is where a serving system catches bad uploads.
-    let good = encode_binary_v2(&quickstart_graph(), None).unwrap();
+    let good = encode_binary_v3(&quickstart_graph(), None).unwrap();
     let mut corrupt = good.clone();
     corrupt[good.len() / 2] ^= 0xff;
     for blob in [corrupt, good[..good.len() - 3].to_vec(), b"GTSB\x07garbagegarbage".to_vec()] {
@@ -197,18 +205,7 @@ fn every_v3_byte_flip_is_rejected() {
     for at in 0..blob.len() {
         let mut corrupted = blob.to_vec();
         corrupted[at] ^= 0x20;
-        if at < 4 {
-            // A flip inside the magic stops the blob claiming to be a GTSB
-            // snapshot at all — the auto-dispatching stack then applies its
-            // documented legacy-v1 fallback, so only the strict v3 opener
-            // is in scope here.
-            assert!(
-                MappedCsrGraph::from_bytes(&corrupted).is_err(),
-                "flipped magic byte {at} accepted by MappedCsrGraph"
-            );
-        } else {
-            expect_v3_rejected(&corrupted, &format!("flipped bit at byte {at}"));
-        }
+        expect_v3_rejected(&corrupted, &format!("flipped bit at byte {at}"));
     }
 }
 

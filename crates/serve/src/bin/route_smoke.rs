@@ -12,7 +12,9 @@
 //! and the viewport-tile routes: one tile must miss then hit
 //! byte-identically, answer `If-None-Match` with a 304, 404 past the grid,
 //! and stream a `GTSC` scene document (saved as `tile_1_0_0.svg` /
-//! `scene.gtsc` so CI can byte-diff a re-requested tile).
+//! `scene.gtsc` so CI can byte-diff a re-requested tile). A second tile of
+//! the same graph and measure must render from the retained scene: `/stats`
+//! `scenes.builds` may not grow.
 //!
 //! ```text
 //! route_smoke --addr <host:port> --graph <path> [--out-dir <dir>]
@@ -179,6 +181,33 @@ fn main() {
     expect_status("tile conditional", &tile_conditional, 304);
     if !tile_conditional.body.is_empty() {
         fail("tile conditional", "304 must not carry a body");
+    }
+    // A second tile of the same graph and measure renders from the scene the
+    // first tile retained: `/stats` must show no new scene build.
+    let scene_builds = || {
+        let stats = client::get(addr, "/stats").unwrap_or_else(|e| fail("scene stats", e));
+        expect_status("scene stats", &stats, 200);
+        serde_json::from_str(&stats.body_utf8())
+            .ok()
+            .and_then(|doc| doc.get("scenes")?.get("builds")?.as_u64())
+            .unwrap_or_else(|| fail("scene stats", "no scenes.builds counter in /stats"))
+    };
+    let builds_before = scene_builds();
+    let second_tile = client::get(addr, "/graphs/smoke/tiles/1/1/0?measure=kcore")
+        .unwrap_or_else(|e| fail("second tile", e));
+    expect_status("second tile", &second_tile, 200);
+    if second_tile.header("x-cache") != Some("miss") {
+        fail(
+            "second tile",
+            format!("X-Cache = {:?}, expected miss", second_tile.header("x-cache")),
+        );
+    }
+    let builds_after = scene_builds();
+    if builds_after != builds_before {
+        fail(
+            "second tile",
+            format!("scenes.builds went {builds_before} -> {builds_after}; the scene was rebuilt"),
+        );
     }
     for bad_target in ["/graphs/smoke/tiles/99/0/0", "/graphs/smoke/tiles/1/2/0"] {
         let out_of_grid =

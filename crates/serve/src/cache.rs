@@ -24,8 +24,10 @@ use ugraph::io::fnv1a64;
 /// One cached artifact: the exact response body plus its validators.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedArtifact {
-    /// The response body, byte-exact across hits.
-    pub bytes: Vec<u8>,
+    /// The response body, byte-exact across hits. One buffer shared by the
+    /// cache entry and every response that serves it — a hit never copies
+    /// the body.
+    pub bytes: Arc<Vec<u8>>,
     /// The strong ETag served with this artifact (quoted, per RFC 9110).
     pub etag: String,
     /// The `Content-Type` served with this artifact.
@@ -214,19 +216,8 @@ impl LruCache {
     pub fn evict_prefix(&mut self, prefix: &str) -> usize {
         let doomed: Vec<usize> =
             self.map.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, &s)| s).collect();
-        for slot in &doomed {
-            let slot = *slot;
-            self.unlink(slot);
-            let key = std::mem::take(&mut self.slots[slot].key);
-            self.bytes -= self.slots[slot].value.bytes.len();
-            self.slots[slot].value = Arc::new(CachedArtifact {
-                bytes: Vec::new(),
-                etag: String::new(),
-                content_type: "",
-            });
-            self.map.remove(&key);
-            self.free.push(slot);
-            self.evictions += 1;
+        for &slot in &doomed {
+            self.evict(slot);
         }
         doomed.len()
     }
@@ -247,13 +238,20 @@ impl LruCache {
     }
 
     fn evict_tail(&mut self) {
-        let slot = self.tail;
-        debug_assert_ne!(slot, NIL, "evict_tail on an empty cache");
+        debug_assert_ne!(self.tail, NIL, "evict_tail on an empty cache");
+        self.evict(self.tail);
+    }
+
+    /// Unlink `slot`, drop its artifact and put the slot on the free list.
+    fn evict(&mut self, slot: usize) {
         self.unlink(slot);
         let key = std::mem::take(&mut self.slots[slot].key);
         self.bytes -= self.slots[slot].value.bytes.len();
-        self.slots[slot].value =
-            Arc::new(CachedArtifact { bytes: Vec::new(), etag: String::new(), content_type: "" });
+        self.slots[slot].value = Arc::new(CachedArtifact {
+            bytes: Arc::default(),
+            etag: String::new(),
+            content_type: "",
+        });
         self.map.remove(&key);
         self.free.push(slot);
         self.evictions += 1;
@@ -305,7 +303,7 @@ mod tests {
 
     fn artifact(n: usize) -> Arc<CachedArtifact> {
         Arc::new(CachedArtifact {
-            bytes: vec![0xAB; n],
+            bytes: Arc::new(vec![0xAB; n]),
             etag: etag_for_key(&format!("k{n}")),
             content_type: "image/svg+xml",
         })

@@ -162,7 +162,7 @@ mod tests {
         );
         let response = err.into_response();
         assert_eq!(response.status, 400);
-        let body = String::from_utf8(response.body).unwrap();
+        let body = String::from_utf8(response.body.to_vec()).unwrap();
         assert!(body.contains("\"param\":\"threads\""), "{body}");
         assert!(body.contains("\"code\":\"invalid_parameter\""), "{body}");
     }

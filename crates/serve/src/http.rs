@@ -19,6 +19,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead};
+use std::sync::Arc;
 
 /// Longest accepted request line (method + target + version), in bytes.
 pub const MAX_REQUEST_LINE_BYTES: usize = 8 * 1024;
@@ -435,18 +436,21 @@ pub struct Response {
     /// The status code.
     pub status: u16,
     headers: Vec<(String, String)>,
-    /// The body bytes (empty for 304).
-    pub body: Vec<u8>,
+    /// The body bytes (empty for 304). Shared, not copied: a cached
+    /// artifact's response holds the cache entry's own buffer.
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
     /// An empty response with the given status.
     pub fn new(status: u16) -> Self {
-        Response { status, headers: Vec::new(), body: Vec::new() }
+        Response { status, headers: Vec::new(), body: Arc::default() }
     }
 
-    /// A response with a body and explicit content type.
-    pub fn with_body(status: u16, content_type: &str, body: Vec<u8>) -> Self {
+    /// A response with a body and explicit content type. Takes an owned
+    /// `Vec<u8>` (moved into a fresh `Arc`, not copied) or an already shared
+    /// `Arc<Vec<u8>>`.
+    pub fn with_body(status: u16, content_type: &str, body: impl Into<Arc<Vec<u8>>>) -> Self {
         Response::new(status).header("Content-Type", content_type).body(body)
     }
 
@@ -462,8 +466,8 @@ impl Response {
     }
 
     /// Replace the body (builder style).
-    pub fn body(mut self, body: Vec<u8>) -> Self {
-        self.body = body;
+    pub fn body(mut self, body: impl Into<Arc<Vec<u8>>>) -> Self {
+        self.body = body.into();
         self
     }
 

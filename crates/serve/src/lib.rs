@@ -17,9 +17,10 @@
 //!
 //! Module map: [`http`] (hand-rolled request/response layer with typed
 //! errors), [`error`] (structured JSON API errors), [`cache`] (bounded LRU
-//! keyed on canonical render parameters), [`state`] (graph registry +
-//! shared counters), [`routes`] (the handlers), [`server`] (accept loop and
-//! worker pool), [`client`] (the matching minimal client).
+//! keyed on canonical render parameters), [`scenes`] (the retained tile
+//! scenes), [`flight`] (single-flight builds for both), [`state`] (graph
+//! registry + shared counters), [`routes`] (the handlers), [`server`]
+//! (accept loop and worker pool), [`client`] (the matching minimal client).
 //!
 //! ```no_run
 //! use serve::{Server, ServerConfig};
@@ -32,8 +33,10 @@
 pub mod cache;
 pub mod client;
 pub mod error;
+pub mod flight;
 pub mod http;
 pub mod routes;
+pub mod scenes;
 pub mod server;
 pub mod state;
 

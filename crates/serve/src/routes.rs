@@ -10,7 +10,7 @@
 //! GET    /graphs/{id}/peaks?...         peak extraction as JSON (cached)
 //! GET    /graphs/{id}/tiles/{z}/{tx}/{ty}?...  one pan/zoom tile (cached)
 //! GET    /graphs/{id}/scene?...         binary `GTSC` scene document (cached)
-//! GET    /stats                         cache/timing/traffic counters
+//! GET    /stats                         cache/scene/timing/traffic counters
 //! GET    /healthz                       liveness probe
 //! ```
 //!
@@ -24,23 +24,37 @@
 //! and the key — *not* on `budget`/`levels` (tiles render the unsimplified
 //! tree) and not on `threads` — which is exactly what the cache key embeds.
 //!
+//! Retained scenes: tiles and `/scene` render from an `Arc<Scene>` retained
+//! per (graph id, generation, measure) in a fixed-size LRU
+//! ([`crate::scenes`]). A miss builds the scene once, in a throwaway session
+//! whose scalar field and trees are dropped before the request ends, and
+//! every later tile of that graph and measure is just a tile write. Terrain
+//! and peaks keep building a fresh session per miss.
+//!
+//! Single flight: concurrent misses on one artifact key render once, and
+//! concurrent misses on one scene key build once ([`crate::flight`]);
+//! waiters answer with the builder's result.
+//!
 //! Deltas: the body is an edge batch in any [`GraphFormat`] (same `format`
 //! parameter as uploads) and `op` (`insert` | `delete` | `reweight`,
 //! default `insert`) is applied to every edge in it. A structural delta
 //! compacts into a fresh graph registered under the same id and evicts the
-//! id's cached artifacts — their ETags change because the bytes do. A no-op
-//! batch (all redundant) leaves the graph, the cache, and every ETag
-//! untouched. `DELETE /graphs/{id}` likewise evicts the id's artifacts so a
-//! later upload under the same id cannot alias stale bytes.
+//! id's cached artifacts and retained scenes — their ETags change because
+//! the bytes do. A no-op batch (all redundant) leaves the graph, the cache,
+//! and every ETag untouched. `DELETE /graphs/{id}` likewise evicts the id's
+//! artifacts and scenes so a later upload under the same id cannot alias
+//! stale bytes.
 //!
 //! Render parameters: `measure` (kcore | degree | pagerank | closeness |
 //! betweenness | ktruss | edge-triangles), `samples`/`seed` (betweenness),
 //! `format` (exporter backend), `width`/`height` (SVG px), `color`
 //! (height | degree), `budget` (`none` or a node count), `levels`,
-//! `threads` (parallelism — deliberately *excluded* from the cache key:
-//! the pipeline's determinism contract makes artifacts byte-identical at
-//! every thread count, so a serial render and a wide render share one
-//! cache entry).
+//! `threads` (`serial`, `auto` or a thread count in [1, 64] —
+//! deliberately *excluded* from the cache key: at the server's fixed chunk
+//! width the pipeline's determinism contract makes artifacts
+//! byte-identical at every thread count, so a serial render and a threaded
+//! render share one cache entry; `NxW` widths are rejected because a width
+//! does change the bytes).
 //!
 //! A v3 binary snapshot upload (`GTSB` magic) registers as a *mapped*
 //! graph — the CSR arrays are served zero-copy out of the uploaded buffer,
@@ -51,11 +65,12 @@ use std::sync::Arc;
 
 use crate::cache::{etag_for_key, CachedArtifact};
 use crate::error::{json_f64, json_string, ApiError};
+use crate::flight::Source;
 use crate::http::{Method, Request, Response};
 use crate::state::{AppState, GraphEntry};
 use graph_terrain::{
-    FieldKind, LodConfig, Measure, SharedGraph, SimplificationConfig, SvgSize, TerrainPipeline,
-    TileKey, MEASURES,
+    FieldKind, LodConfig, Measure, Scene, SharedGraph, SimplificationConfig, SvgSize,
+    TerrainPipeline, TileKey, MEASURES,
 };
 use measures::Parallelism;
 use terrain::{exporter_by_name_sized, highest_peaks, peaks_at_alpha, ColorScheme, Exporter, Peak};
@@ -65,6 +80,9 @@ use ugraph::io::{GraphFormat, GraphSource, BINARY_MAGIC, BINARY_V3_VERSION};
 /// Most peak member ids echoed inline per peak (the full count is always
 /// reported; huge member lists would dwarf the artifact itself).
 const MAX_PEAK_MEMBERS: usize = 64;
+
+/// Most worker threads one request may ask for with `threads`.
+const MAX_THREADS: usize = 64;
 
 /// Dispatch a parsed request; never panics, never leaks a raw error.
 pub fn handle(state: &AppState, req: &Request) -> Response {
@@ -170,7 +188,7 @@ fn post_delta(state: &AppState, req: &Request, id: &str) -> Result<Response, Api
         // DELETE won the race); the mutation has nowhere to land.
         ApiError::not_found(format!("graph {id:?} was deleted while the delta was applied"))
     })?;
-    let evicted = state.cache.lock().expect("cache lock").evict_prefix(&format!("{id}|"));
+    let evicted = state.evict_graph(id);
     Ok(Response::json(200, delta_json(&entry, &stats, true, evicted)))
 }
 
@@ -215,7 +233,7 @@ fn delete_graph(state: &AppState, id: &str) -> Result<Response, ApiError> {
     let entry = state
         .remove_graph(id)
         .ok_or_else(|| ApiError::not_found(format!("no graph with id {id:?}")))?;
-    let evicted = state.cache.lock().expect("cache lock").evict_prefix(&format!("{id}|"));
+    let evicted = state.evict_graph(id);
     Ok(Response::json(
         200,
         format!("{{\"deleted\":{},\"evicted_artifacts\":{evicted}}}", json_string(&entry.id)),
@@ -346,11 +364,28 @@ fn parse_measure(req: &Request) -> Result<Measure, ApiError> {
     Ok(measure)
 }
 
-/// The `threads` query parameter (shared by every render route).
+/// The `threads` query parameter (shared by every render route): `serial`,
+/// `auto` (capped at [`MAX_THREADS`]) or a thread count in
+/// `[1, MAX_THREADS]`. The chunk width stays the default: it changes the
+/// low bits of floating-point scalars, and no cache or scene key carries
+/// it, so an `NxW` form would let one key serve different bytes depending
+/// on which request built it.
 fn parse_parallelism(req: &Request) -> Result<Parallelism, ApiError> {
-    match req.query_param("threads") {
-        Some(raw) => Ok(Parallelism::parse(raw)?),
-        None => Ok(Parallelism::Serial),
+    let Some(raw) = req.query_param("threads") else {
+        return Ok(Parallelism::Serial);
+    };
+    match Parallelism::parse(raw)? {
+        Parallelism::Threads(n) if raw == "auto" => Ok(Parallelism::Threads(n.min(MAX_THREADS))),
+        Parallelism::Threads(n) if n <= MAX_THREADS => Ok(Parallelism::Threads(n)),
+        // `parse` reads both `0` and `1` as serial; only `1` is a count.
+        Parallelism::Serial if raw != "0" => Ok(Parallelism::Serial),
+        _ => Err(ApiError::invalid_parameter(
+            "threads",
+            format!(
+                "threads value {raw:?} is not accepted: expected `serial`, `auto` or a thread \
+                 count in [1, {MAX_THREADS}] (the server fixes the chunk width)"
+            ),
+        )),
     }
 }
 
@@ -410,7 +445,7 @@ fn terrain(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiErr
     let entry = lookup(state, id)?;
     let params = parse_render_params(req)?;
     let key = render_cache_key(&entry, &params);
-    serve_cached(state, req, &key, || {
+    serve_cached(state, req, &entry, &key, || {
         with_session(state, &entry, params.measure, params.parallelism, |session| {
             session.set_simplification(params.simplification);
             session.set_svg_size(params.svg_size);
@@ -451,7 +486,7 @@ fn peaks(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError
             None => format!("count={count}"),
         }
     );
-    serve_cached(state, req, &key, || {
+    serve_cached(state, req, &entry, &key, || {
         with_session(state, &entry, measure, parallelism, |session| {
             let stages = session.stages()?;
             let peaks = match alpha {
@@ -528,17 +563,15 @@ fn tile(
         key.ty,
     );
     let content_type = if as_svg { "image/svg+xml" } else { "application/octet-stream" };
-    serve_cached(state, req, &cache_key, || {
-        with_session(state, &entry, measure, parallelism, |session| {
-            let scene = session.scene()?;
-            let mut bytes = Vec::new();
-            if as_svg {
-                scene.write_tile_svg(&key, size, &mut bytes)?;
-            } else {
-                scene.write_tile_gtsc(&key, &mut bytes)?;
-            }
-            Ok((bytes, content_type))
-        })
+    serve_cached(state, req, &entry, &cache_key, || {
+        let scene = retained_scene(state, &entry, measure, parallelism)?;
+        let mut bytes = Vec::new();
+        if as_svg {
+            scene.write_tile_svg(&key, size, &mut bytes)?;
+        } else {
+            scene.write_tile_gtsc(&key, &mut bytes)?;
+        }
+        Ok((bytes, content_type))
     })
 }
 
@@ -555,13 +588,54 @@ fn scene_document(state: &AppState, req: &Request, id: &str) -> Result<Response,
         entry.generation,
         measure_canonical(&measure),
     );
-    serve_cached(state, req, &cache_key, || {
-        with_session(state, &entry, measure, parallelism, |session| {
-            let mut bytes = Vec::new();
-            session.scene()?.write_scene_gtsc(&mut bytes)?;
-            Ok((bytes, "application/octet-stream"))
-        })
+    serve_cached(state, req, &entry, &cache_key, || {
+        let mut bytes = Vec::new();
+        retained_scene(state, &entry, measure, parallelism)?.write_scene_gtsc(&mut bytes)?;
+        Ok((bytes, "application/octet-stream"))
     })
+}
+
+/// The retained scene of `entry` under `measure`: a retained one when there
+/// is one, else built once however many requests race it. The build runs in
+/// a throwaway session that hands its scene over and is dropped before this
+/// returns, so no scalar field or tree outlives the request. The build's
+/// stage seconds reach `/stats` once, here, not once per tile.
+fn retained_scene(
+    state: &AppState,
+    entry: &Arc<GraphEntry>,
+    measure: Measure,
+    parallelism: Parallelism,
+) -> Result<Arc<Scene>, ApiError> {
+    let key =
+        format!("{}|gen={}|measure={}", entry.id, entry.generation, measure_canonical(&measure));
+    let (scene, _) = state.scene_flights.run::<ApiError>(
+        &key,
+        || state.scenes.lock().expect("scenes lock").get(&key),
+        || {
+            let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
+            session.set_parallelism(parallelism);
+            session.scene()?;
+            let timings = session.timings();
+            let scene = session.into_scene()?;
+            state.stage_totals.lock().expect("stage totals lock").absorb(&timings);
+            Ok(Arc::new(scene))
+        },
+        |scene| {
+            let mut scenes = state.scenes.lock().expect("scenes lock");
+            if is_registered(state, entry) {
+                scenes.insert(key.clone(), Arc::clone(scene));
+            }
+        },
+    )?;
+    Ok(scene)
+}
+
+/// Whether `entry` is still the graph registered under its id. Checked with
+/// a cache's lock held before storing into that cache: a delta or `DELETE`
+/// replaces the entry before it evicts, so a build that finishes after the
+/// eviction stores nothing for the graph that is gone.
+fn is_registered(state: &AppState, entry: &Arc<GraphEntry>) -> bool {
+    state.graph(&entry.id).is_some_and(|current| Arc::ptr_eq(&current, entry))
 }
 
 fn peaks_json(graph_id: &str, measure: &str, alpha: Option<f64>, peaks: &[Peak]) -> String {
@@ -601,10 +675,16 @@ fn peaks_json(graph_id: &str, measure: &str, alpha: Option<f64>, peaks: &[Peak])
 ///    `304` before rendering or even locking the cache;
 /// 2. a cache hit returns the stored bytes with `X-Cache: hit`;
 /// 3. a miss renders *outside* the cache lock, stores, and returns
-///    `X-Cache: miss` — the bytes are identical either way.
+///    `X-Cache: miss` — the bytes are identical either way. Concurrent
+///    misses on one key render once: the others wait for that render and
+///    answer with its artifact (also `X-Cache: miss`, one cache lookup
+///    each, so `hits + misses` still counts requests).
+///
+/// Every response shares the artifact's one body buffer with the cache.
 fn serve_cached(
     state: &AppState,
     req: &Request,
+    entry: &Arc<GraphEntry>,
     key: &str,
     render: impl FnOnce() -> Result<(Vec<u8>, &'static str), ApiError>,
 ) -> Result<Response, ApiError> {
@@ -615,18 +695,29 @@ fn serve_cached(
             return Ok(Response::new(304).header("ETag", &etag));
         }
     }
-    if let Some(artifact) = state.cache.lock().expect("cache lock").get(key) {
-        return Ok(artifact_response(&artifact, "hit"));
+    let (artifact, source) = state.artifact_flights.run::<ApiError>(
+        key,
+        || state.cache.lock().expect("cache lock").get(key),
+        || {
+            let (bytes, content_type) = render()?;
+            Ok(Arc::new(CachedArtifact { bytes: Arc::new(bytes), etag, content_type }))
+        },
+        |artifact| {
+            let mut cache = state.cache.lock().expect("cache lock");
+            if is_registered(state, entry) {
+                cache.insert(key.to_string(), Arc::clone(artifact));
+            }
+        },
+    )?;
+    if source == Source::Built {
+        state.stage_totals.lock().expect("stage totals lock").renders += 1;
     }
-    let (bytes, content_type) = render()?;
-    let artifact = Arc::new(CachedArtifact { bytes, etag, content_type });
-    state.cache.lock().expect("cache lock").insert(key.to_string(), Arc::clone(&artifact));
-    Ok(artifact_response(&artifact, "miss"))
+    Ok(artifact_response(&artifact, if source == Source::Found { "hit" } else { "miss" }))
 }
 
-/// The render side of a cache miss: run `render` over a fresh session on
-/// the entry's shared graph at `parallelism`, then fold the session's stage
-/// timings into `/stats` (only for renders that succeed).
+/// The render side of a terrain or peaks miss: run `render` over a fresh
+/// session on the entry's shared graph at `parallelism`, then fold the
+/// session's stage timings into `/stats` (only for renders that succeed).
 fn with_session<T>(
     state: &AppState,
     entry: &GraphEntry,
@@ -642,7 +733,7 @@ fn with_session<T>(
 }
 
 fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
-    Response::with_body(200, artifact.content_type, artifact.bytes.clone())
+    Response::with_body(200, artifact.content_type, Arc::clone(&artifact.bytes))
         .header("ETag", &artifact.etag)
         .header("X-Cache", x_cache)
 }
@@ -651,6 +742,8 @@ fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
 
 fn stats(state: &AppState) -> Response {
     let cache = state.cache.lock().expect("cache lock").stats();
+    let scenes = state.scenes.lock().expect("scenes lock").stats();
+    let waits = state.artifact_flights.waits() + state.scene_flights.waits();
     let totals = state.stage_totals.lock().expect("stage totals lock").clone();
     let load = std::sync::atomic::Ordering::Relaxed;
     let body = format!(
@@ -661,6 +754,8 @@ fn stats(state: &AppState) -> Response {
             "\"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{},\"evictions\":{},",
             "\"insertions\":{},\"uncacheable\":{},\"entries\":{},\"bytes\":{},",
             "\"capacity\":{},\"max_bytes\":{}}},",
+            "\"scenes\":{{\"entries\":{},\"builds\":{},\"hits\":{}}},",
+            "\"single_flight_waits\":{},",
             "\"stage_seconds\":{{\"renders\":{},\"scalar\":{},\"tree\":{},\"super_tree\":{},",
             "\"simplify\":{},\"layout\":{},\"mesh\":{},\"svg\":{},\"scene\":{}}}}}"
         ),
@@ -681,6 +776,10 @@ fn stats(state: &AppState) -> Response {
         cache.bytes,
         cache.capacity,
         cache.max_bytes,
+        scenes.entries,
+        scenes.builds,
+        scenes.hits,
+        waits,
         totals.renders,
         json_f64(totals.scalar_seconds),
         json_f64(totals.tree_seconds),

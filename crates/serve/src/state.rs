@@ -1,5 +1,6 @@
-//! Shared server state: the named-graph registry, the artifact cache, and
-//! the counters behind `/stats`.
+//! Shared server state: the named-graph registry, the artifact cache, the
+//! retained scenes, the single-flight slots, and the counters behind
+//! `/stats`.
 //!
 //! One [`AppState`] is shared by every worker thread through an `Arc`. The
 //! registry maps graph ids to [`SharedGraph`]s — uploading a v3 snapshot
@@ -7,17 +8,20 @@
 //! concurrent sessions borrow (an upload is stored once no matter how many
 //! workers render from it); any other format parses into an owned graph
 //! behind the same `Arc`. Locking is coarse but short: the registry is a
-//! `RwLock` (reads vastly dominate), the cache a `Mutex` held only for
-//! lookup/insert — renders always run outside every lock.
+//! `RwLock` (reads vastly dominate), the artifact cache and the retained
+//! scenes a `Mutex` each, held only for lookup/insert — renders and scene
+//! builds always run outside every lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use crate::cache::LruCache;
+use crate::cache::{CachedArtifact, LruCache};
 use crate::error::ApiError;
-use graph_terrain::{SharedGraph, StageTimings};
+use crate::flight::SingleFlight;
+use crate::scenes::SceneCache;
+use graph_terrain::{Scene, SharedGraph, StageTimings};
 
 /// Tunables fixed at server start.
 #[derive(Clone, Debug)]
@@ -58,21 +62,27 @@ pub struct GraphEntry {
     pub id: String,
     /// The graph itself, shared across sessions.
     pub graph: SharedGraph,
-    /// How many times the graph under this id has been replaced by a delta.
-    /// Cache keys embed the generation, so a mutation changes every key —
-    /// and with it every key-derived ETag — while the old graph's entries
-    /// are evicted by id prefix. Without this, a client holding a
-    /// pre-mutation ETag would keep getting `304 Not Modified` for bytes
-    /// that no longer exist.
+    /// A stamp unique to this entry across the server's life: every upload
+    /// and every structural delta draws the next one from one registry-wide
+    /// counter, so it grows with each mutation of the id and is never reused
+    /// by a re-upload after a `DELETE`. Cache and scene keys embed it, so a
+    /// new graph under an id changes every key — and with it every
+    /// key-derived ETag — while the old graph's entries are evicted by id
+    /// prefix. Without this, a client holding a pre-mutation ETag would keep
+    /// getting `304 Not Modified` for bytes that no longer exist, and a
+    /// build still running for a replaced graph would share its key with
+    /// the graph that replaced it.
     pub generation: u64,
 }
 
-/// Per-stage wall-clock totals accumulated across every cache-miss render,
-/// reported by `/stats` (the served-traffic analog of the per-run
-/// [`StageTimings`]).
+/// Per-stage wall-clock totals accumulated across every session the server
+/// ran, reported by `/stats` (the served-traffic analog of the per-run
+/// [`StageTimings`]). A retained scene's stages are absorbed once, when it
+/// is built, however many tiles it later serves.
 #[derive(Clone, Debug, Default)]
 pub struct StageTotals {
-    /// Renders absorbed.
+    /// Artifacts rendered on a cache miss (one per miss that built its
+    /// bytes; single-flight waiters do not render).
     pub renders: u64,
     /// Summed seconds per stage, in pipeline order.
     pub scalar_seconds: f64,
@@ -93,9 +103,9 @@ pub struct StageTotals {
 }
 
 impl StageTotals {
-    /// Fold one session's timings into the totals.
+    /// Fold one session's stage timings into the totals (`renders` is
+    /// counted separately, per artifact).
     pub fn absorb(&mut self, t: &StageTimings) {
-        self.renders += 1;
         self.scalar_seconds += t.scalar_seconds.unwrap_or(0.0);
         self.tree_seconds += t.tree_seconds.unwrap_or(0.0);
         self.super_tree_seconds += t.super_tree_seconds.unwrap_or(0.0);
@@ -114,9 +124,16 @@ pub struct AppState {
     registry: RwLock<BTreeMap<String, Arc<GraphEntry>>>,
     /// The artifact cache.
     pub cache: Mutex<LruCache>,
+    /// One render per missed artifact key, however many requests race it.
+    pub artifact_flights: SingleFlight<Arc<CachedArtifact>>,
+    /// The retained tile scenes.
+    pub scenes: Mutex<SceneCache>,
+    /// One build per missed scene key.
+    pub scene_flights: SingleFlight<Arc<Scene>>,
     /// Stage-seconds accumulated across cache-miss renders.
     pub stage_totals: Mutex<StageTotals>,
     next_id: AtomicU64,
+    next_generation: AtomicU64,
     /// Requests that received a response (any status).
     pub requests_served: AtomicU64,
     /// Connections currently inside a worker.
@@ -137,8 +154,12 @@ impl AppState {
             config,
             registry: RwLock::new(BTreeMap::new()),
             cache: Mutex::new(cache),
+            artifact_flights: SingleFlight::default(),
+            scenes: Mutex::new(SceneCache::default()),
+            scene_flights: SingleFlight::default(),
             stage_totals: Mutex::new(StageTotals::default()),
             next_id: AtomicU64::new(1),
+            next_generation: AtomicU64::new(0),
             requests_served: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             error_responses: AtomicU64::new(0),
@@ -177,9 +198,15 @@ impl AppState {
                 }
             },
         };
-        let entry = Arc::new(GraphEntry { id: id.clone(), graph, generation: 0 });
+        let entry = Arc::new(GraphEntry { id: id.clone(), graph, generation: self.generation() });
         registry.insert(id, Arc::clone(&entry));
         Ok(entry)
+    }
+
+    /// The next [`GraphEntry::generation`] (drawn with the registry's write
+    /// lock held, so stamps grow in registration order).
+    fn generation(&self) -> u64 {
+        self.next_generation.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Look up a graph by id.
@@ -188,9 +215,9 @@ impl AppState {
     }
 
     /// Unregister a graph, returning the removed entry (`None` when the id
-    /// was never registered). The caller owes the cache a
-    /// [`LruCache::evict_prefix`] sweep for `"{id}|"` — a removed graph must
-    /// not leave byte-exact artifacts answerable under its old id.
+    /// was never registered). The caller owes an
+    /// [`evict_graph`](Self::evict_graph) — a removed graph must not leave
+    /// byte-exact artifacts answerable under its old id.
     pub fn remove_graph(&self, id: &str) -> Option<Arc<GraphEntry>> {
         self.registry.write().expect("registry lock").remove(id)
     }
@@ -199,15 +226,26 @@ impl AppState {
     /// delta path), returning the new entry or `None` when the id is not
     /// registered. Sessions holding the old `Arc` keep rendering the old
     /// graph unharmed; as with [`remove_graph`](Self::remove_graph), the
-    /// caller must evict the id's cache prefix so stale artifacts cannot be
-    /// served for the mutated graph.
+    /// caller must [`evict_graph`](Self::evict_graph) so stale bytes cannot
+    /// be served for the mutated graph.
     pub fn replace_graph(&self, id: &str, graph: SharedGraph) -> Option<Arc<GraphEntry>> {
         let mut registry = self.registry.write().expect("registry lock");
-        let old = registry.get(id)?;
+        if !registry.contains_key(id) {
+            return None;
+        }
         let entry =
-            Arc::new(GraphEntry { id: id.to_string(), graph, generation: old.generation + 1 });
+            Arc::new(GraphEntry { id: id.to_string(), graph, generation: self.generation() });
         registry.insert(id.to_string(), Arc::clone(&entry));
         Some(entry)
+    }
+
+    /// Evict everything held for graph `id` — its cached artifacts and its
+    /// retained scenes, every key under the `"{id}|"` prefix — returning how
+    /// many artifacts went.
+    pub fn evict_graph(&self, id: &str) -> usize {
+        let prefix = format!("{id}|");
+        self.scenes.lock().expect("scenes lock").evict_prefix(&prefix);
+        self.cache.lock().expect("cache lock").evict_prefix(&prefix)
     }
 
     /// All registered graphs in id order.
@@ -263,6 +301,8 @@ mod tests {
         assert!(state.remove_graph("g1").is_some());
         assert!(state.remove_graph("g1").is_none(), "second delete finds nothing");
         assert!(state.graph("g1").is_none());
+        let reuploaded = state.insert_graph(Some("g1".into()), tiny_graph()).unwrap();
+        assert_eq!(reuploaded.generation, 3, "a re-upload never reuses a generation");
     }
 
     #[test]

@@ -95,7 +95,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn artifact(key: u8, size: usize) -> Arc<CachedArtifact> {
     Arc::new(CachedArtifact {
-        bytes: vec![key; size],
+        bytes: Arc::new(vec![key; size]),
         etag: format!("\"{key:016x}\""),
         content_type: "image/svg+xml",
     })

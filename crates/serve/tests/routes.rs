@@ -76,6 +76,32 @@ fn bad_threads_param_is_the_typed_parallelism_400() {
 }
 
 #[test]
+fn threads_pins_the_chunk_width_and_bounds_the_count() {
+    let state = state_with_graph();
+    for raw in ["2x64", "1x128", "0", "65", "1000000"] {
+        for route in ["terrain", "tiles/0/0/0", "scene", "peaks"] {
+            let target = format!("/graphs/g/{route}?threads={raw}");
+            let response = routes::handle(&state, &get(&target));
+            assert_eq!(response.status, 400, "{target}");
+            let doc = body_json(&response);
+            let error = doc.get("error").expect("error object");
+            assert_eq!(error.get("code").and_then(|c| c.as_str()), Some("invalid_parameter"));
+            assert_eq!(error.get("param").and_then(|p| p.as_str()), Some("threads"));
+            let message = error.get("message").and_then(|m| m.as_str()).unwrap();
+            assert!(message.contains(raw) && message.contains("[1, 64]"), "{message}");
+        }
+    }
+    for raw in ["serial", "auto", "1", "2", "64"] {
+        let target = format!("/graphs/g/tiles/0/0/0?threads={raw}");
+        assert_eq!(routes::handle(&state, &get(&target)).status, 200, "{target}");
+    }
+    // Rejected requests never reach the cache; accepted thread counts share
+    // one tile key.
+    let stats = state.cache.lock().unwrap().stats();
+    assert_eq!((stats.misses, stats.hits), (1, 4));
+}
+
+#[test]
 fn bad_format_param_is_the_typed_exporter_400() {
     let state = state_with_graph();
     let response = routes::handle(&state, &get("/graphs/g/terrain?format=gif"));
@@ -121,7 +147,7 @@ fn threads_param_changes_nothing_about_the_artifact_or_cache_key() {
     assert_eq!(serial.header_value("x-cache"), Some("miss"));
     // Different thread budget, same everything else: must be a *hit* (the
     // key excludes parallelism) with identical bytes.
-    let threaded = routes::handle(&state, &get("/graphs/g/terrain?threads=2x64"));
+    let threaded = routes::handle(&state, &get("/graphs/g/terrain?threads=2"));
     assert_eq!(threaded.status, 200);
     assert_eq!(threaded.header_value("x-cache"), Some("hit"));
     assert_eq!(serial.body, threaded.body);
@@ -377,7 +403,7 @@ fn tile_requests_miss_then_hit_with_identical_bytes_regardless_of_threads() {
 
     // Re-request under a different thread budget: the tile key excludes
     // parallelism, so this must be a byte-identical cache hit.
-    let again = routes::handle(&state, &get("/graphs/g/tiles/0/0/0?threads=2x64"));
+    let again = routes::handle(&state, &get("/graphs/g/tiles/0/0/0?threads=2"));
     assert_eq!(again.status, 200);
     assert_eq!(again.header_value("x-cache"), Some("hit"));
     assert_eq!(again.body, first.body);

@@ -1049,6 +1049,16 @@ impl<'g> TerrainPipeline<'g> {
         Ok(self.scene.as_ref().expect("ensured"))
     }
 
+    /// Consume the session and hand over its retained [`scene`](Self::scene),
+    /// building it first if needed. The scene is moved out, not cloned; the
+    /// scalar field, the trees and every other stage are dropped with the
+    /// session. Read [`timings`](Self::timings) before calling this if the
+    /// build's stage times matter.
+    pub fn into_scene(mut self) -> TerrainResult<Scene> {
+        self.ensure_scene()?;
+        Ok(self.scene.take().expect("ensured"))
+    }
+
     /// The current scene level-of-detail configuration.
     pub fn lod_config(&self) -> LodConfig {
         self.lod_config
@@ -1721,5 +1731,21 @@ mod tests {
         // The stage timing list exposes the scene stage once it has run.
         let timings = session.scene_timings();
         assert!(timings.iter().any(|t| t.stage == "scene"));
+    }
+
+    #[test]
+    fn into_scene_hands_over_the_scene_built_or_not() {
+        let graph = SharedGraph::new(ugraph::generators::barabasi_albert(600, 3, 5));
+        let key = terrain::TileKey { zoom: 1, tx: 1, ty: 0 };
+        let tile = |scene: &Scene| {
+            let mut bytes = Vec::new();
+            scene.write_tile_svg(&key, 128, &mut bytes).unwrap();
+            bytes
+        };
+        let mut built = TerrainPipeline::from_shared(graph.clone(), Measure::KCore);
+        let reference = tile(built.scene().unwrap());
+        assert_eq!(tile(&built.into_scene().unwrap()), reference, "an already built scene");
+        let fresh = TerrainPipeline::from_shared(graph, Measure::KCore).into_scene().unwrap();
+        assert_eq!(tile(&fresh), reference, "a scene built on demand");
     }
 }

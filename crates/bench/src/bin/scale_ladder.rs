@@ -62,7 +62,7 @@ use bench::report::{
 };
 use bench::{format_table_for, parallelism_list_from};
 use graph_terrain::{Measure, TerrainPipeline};
-use ugraph::delta::{DeltaOp, DeltaOverlay, GraphDelta};
+use ugraph::delta::{DeltaOp, GraphDelta};
 use ugraph::generators::rmat;
 use ugraph::io::{write_binary_v3_file, GraphFormat, GraphSource};
 use ugraph::{CsrGraph, GraphStorage, MappedCsrGraph};
@@ -293,11 +293,8 @@ fn main() {
         // from its edge list, then build and render a fresh session. One
         // pair of rows per incremental-cost tier.
         let delta = ladder_delta(&graph);
-        let final_graph = {
-            let mut overlay = DeltaOverlay::new(&graph);
-            overlay.apply(&delta);
-            overlay.compact().graph
-        };
+        let final_graph =
+            ugraph::delta::apply(&graph, &delta).1.map_or_else(|| graph.clone(), |c| c.graph);
         // The final edge list serialized as text — what a rebuilding client
         // re-uploads (CI's delta smoke performs exactly this re-upload), so
         // the rebuild timing covers parse + build + render. The trailing

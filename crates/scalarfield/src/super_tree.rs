@@ -381,6 +381,14 @@ impl SuperScalarTree {
     /// violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.node_count();
+        // A flag per node, not a scan of `roots` per root: forests with
+        // hundreds of thousands of singleton roots are common (R-MAT).
+        let mut listed_root = vec![false; n];
+        for &root in &self.roots {
+            if let Some(flag) = listed_root.get_mut(root as usize) {
+                *flag = true;
+            }
+        }
         for id in 0..n as u32 {
             let members = self.members(id);
             if members.is_empty() {
@@ -425,7 +433,7 @@ impl SuperScalarTree {
                     }
                 }
                 None => {
-                    if !self.roots.contains(&id) {
+                    if !listed_root[id as usize] {
                         return Err(format!("orphan super node {id} not listed as root"));
                     }
                     if self.depth(id) != 0 {

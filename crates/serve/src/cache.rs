@@ -1,5 +1,6 @@
-//! A bounded LRU cache for rendered artifacts, keyed by the canonical
-//! render-parameter string.
+//! A bounded LRU cache of shared values, keyed by a canonical string — the
+//! server keeps two: rendered artifacts keyed by their render parameters,
+//! and retained tile scenes keyed by (graph id, generation, measure).
 //!
 //! Because the pipeline is deterministic — the same graph and settings
 //! produce bit-identical artifacts at every thread count — a cache hit is
@@ -14,12 +15,21 @@
 //! slab, with a `HashMap` from key to slot — `get`/`insert` are O(1) and
 //! the recency order is explicit enough to check against a model oracle in
 //! the property test. Capacity is bounded twice: by entry count and by
-//! total body bytes; eviction pops the least-recently-used tail until both
-//! bounds hold.
+//! total [`Weighted::weight`] bytes; eviction pops the least-recently-used
+//! tail until both bounds hold.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+
+use graph_terrain::Scene;
 use ugraph::io::fnv1a64;
+
+/// A value an [`LruCache`] can hold: it reports the bytes it charges
+/// against the cache's byte bound.
+pub trait Weighted {
+    /// Bytes charged against the byte bound while the value is resident.
+    fn weight(&self) -> usize;
+}
 
 /// One cached artifact: the exact response body plus its validators.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,6 +42,21 @@ pub struct CachedArtifact {
     pub etag: String,
     /// The `Content-Type` served with this artifact.
     pub content_type: &'static str,
+}
+
+impl Weighted for CachedArtifact {
+    /// The body length.
+    fn weight(&self) -> usize {
+        self.bytes.len()
+    }
+}
+
+impl Weighted for Scene {
+    /// The item array (the quadtree index and the configurations are not
+    /// counted). The server bounds scenes by count, not by bytes.
+    fn weight(&self) -> usize {
+        std::mem::size_of_val(self.items())
+    }
 }
 
 /// The strong ETag for a canonical cache key: a quoted FNV-1a/64 hex digest.
@@ -50,11 +75,11 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Successful `insert` calls (including replacements).
     pub insertions: u64,
-    /// Inserts refused because one artifact alone exceeds the byte bound.
+    /// Inserts refused because one value alone exceeds the byte bound.
     pub uncacheable: u64,
     /// Entries resident right now.
     pub entries: usize,
-    /// Body bytes resident right now.
+    /// Weight resident right now (body bytes, for artifacts).
     pub bytes: usize,
     /// The entry-count bound.
     pub capacity: usize,
@@ -76,20 +101,22 @@ impl CacheStats {
 
 const NIL: usize = usize::MAX;
 
-struct Slot {
+struct Slot<V> {
     key: String,
-    value: Arc<CachedArtifact>,
+    /// `None` once evicted, so a free slot pins no value.
+    value: Option<Arc<V>>,
+    weight: usize,
     prev: usize,
     next: usize,
 }
 
 /// The cache proper. Not internally synchronized — the server wraps it in a
 /// `Mutex` and keeps renders outside the critical section.
-pub struct LruCache {
+pub struct LruCache<V> {
     capacity: usize,
     max_bytes: usize,
     map: HashMap<String, usize>,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<V>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
@@ -101,10 +128,10 @@ pub struct LruCache {
     uncacheable: u64,
 }
 
-impl LruCache {
-    /// A cache bounded to `capacity` entries and `max_bytes` total body
-    /// bytes. A zero `capacity` is raised to 1 (a cache that can hold
-    /// nothing would make every `insert` an immediate eviction of itself).
+impl<V: Weighted> LruCache<V> {
+    /// A cache bounded to `capacity` entries and `max_bytes` total weight.
+    /// A zero `capacity` is raised to 1 (a cache that can hold nothing
+    /// would make every `insert` an immediate eviction of itself).
     pub fn new(capacity: usize, max_bytes: usize) -> Self {
         LruCache {
             capacity: capacity.max(1),
@@ -133,20 +160,20 @@ impl LruCache {
         self.map.is_empty()
     }
 
-    /// Body bytes resident.
+    /// Weight resident.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
     /// Look up a key, promoting it to most-recently-used on a hit. Counts a
     /// hit or a miss.
-    pub fn get(&mut self, key: &str) -> Option<Arc<CachedArtifact>> {
+    pub fn get(&mut self, key: &str) -> Option<Arc<V>> {
         match self.map.get(key).copied() {
             Some(slot) => {
                 self.hits += 1;
                 self.unlink(slot);
                 self.link_front(slot);
-                Some(Arc::clone(&self.slots[slot].value))
+                self.slots[slot].value.clone()
             }
             None => {
                 self.misses += 1;
@@ -156,33 +183,36 @@ impl LruCache {
     }
 
     /// Look up a key without touching recency or the counters (tests).
-    pub fn peek(&self, key: &str) -> Option<&Arc<CachedArtifact>> {
-        self.map.get(key).map(|&slot| &self.slots[slot].value)
+    pub fn peek(&self, key: &str) -> Option<&Arc<V>> {
+        self.map.get(key).and_then(|&slot| self.slots[slot].value.as_ref())
     }
 
-    /// Insert (or replace) an artifact at most-recently-used, then evict
-    /// from the least-recently-used end until both bounds hold again. An
-    /// artifact that alone exceeds the byte bound is not cached at all.
-    pub fn insert(&mut self, key: String, value: Arc<CachedArtifact>) {
-        if value.bytes.len() > self.max_bytes {
+    /// Insert (or replace) a value at most-recently-used, then evict from
+    /// the least-recently-used end until both bounds hold again. A value
+    /// that alone outweighs the byte bound is not cached at all.
+    pub fn insert(&mut self, key: String, value: Arc<V>) {
+        let weight = value.weight();
+        if weight > self.max_bytes {
             self.uncacheable += 1;
             return;
         }
         self.insertions += 1;
         if let Some(&slot) = self.map.get(&key) {
-            self.bytes = self.bytes - self.slots[slot].value.bytes.len() + value.bytes.len();
-            self.slots[slot].value = value;
+            self.bytes = self.bytes - self.slots[slot].weight + weight;
+            self.slots[slot].value = Some(value);
+            self.slots[slot].weight = weight;
             self.unlink(slot);
             self.link_front(slot);
         } else {
-            self.bytes += value.bytes.len();
+            self.bytes += weight;
+            let new = Slot { key: key.clone(), value: Some(value), weight, prev: NIL, next: NIL };
             let slot = match self.free.pop() {
                 Some(slot) => {
-                    self.slots[slot] = Slot { key: key.clone(), value, prev: NIL, next: NIL };
+                    self.slots[slot] = new;
                     slot
                 }
                 None => {
-                    self.slots.push(Slot { key: key.clone(), value, prev: NIL, next: NIL });
+                    self.slots.push(new);
                     self.slots.len() - 1
                 }
             };
@@ -212,7 +242,7 @@ impl LruCache {
     /// Drop every entry whose key starts with `prefix`, returning how many
     /// were removed. Used when a graph is deleted or mutated: its cache keys
     /// all begin `{graph_id}|`, so one prefix sweep evicts exactly that
-    /// graph's artifacts and nothing else. Counted as evictions.
+    /// graph's entries and nothing else. Counted as evictions.
     pub fn evict_prefix(&mut self, prefix: &str) -> usize {
         let doomed: Vec<usize> =
             self.map.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, &s)| s).collect();
@@ -242,16 +272,12 @@ impl LruCache {
         self.evict(self.tail);
     }
 
-    /// Unlink `slot`, drop its artifact and put the slot on the free list.
+    /// Unlink `slot`, drop its value and put the slot on the free list.
     fn evict(&mut self, slot: usize) {
         self.unlink(slot);
         let key = std::mem::take(&mut self.slots[slot].key);
-        self.bytes -= self.slots[slot].value.bytes.len();
-        self.slots[slot].value = Arc::new(CachedArtifact {
-            bytes: Arc::default(),
-            etag: String::new(),
-            content_type: "",
-        });
+        self.bytes -= self.slots[slot].weight;
+        self.slots[slot].value = None;
         self.map.remove(&key);
         self.free.push(slot);
         self.evictions += 1;
@@ -286,7 +312,7 @@ impl LruCache {
     }
 }
 
-impl std::fmt::Debug for LruCache {
+impl<V> std::fmt::Debug for LruCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LruCache")
             .field("entries", &self.map.len())

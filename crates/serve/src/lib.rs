@@ -16,11 +16,12 @@
 //!   any render work.
 //!
 //! Module map: [`http`] (hand-rolled request/response layer with typed
-//! errors), [`error`] (structured JSON API errors), [`cache`] (bounded LRU
-//! keyed on canonical render parameters), [`scenes`] (the retained tile
+//! errors), [`error`] (structured JSON API errors), [`cache`] (the bounded
+//! LRU, one instance for rendered artifacts and one for retained tile
 //! scenes), [`flight`] (single-flight builds for both), [`state`] (graph
-//! registry + shared counters), [`routes`] (the handlers), [`server`]
-//! (accept loop and worker pool), [`client`] (the matching minimal client).
+//! registry + shared counters), [`routes`] (the handlers and their one
+//! fetch-or-build helper), [`server`] (accept loop and worker pool),
+//! [`client`] (the matching minimal client).
 //!
 //! ```no_run
 //! use serve::{Server, ServerConfig};
@@ -36,11 +37,10 @@ pub mod error;
 pub mod flight;
 pub mod http;
 pub mod routes;
-pub mod scenes;
 pub mod server;
 pub mod state;
 
-pub use cache::{etag_for_key, CacheStats, CachedArtifact, LruCache};
+pub use cache::{etag_for_key, CacheStats, CachedArtifact, LruCache, Weighted};
 pub use error::ApiError;
 pub use http::{HttpError, Method, Request, Response};
 pub use server::{Server, ServerHandle};

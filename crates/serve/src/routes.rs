@@ -25,25 +25,30 @@
 //! tree) and not on `threads` — which is exactly what the cache key embeds.
 //!
 //! Retained scenes: tiles and `/scene` render from an `Arc<Scene>` retained
-//! per (graph id, generation, measure) in a fixed-size LRU
-//! ([`crate::scenes`]). A miss builds the scene once, in a throwaway session
-//! whose scalar field and trees are dropped before the request ends, and
-//! every later tile of that graph and measure is just a tile write. Terrain
-//! and peaks keep building a fresh session per miss.
+//! per (graph id, generation, measure) in [`AppState::scenes`], a second
+//! instance of the artifact cache's [`LruCache`](crate::cache::LruCache)
+//! bounded to [`RETAINED_SCENES`](crate::state::RETAINED_SCENES) entries. A
+//! miss builds the scene once, in a throwaway session whose scalar field and
+//! trees are dropped before the request ends, and every later tile of that
+//! graph and measure is just a tile write. Terrain and peaks keep building a
+//! fresh session per miss.
 //!
-//! Single flight: concurrent misses on one artifact key render once, and
-//! concurrent misses on one scene key build once ([`crate::flight`]);
-//! waiters answer with the builder's result.
+//! Fetch or build: artifacts and scenes go through one helper,
+//! [`fetch_or_build`]. It looks the key up in its LRU; on a miss, concurrent
+//! requests for one key build once ([`crate::flight`]) and waiters answer
+//! with the builder's value; the value is published only while its graph is
+//! still the one registered under its id.
 //!
 //! Deltas: the body is an edge batch in any [`GraphFormat`] (same `format`
 //! parameter as uploads) and `op` (`insert` | `delete` | `reweight`,
-//! default `insert`) is applied to every edge in it. A structural delta
-//! compacts into a fresh graph registered under the same id and evicts the
-//! id's cached artifacts and retained scenes — their ETags change because
-//! the bytes do. A no-op batch (all redundant) leaves the graph, the cache,
-//! and every ETag untouched. `DELETE /graphs/{id}` likewise evicts the id's
-//! artifacts and scenes so a later upload under the same id cannot alias
-//! stale bytes.
+//! default `insert`) is applied to every edge in it through
+//! [`ugraph::delta::apply`], which alone decides whether the graph changed.
+//! A structural delta registers the compacted graph under the same id and
+//! evicts the id's cached artifacts and retained scenes — their ETags change
+//! because the bytes do. A no-op batch (all redundant) leaves the graph, the
+//! cache, and every ETag untouched. `DELETE /graphs/{id}` likewise evicts
+//! the id's artifacts and scenes so a later upload under the same id cannot
+//! alias stale bytes.
 //!
 //! Render parameters: `measure` (kcore | degree | pagerank | closeness |
 //! betweenness | ktruss | edge-triangles), `samples`/`seed` (betweenness),
@@ -60,12 +65,16 @@
 //! graph — the CSR arrays are served zero-copy out of the uploaded buffer,
 //! shared by every concurrent session. Anything else goes through
 //! [`GraphSource`] with the `format` parameter (default `edgelist`).
+//!
+//! A handler that panics answers a typed `500 internal_error`; the worker
+//! that ran it keeps serving.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
-use crate::cache::{etag_for_key, CachedArtifact};
+use crate::cache::{etag_for_key, CachedArtifact, LruCache, Weighted};
 use crate::error::{json_f64, json_string, ApiError};
-use crate::flight::Source;
+use crate::flight::{SingleFlight, Source};
 use crate::http::{Method, Request, Response};
 use crate::state::{AppState, GraphEntry};
 use graph_terrain::{
@@ -74,7 +83,7 @@ use graph_terrain::{
 };
 use measures::Parallelism;
 use terrain::{exporter_by_name_sized, highest_peaks, peaks_at_alpha, ColorScheme, Exporter, Peak};
-use ugraph::delta::{DeltaApplyStats, DeltaOp, GraphDelta};
+use ugraph::delta::{self, DeltaApplyStats, DeltaOp, GraphDelta};
 use ugraph::io::{GraphFormat, GraphSource, BINARY_MAGIC, BINARY_V3_VERSION};
 
 /// Most peak member ids echoed inline per peak (the full count is always
@@ -84,11 +93,20 @@ const MAX_PEAK_MEMBERS: usize = 64;
 /// Most worker threads one request may ask for with `threads`.
 const MAX_THREADS: usize = 64;
 
-/// Dispatch a parsed request; never panics, never leaks a raw error.
+/// Dispatch a parsed request; never panics, never leaks a raw error. A
+/// panicking handler is caught here and answered with a typed 500, so it
+/// cannot unwind into (and end) the worker thread that called this.
 pub fn handle(state: &AppState, req: &Request) -> Response {
-    match route(state, req) {
-        Ok(response) => response,
-        Err(e) => e.into_response(),
+    // Unwind safety: every lock a handler takes is held only around a
+    // lookup or an insert, never across a render or build, and a
+    // single-flight slot poisoned by a panicking build is taken over, not
+    // propagated (`crate::flight`).
+    match catch_unwind(AssertUnwindSafe(|| route(state, req))) {
+        Ok(Ok(response)) => response,
+        Ok(Err(e)) => e.into_response(),
+        Err(_) => {
+            ApiError::new(500, "internal_error", "the request handler panicked").into_response()
+        }
     }
 }
 
@@ -106,6 +124,8 @@ fn route(state: &AppState, req: &Request) -> Result<Response, ApiError> {
         (Method::Get, ["graphs", id, "scene"]) => scene_document(state, req, id),
         (Method::Get, ["stats"]) => Ok(stats(state)),
         (Method::Get, ["healthz"]) => Ok(Response::with_body(200, "text/plain", b"ok\n".to_vec())),
+        #[cfg(test)]
+        (Method::Get, ["panic"]) => panic!("a handler panicked"),
         _ => Err(ApiError::not_found(format!("no route for {} {}", req.method, req.path))),
     }
 }
@@ -152,7 +172,8 @@ fn graph_format_param(req: &Request) -> Result<GraphFormat, ApiError> {
 }
 
 /// `POST /graphs/{id}/deltas`: parse the body as an edge batch, apply it
-/// copy-on-write, and re-register the compacted graph under the same id.
+/// to the registered graph (which stays untouched: other requests keep
+/// rendering it), and re-register the compacted graph under the same id.
 /// Structural deltas evict the id's cached artifacts; no-op batches change
 /// nothing (and evict nothing — the cached bytes are still exact).
 fn post_delta(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError> {
@@ -175,15 +196,11 @@ fn post_delta(state: &AppState, req: &Request, id: &str) -> Result<Response, Api
         .map_err(|e| ApiError::new(400, "invalid_delta", e.to_string()))?;
     let delta = GraphDelta::from_graph(op, &parsed.graph);
 
-    let mut graph = entry.graph.clone();
-    let old_vertices = graph.storage().vertex_count();
-    let stats = graph.apply_delta(&delta);
-    let structural =
-        stats.structural_changes() > 0 || graph.storage().vertex_count() != old_vertices;
-    if !structural {
+    let (stats, compacted) = delta::apply(entry.graph.storage(), &delta);
+    let Some(compacted) = compacted else {
         return Ok(Response::json(200, delta_json(&entry, &stats, false, 0)));
-    }
-    let entry = state.replace_graph(id, graph).ok_or_else(|| {
+    };
+    let entry = state.replace_graph(id, SharedGraph::new(compacted.graph)).ok_or_else(|| {
         // The graph vanished between lookup and replace (a concurrent
         // DELETE won the race); the mutation has nowhere to land.
         ApiError::not_found(format!("graph {id:?} was deleted while the delta was applied"))
@@ -608,34 +625,16 @@ fn retained_scene(
 ) -> Result<Arc<Scene>, ApiError> {
     let key =
         format!("{}|gen={}|measure={}", entry.id, entry.generation, measure_canonical(&measure));
-    let (scene, _) = state.scene_flights.run::<ApiError>(
-        &key,
-        || state.scenes.lock().expect("scenes lock").get(&key),
-        || {
-            let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-            session.set_parallelism(parallelism);
-            session.scene()?;
-            let timings = session.timings();
-            let scene = session.into_scene()?;
-            state.stage_totals.lock().expect("stage totals lock").absorb(&timings);
-            Ok(Arc::new(scene))
-        },
-        |scene| {
-            let mut scenes = state.scenes.lock().expect("scenes lock");
-            if is_registered(state, entry) {
-                scenes.insert(key.clone(), Arc::clone(scene));
-            }
-        },
-    )?;
-    Ok(scene)
-}
-
-/// Whether `entry` is still the graph registered under its id. Checked with
-/// a cache's lock held before storing into that cache: a delta or `DELETE`
-/// replaces the entry before it evicts, so a build that finishes after the
-/// eviction stores nothing for the graph that is gone.
-fn is_registered(state: &AppState, entry: &Arc<GraphEntry>) -> bool {
-    state.graph(&entry.id).is_some_and(|current| Arc::ptr_eq(&current, entry))
+    fetch_or_build(state, entry, &state.scenes, &state.scene_flights, &key, || {
+        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
+        session.set_parallelism(parallelism);
+        session.scene()?;
+        let timings = session.timings();
+        let scene = session.into_scene()?;
+        state.stage_totals.lock().expect("stage totals lock").absorb(&timings);
+        Ok(scene)
+    })
+    .map(|(scene, _)| scene)
 }
 
 fn peaks_json(graph_id: &str, measure: &str, alpha: Option<f64>, peaks: &[Peak]) -> String {
@@ -695,24 +694,43 @@ fn serve_cached(
             return Ok(Response::new(304).header("ETag", &etag));
         }
     }
-    let (artifact, source) = state.artifact_flights.run::<ApiError>(
-        key,
-        || state.cache.lock().expect("cache lock").get(key),
-        || {
+    let (artifact, source) =
+        fetch_or_build(state, entry, &state.cache, &state.artifact_flights, key, || {
             let (bytes, content_type) = render()?;
-            Ok(Arc::new(CachedArtifact { bytes: Arc::new(bytes), etag, content_type }))
-        },
-        |artifact| {
-            let mut cache = state.cache.lock().expect("cache lock");
-            if is_registered(state, entry) {
-                cache.insert(key.to_string(), Arc::clone(artifact));
-            }
-        },
-    )?;
+            Ok(CachedArtifact { bytes: Arc::new(bytes), etag, content_type })
+        })?;
     if source == Source::Built {
         state.stage_totals.lock().expect("stage totals lock").renders += 1;
     }
     Ok(artifact_response(&artifact, if source == Source::Found { "hit" } else { "miss" }))
+}
+
+/// The one fetch-or-build protocol behind every retained value — rendered
+/// artifacts and tile scenes alike: look `key` up in `store`; on a miss,
+/// `build` once however many requests race the key (`flights`), and publish
+/// the value to `store` only while `entry` is still the graph registered
+/// under its id. The check runs with the store's lock held: a delta or
+/// `DELETE` replaces the entry before it evicts, so a build that finishes
+/// after the eviction stores nothing for the graph that is gone.
+fn fetch_or_build<V: Weighted>(
+    state: &AppState,
+    entry: &Arc<GraphEntry>,
+    store: &Mutex<LruCache<V>>,
+    flights: &SingleFlight<Arc<V>>,
+    key: &str,
+    build: impl FnOnce() -> Result<V, ApiError>,
+) -> Result<(Arc<V>, Source), ApiError> {
+    flights.run(
+        key,
+        || store.lock().expect("store lock").get(key),
+        || build().map(Arc::new),
+        |value| {
+            let mut store = store.lock().expect("store lock");
+            if state.graph(&entry.id).is_some_and(|current| Arc::ptr_eq(&current, entry)) {
+                store.insert(key.to_string(), Arc::clone(value));
+            }
+        },
+    )
 }
 
 /// The render side of a terrain or peaks miss: run `render` over a fresh
@@ -777,7 +795,7 @@ fn stats(state: &AppState) -> Response {
         cache.capacity,
         cache.max_bytes,
         scenes.entries,
-        scenes.builds,
+        scenes.insertions,
         scenes.hits,
         waits,
         totals.renders,
@@ -791,4 +809,32 @@ fn stats(state: &AppState) -> Response {
         json_f64(totals.scene_seconds),
     );
     Response::json(200, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::ServerConfig;
+
+    fn get(path: &str) -> Request {
+        Request {
+            method: Method::Get,
+            path: path.to_string(),
+            query: Vec::new(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_next_request_is_served() {
+        let state = AppState::new(ServerConfig::default());
+        let panicked = handle(&state, &get("/panic"));
+        assert_eq!(panicked.status, 500);
+        let body = String::from_utf8_lossy(&panicked.body);
+        let doc: serde_json::Value = serde_json::from_str(&body).expect("JSON body");
+        assert_eq!(doc.get("error").and_then(|e| e.get("code")?.as_str()), Some("internal_error"));
+        let next = handle(&state, &get("/healthz"));
+        assert_eq!((next.status, next.body.as_slice()), (200, &b"ok\n"[..]));
+    }
 }

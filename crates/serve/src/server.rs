@@ -112,7 +112,10 @@ fn worker_loop(state: &AppState, receiver: &Mutex<Receiver<TcpStream>>) {
 /// failure on the way out is the peer's problem — never this thread's.
 fn handle_connection(state: &AppState, stream: TcpStream) {
     state.in_flight.fetch_add(1, Ordering::SeqCst);
+    // One timeout for both directions: a peer that stops sending, or stops
+    // reading its response, releases the worker after it.
     let _ = stream.set_read_timeout(Some(state.config.read_timeout));
+    let _ = stream.set_write_timeout(Some(state.config.read_timeout));
     let _ = stream.set_nodelay(true);
 
     let mut reader = BufReader::new(match stream.try_clone() {

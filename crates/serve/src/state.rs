@@ -9,8 +9,9 @@
 //! workers render from it); any other format parses into an owned graph
 //! behind the same `Arc`. Locking is coarse but short: the registry is a
 //! `RwLock` (reads vastly dominate), the artifact cache and the retained
-//! scenes a `Mutex` each, held only for lookup/insert — renders and scene
-//! builds always run outside every lock.
+//! scenes — two instances of one [`LruCache`] — a `Mutex` each, held only
+//! for lookup/insert; renders and scene builds always run outside every
+//! lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,8 +21,12 @@ use std::time::Duration;
 use crate::cache::{CachedArtifact, LruCache};
 use crate::error::ApiError;
 use crate::flight::SingleFlight;
-use crate::scenes::SceneCache;
 use graph_terrain::{Scene, SharedGraph, StageTimings};
+
+/// Scenes retained at once, a fixed bound beside the configurable artifact
+/// bounds. On the 1M R-MAT rung a scene holds a few dozen items, so these
+/// cost next to nothing; the scenes carry no byte bound.
+pub const RETAINED_SCENES: usize = 16;
 
 /// Tunables fixed at server start.
 #[derive(Clone, Debug)]
@@ -34,7 +39,8 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Largest accepted request body (graph uploads).
     pub max_body_bytes: usize,
-    /// Socket read timeout (bounds how long a slow or silent client can
+    /// Socket read timeout, also applied as the write timeout (bounds how
+    /// long a silent client, or one that stops reading its response, can
     /// hold a worker).
     pub read_timeout: Duration,
     /// Accepted connections queued ahead of the workers before `accept`
@@ -123,11 +129,12 @@ pub struct AppState {
     pub config: ServerConfig,
     registry: RwLock<BTreeMap<String, Arc<GraphEntry>>>,
     /// The artifact cache.
-    pub cache: Mutex<LruCache>,
+    pub cache: Mutex<LruCache<CachedArtifact>>,
     /// One render per missed artifact key, however many requests race it.
     pub artifact_flights: SingleFlight<Arc<CachedArtifact>>,
-    /// The retained tile scenes.
-    pub scenes: Mutex<SceneCache>,
+    /// The retained tile scenes, keyed
+    /// `"{graph id}|gen={generation}|measure={canonical measure}"`.
+    pub scenes: Mutex<LruCache<Scene>>,
     /// One build per missed scene key.
     pub scene_flights: SingleFlight<Arc<Scene>>,
     /// Stage-seconds accumulated across cache-miss renders.
@@ -155,7 +162,7 @@ impl AppState {
             registry: RwLock::new(BTreeMap::new()),
             cache: Mutex::new(cache),
             artifact_flights: SingleFlight::default(),
-            scenes: Mutex::new(SceneCache::default()),
+            scenes: Mutex::new(LruCache::new(RETAINED_SCENES, usize::MAX)),
             scene_flights: SingleFlight::default(),
             stage_totals: Mutex::new(StageTotals::default()),
             next_id: AtomicU64::new(1),

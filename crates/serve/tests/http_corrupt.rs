@@ -112,6 +112,46 @@ fn silent_clients_time_out_without_taking_down_a_worker() {
 }
 
 #[test]
+fn a_client_that_never_reads_its_response_releases_the_only_worker() {
+    // One worker: while a stuck write holds it, nothing else is served.
+    let state = Arc::new(AppState::new(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    }));
+    // 60 000 vertices, nearly all isolated: every one is a root of the
+    // unsimplified render tree, so the JSON terrain is tens of megabytes.
+    let mut builder = GraphBuilder::new();
+    builder.add_edge(0u32, 1u32);
+    builder.ensure_vertex(59_999u32);
+    state.insert_graph(Some("wide".into()), SharedGraph::new(builder.build())).unwrap();
+    let server = Server::bind_with_state("127.0.0.1:0", state).expect("bind ephemeral");
+    let addr = server.addr();
+    let target = "/graphs/wide/terrain?budget=none&format=json";
+
+    // Ask for the body, then never read a byte of it. The server's writes
+    // fill the loopback socket buffers and block.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    write!(stalled, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+
+    // The next request waits for that worker: it is served only because the
+    // stuck write times out.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("the second request is served");
+    assert_eq!(status_of(&response), Some(200));
+    // Larger than the loopback buffers can absorb (on Linux by default, at
+    // most 4 MiB of send buffer plus a receive buffer that starts at
+    // 128 KiB and grows only as the application reads).
+    assert!(response.len() > 16 << 20, "body of {} bytes is too small", response.len());
+    drop(stalled);
+    assert_alive(addr);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_request_lines_and_headers_are_bounced() {
     let server = boot();
     let addr = server.addr();

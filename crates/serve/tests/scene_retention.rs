@@ -59,6 +59,11 @@ fn counter(doc: &serde_json::Value, path: &[&str]) -> u64 {
     value.as_u64().expect("a counter")
 }
 
+/// The retained scenes' keys, most recently used first.
+fn scene_keys(state: &AppState) -> Vec<String> {
+    state.scenes.lock().unwrap().keys_most_recent_first()
+}
+
 /// The tile as a fresh in-process session renders it.
 fn fresh_tile(graph: &SharedGraph, measure: Measure, key: TileKey, size: u32) -> Vec<u8> {
     let mut session = TerrainPipeline::from_shared(graph.clone(), measure);
@@ -106,7 +111,7 @@ fn structural_deltas_and_deletes_drop_the_old_graphs_scenes() {
     let state = state_with(&graph);
     let tile = "/graphs/g/tiles/1/0/1";
     let before = ok(&state, tile);
-    assert_eq!(state.scenes.lock().unwrap().keys(), vec!["g|gen=0|measure=k-core"]);
+    assert_eq!(scene_keys(&state), vec!["g|gen=0|measure=k-core"]);
 
     let delta = Request { method: Method::Post, body: b"13 15\n15 16\n".to_vec(), ..get("/") };
     let applied = routes::handle(&state, &Request { path: "/graphs/g/deltas".into(), ..delta });
@@ -117,7 +122,7 @@ fn structural_deltas_and_deletes_drop_the_old_graphs_scenes() {
     let after = ok(&state, tile);
     assert_eq!(after, fresh_tile(&mutated, Measure::KCore, KEY, 256));
     assert_ne!(after, before, "the delta changes the tile");
-    assert_eq!(state.scenes.lock().unwrap().keys(), vec!["g|gen=1|measure=k-core"]);
+    assert_eq!(scene_keys(&state), vec!["g|gen=1|measure=k-core"]);
 
     let deleted = routes::handle(&state, &Request { method: Method::Delete, ..get("/graphs/g") });
     assert_eq!(deleted.status, 200);
@@ -127,7 +132,7 @@ fn structural_deltas_and_deletes_drop_the_old_graphs_scenes() {
     // inherit anything built for the graph that was there before.
     state.insert_graph(Some("g".into()), graph.clone()).unwrap();
     assert_eq!(ok(&state, tile), before);
-    assert_eq!(state.scenes.lock().unwrap().keys(), vec!["g|gen=2|measure=k-core"]);
+    assert_eq!(scene_keys(&state), vec!["g|gen=2|measure=k-core"]);
     assert_eq!(counter(&stats(&state), &["scenes", "builds"]), 3);
 }
 
@@ -154,7 +159,7 @@ fn a_build_for_a_deleted_graph_serves_nothing_to_its_reupload() {
     });
     let generation = state.graph("g").unwrap().generation;
     let current = format!("g|gen={generation}|measure=k-core");
-    assert_eq!(state.scenes.lock().unwrap().keys(), vec![current], "nothing of the old graph");
+    assert_eq!(scene_keys(&state), vec![current], "nothing of the old graph");
 }
 
 #[test]

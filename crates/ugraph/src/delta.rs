@@ -8,12 +8,17 @@
 //! of the same edge are deduplicated **last-wins**, and non-finite weights
 //! are rejected up front.
 //!
-//! A [`DeltaOverlay`] layers one or more batches over any
-//! [`GraphStorage`] backend without touching it — the base may be an owned
-//! [`CsrGraph`] or a read-only memory-mapped snapshot; the overlay records
-//! per-edge deletion marks and a sorted set of inserted edges, plus the set
-//! of *dirty* vertices (endpoints of every effective structural change),
-//! which seeds the incremental-recompute paths downstream.
+//! [`apply`] is the one mutation path: it applies a batch to any
+//! [`GraphStorage`] backend and returns the apply counters plus, when the
+//! graph changed, the compacted result. It is the only place that decides
+//! whether a batch changed the graph.
+//!
+//! Underneath, a [`DeltaOverlay`] is a short-lived merge buffer over the
+//! base, which it never touches — the base may be an owned [`CsrGraph`] or
+//! a read-only memory-mapped snapshot. The overlay records per-edge deletion
+//! marks and a sorted set of inserted edges, plus the set of *dirty*
+//! vertices (endpoints of every effective structural change), which seeds
+//! the incremental-recompute paths downstream.
 //!
 //! [`DeltaOverlay::compact`] merges the overlay into a fresh canonical
 //! [`CsrGraph`] **without a full edge re-sort**: the surviving base edges
@@ -236,8 +241,9 @@ impl DeltaApplyStats {
     }
 }
 
-/// The product of [`DeltaOverlay::compact`]: the new canonical graph plus
-/// the provenance needed by incremental recomputation.
+/// The product of [`DeltaOverlay::compact`] (and of [`apply`], when the
+/// batch changed the graph): the new canonical graph plus the provenance
+/// needed by incremental recomputation.
 #[derive(Clone, Debug)]
 pub struct CompactedDelta {
     /// The merged graph, bit-identical to a from-scratch
@@ -254,19 +260,27 @@ pub struct CompactedDelta {
     pub stats: DeltaApplyStats,
 }
 
-impl CompactedDelta {
-    /// Vertex ids flagged dirty, ascending.
-    pub fn dirty_vertices(&self) -> Vec<VertexId> {
-        self.dirty
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d)
-            .map(|(i, _)| VertexId::from_index(i))
-            .collect()
-    }
+/// Apply one batch to `base` and compact it. Returns what the batch did
+/// and, when it changed the graph, the compaction; `None` means the graph
+/// did not change — no edge's presence toggled and no new vertex was
+/// mentioned — so `base` is still the current graph and nothing derived
+/// from it needs invalidating.
+pub fn apply<G: GraphStorage + ?Sized>(
+    base: &G,
+    delta: &GraphDelta,
+) -> (DeltaApplyStats, Option<CompactedDelta>) {
+    let mut overlay = DeltaOverlay::new(base);
+    overlay.apply(delta);
+    let stats = overlay.stats();
+    let changed = stats.structural_changes() > 0 || overlay.vertex_count() > base.vertex_count();
+    (stats, changed.then(|| overlay.compact()))
 }
 
-/// Pending edge mutations layered over an immutable [`GraphStorage`] base.
+/// Pending edge mutations layered over an immutable [`GraphStorage`] base:
+/// a short-lived merge buffer between a batch and its [`compact`]ion
+/// (most callers want [`apply`], which runs both).
+///
+/// [`compact`]: DeltaOverlay::compact
 ///
 /// The base is never modified — deletion marks and inserted edges live in
 /// the overlay — so the same overlay shape works over an owned
@@ -291,12 +305,12 @@ impl CompactedDelta {
 /// let mut overlay = DeltaOverlay::new(&base);
 /// overlay.apply(&delta);
 /// assert_eq!(overlay.edge_count(), 3);
-/// assert!(!overlay.has_edge(VertexId(0), VertexId(1)));
-/// assert!(overlay.has_edge(VertexId(1), VertexId(3)));
 ///
 /// let compacted = overlay.compact();
 /// assert_eq!(compacted.graph.vertex_count(), 4);
 /// assert_eq!(compacted.graph.edge_count(), 3);
+/// assert!(!compacted.graph.has_edge(VertexId(0), VertexId(1)));
+/// assert!(compacted.graph.has_edge(VertexId(1), VertexId(3)));
 /// ```
 pub struct DeltaOverlay<'g, G: GraphStorage + ?Sized> {
     base: &'g G,
@@ -386,84 +400,9 @@ impl<'g, G: GraphStorage + ?Sized> DeltaOverlay<'g, G> {
         self.base.edge_count() - self.deleted_count + self.inserts.len() / 2
     }
 
-    /// Whether the merged view contains edge `{u, v}`.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u == v {
-            return false;
-        }
-        match self.base_edge_between(u, v) {
-            Some(e) => !self.deleted[e.index()],
-            None => {
-                let key = if u < v { (u, v) } else { (v, u) };
-                self.inserts.contains(&key)
-            }
-        }
-    }
-
-    /// Degree of `v` in the merged view. `O(degree)` (scans the base
-    /// incident edges for deletion marks).
-    pub fn degree(&self, v: VertexId) -> usize {
-        let base = if v.index() < self.base.vertex_count() {
-            self.base.incident_edge_slice(v).iter().filter(|e| !self.deleted[e.index()]).count()
-        } else {
-            0
-        };
-        base + self.insert_range(v).count()
-    }
-
-    /// Merged sorted neighbor list of `v` (allocates).
-    pub fn neighbor_vec(&self, v: VertexId) -> Vec<VertexId> {
-        let base: Vec<VertexId> = if v.index() < self.base.vertex_count() {
-            self.base
-                .neighbors(v)
-                .filter(|(_, e)| !self.deleted[e.index()])
-                .map(|(t, _)| t)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let ins: Vec<VertexId> = self.insert_range(v).collect();
-        // Both inputs are sorted and disjoint: a linear merge keeps order.
-        let mut merged = Vec::with_capacity(base.len() + ins.len());
-        let (mut i, mut j) = (0, 0);
-        while i < base.len() && j < ins.len() {
-            if base[i] < ins[j] {
-                merged.push(base[i]);
-                i += 1;
-            } else {
-                merged.push(ins[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&base[i..]);
-        merged.extend_from_slice(&ins[j..]);
-        merged
-    }
-
-    /// True when `v` is an endpoint of an effective structural change.
-    pub fn is_dirty(&self, v: VertexId) -> bool {
-        self.dirty.get(v.index()).copied().unwrap_or(false)
-    }
-
-    /// Vertex ids flagged dirty, ascending.
-    pub fn dirty_vertices(&self) -> Vec<VertexId> {
-        self.dirty
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d)
-            .map(|(i, _)| VertexId::from_index(i))
-            .collect()
-    }
-
     /// Counters for everything applied so far.
     pub fn stats(&self) -> DeltaApplyStats {
         self.stats
-    }
-
-    /// True when no pending change survives (the compacted graph would
-    /// equal the base graph with [`DeltaOverlay::vertex_count`] vertices).
-    pub fn is_structurally_unchanged(&self) -> bool {
-        self.deleted_count == 0 && self.inserts.is_empty()
     }
 
     /// Merge the overlay into a fresh canonical [`CsrGraph`].
@@ -525,12 +464,6 @@ impl<'g, G: GraphStorage + ?Sized> DeltaOverlay<'g, G> {
             return None;
         }
         self.base.find_edge(u, v)
-    }
-
-    /// Inserted neighbors of `v`, ascending (a range scan of the symmetric
-    /// insert set).
-    fn insert_range(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.inserts.range((v, VertexId(0))..=(v, VertexId(u32::MAX))).map(|&(_, t)| t)
     }
 }
 
@@ -603,6 +536,11 @@ mod tests {
         assert_eq!(d.len(), 1, "the rejected mention must not be recorded");
     }
 
+    /// The dirty vertex ids of a compaction, ascending.
+    fn dirty(compacted: &CompactedDelta) -> Vec<u32> {
+        (0..compacted.dirty.len() as u32).filter(|&v| compacted.dirty[v as usize]).collect()
+    }
+
     #[test]
     fn overlay_merged_view_reflects_inserts_and_deletes() {
         let base = base_graph();
@@ -610,24 +548,22 @@ mod tests {
         delta.push(DeltaOp::Delete, 0, 1);
         delta.push(DeltaOp::Insert, 3, 5);
         delta.push(DeltaOp::Insert, 0, 6);
-        let mut overlay = DeltaOverlay::new(&base);
-        overlay.apply(&delta);
+        let (stats, compacted) = apply(&base, &delta);
+        let compacted = compacted.expect("the batch changes the graph");
+        let merged = &compacted.graph;
 
-        assert_eq!(overlay.vertex_count(), 7);
-        assert_eq!(overlay.edge_count(), 6);
-        assert!(!overlay.has_edge(VertexId(0), VertexId(1)));
-        assert!(overlay.has_edge(VertexId(3), VertexId(5)));
-        assert!(overlay.has_edge(VertexId(6), VertexId(0)));
-        assert_eq!(overlay.degree(VertexId(0)), 2); // lost 1, gained 6
-        assert_eq!(overlay.neighbor_vec(VertexId(0)), vec![VertexId(2), VertexId(6)]);
-        assert_eq!(overlay.neighbor_vec(VertexId(6)), vec![VertexId(0)]);
-        assert_eq!(
-            overlay.dirty_vertices(),
-            vec![VertexId(0), VertexId(1), VertexId(3), VertexId(5), VertexId(6)]
-        );
-        let stats = overlay.stats();
+        assert_eq!(merged.vertex_count(), 7);
+        assert_eq!(merged.edge_count(), 6);
+        assert!(!merged.has_edge(VertexId(0), VertexId(1)));
+        assert!(merged.has_edge(VertexId(3), VertexId(5)));
+        assert!(merged.has_edge(VertexId(6), VertexId(0)));
+        assert_eq!(merged.degree(VertexId(0)), 2); // lost 1, gained 6
+        assert_eq!(merged.neighbor_slice(VertexId(0)), &[VertexId(2), VertexId(6)]);
+        assert_eq!(merged.neighbor_slice(VertexId(6)), &[VertexId(0)]);
+        assert_eq!(dirty(&compacted), vec![0, 1, 3, 5, 6]);
         assert_eq!((stats.inserted, stats.deleted), (2, 1));
         assert_eq!(stats.structural_changes(), 3);
+        assert_eq!(compacted.stats, stats);
     }
 
     #[test]
@@ -636,13 +572,14 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.push(DeltaOp::Insert, 0, 1); // already present
         delta.push(DeltaOp::Delete, 0, 3); // absent
+        let (stats, compacted) = apply(&base, &delta);
+        assert!(compacted.is_none(), "a batch of no-ops leaves the graph unchanged");
+        assert_eq!((stats.redundant_inserts, stats.absent_deletes), (1, 1));
         let mut overlay = DeltaOverlay::new(&base);
         overlay.apply(&delta);
-        assert!(overlay.is_structurally_unchanged());
-        assert!(overlay.dirty_vertices().is_empty());
-        let stats = overlay.stats();
-        assert_eq!((stats.redundant_inserts, stats.absent_deletes), (1, 1));
-        assert_eq!(overlay.compact().graph, base);
+        let compacted = overlay.compact();
+        assert!(dirty(&compacted).is_empty());
+        assert_eq!(compacted.graph, base);
     }
 
     #[test]
@@ -655,11 +592,11 @@ mod tests {
         let mut ins = GraphDelta::new();
         ins.push(DeltaOp::Insert, 0, 1);
         overlay.apply(&ins);
-        assert!(overlay.has_edge(VertexId(0), VertexId(1)));
         assert_eq!(overlay.stats().reinserted, 1);
-        assert_eq!(overlay.compact().graph, base);
+        let compacted = overlay.compact();
+        assert_eq!(compacted.graph, base);
         // The edge's presence toggled twice: its endpoints stay dirty.
-        assert!(overlay.is_dirty(VertexId(0)) && overlay.is_dirty(VertexId(1)));
+        assert_eq!(dirty(&compacted), vec![0, 1]);
     }
 
     #[test]
@@ -689,10 +626,7 @@ mod tests {
                 None => assert!([(1, 3), (2, 6)].contains(&(e.u.0, e.v.0))),
             }
         }
-        assert_eq!(
-            compacted.dirty_vertices(),
-            vec![VertexId(1), VertexId(2), VertexId(3), VertexId(6)]
-        );
+        assert_eq!(dirty(&compacted), vec![1, 2, 3, 6]);
     }
 
     #[test]
@@ -700,10 +634,10 @@ mod tests {
         let base = base_graph();
         let mut delta = GraphDelta::new();
         delta.push(DeltaOp::Insert, 9, 9); // dropped self loop, vertex kept
-        let mut overlay = DeltaOverlay::new(&base);
-        overlay.apply(&delta);
-        assert!(overlay.is_structurally_unchanged());
-        let compacted = overlay.compact();
+        let (stats, compacted) = apply(&base, &delta);
+        // No edge changed, but the vertex set grew: the graph did change.
+        assert_eq!(stats.structural_changes(), 0);
+        let compacted = compacted.expect("new vertices change the graph");
         assert_eq!(compacted.graph.vertex_count(), 10);
         assert_eq!(compacted.graph.edge_count(), base.edge_count());
         assert_eq!(compacted.stats.dropped_self_loops, 1);

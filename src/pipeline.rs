@@ -75,7 +75,7 @@ use terrain::{
     MeshConfig, RenderScene, Scene, SceneTiming, Svg, TerrainError, TerrainLayout, TerrainMesh,
     TerrainResult,
 };
-use ugraph::delta::{CompactedDelta, DeltaApplyStats, DeltaOverlay, GraphDelta};
+use ugraph::delta::{self, CompactedDelta, DeltaApplyStats, GraphDelta};
 use ugraph::io::GraphSource;
 use ugraph::par::Parallelism;
 use ugraph::{CsrGraph, GraphStorage, MappedCsrGraph};
@@ -387,17 +387,30 @@ pub struct DeltaReport {
     /// Whether the graph actually changed. `false` means every stage cache
     /// was kept and nothing was invalidated.
     pub structural: bool,
-    /// How the scalar field crossed the delta: `"unchanged"` (no-op
-    /// batch), `"incremental"` (Local / DirtyRegion measure updated around
-    /// the dirty vertices), `"recompute"` (Full measure dropped, recomputed
-    /// lazily), `"uncomputed"` (measure never computed yet), `"kept"`
-    /// (explicit vertex scalar still valid) or `"remapped"` (explicit edge
-    /// scalar carried through the edge remap).
-    pub scalar_path: &'static str,
+    /// How the scalar field crossed the delta.
+    pub scalar_path: ScalarPath,
     /// The session's measure name, for measure sessions.
     pub measure: Option<&'static str>,
     /// The measure's incremental-recompute tier, for measure sessions.
     pub delta_cost: Option<DeltaCost>,
+}
+
+/// How a session's scalar field crossed a delta
+/// ([`DeltaReport::scalar_path`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ScalarPath {
+    /// The batch changed nothing; the scalar and every stage were kept.
+    Unchanged,
+    /// A Local / DirtyRegion measure was updated around the dirty vertices.
+    Incremental,
+    /// A Full measure was dropped, to be recomputed lazily.
+    Recompute,
+    /// The measure had not been computed yet; there was nothing to carry.
+    Uncomputed,
+    /// An explicit vertex scalar is still valid and was kept.
+    Kept,
+    /// An explicit edge scalar was carried through the edge remap.
+    Remapped,
 }
 
 /// A reference-counted, shareable graph backend — the unit a multi-session
@@ -468,16 +481,9 @@ impl SharedGraph {
     /// (redundant inserts, absent deletes, reweights) leaves the backend
     /// untouched, so a memory-mapped snapshot stays mapped.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaApplyStats {
-        let (stats, replacement) = {
-            let base = self.storage();
-            let mut overlay = DeltaOverlay::new(base);
-            overlay.apply(delta);
-            let structural = !overlay.is_structurally_unchanged()
-                || overlay.vertex_count() != base.vertex_count();
-            (overlay.stats(), structural.then(|| overlay.compact().graph))
-        };
-        if let Some(graph) = replacement {
-            *self = SharedGraph::Owned(Arc::new(graph));
+        let (stats, compacted) = delta::apply(self.storage(), delta);
+        if let Some(compacted) = compacted {
+            *self = SharedGraph::new(compacted.graph);
         }
         stats
     }
@@ -797,28 +803,22 @@ impl<'g> TerrainPipeline<'g> {
     /// [`set_scalar`](Self::set_scalar) with a field for the new graph and
     /// re-apply.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> TerrainResult<DeltaReport> {
-        let old_vertex_count = self.graph.get().vertex_count();
         let measure_name = self.measure.as_ref().map(|m| m.name());
         let measure_cost = self.measure.as_ref().map(|m| m.delta_cost());
-        let compacted = {
-            let base = self.graph.get();
-            let mut overlay = DeltaOverlay::new(base);
-            overlay.apply(delta);
-            let structural =
-                !overlay.is_structurally_unchanged() || overlay.vertex_count() != old_vertex_count;
-            if !structural {
-                return Ok(DeltaReport {
-                    stats: overlay.stats(),
-                    vertex_count: base.vertex_count(),
-                    edge_count: base.edge_count(),
-                    dirty_vertex_count: 0,
-                    structural: false,
-                    scalar_path: "unchanged",
-                    measure: measure_name,
-                    delta_cost: measure_cost,
-                });
-            }
-            overlay.compact()
+        let base = self.graph.get();
+        let old_vertex_count = base.vertex_count();
+        let (stats, compacted) = delta::apply(base, delta);
+        let Some(compacted) = compacted else {
+            return Ok(DeltaReport {
+                stats,
+                vertex_count: base.vertex_count(),
+                edge_count: base.edge_count(),
+                dirty_vertex_count: 0,
+                structural: false,
+                scalar_path: ScalarPath::Unchanged,
+                measure: measure_name,
+                delta_cost: measure_cost,
+            });
         };
 
         // Decide the scalar's fate before mutating anything, so the error
@@ -839,15 +839,15 @@ impl<'g> TerrainPipeline<'g> {
                         self.parallelism,
                     );
                     let seconds = started.elapsed().as_secs_f64();
-                    (ScalarUpdate::Set(updated, Some(seconds)), "incremental")
+                    (ScalarUpdate::Set(updated, Some(seconds)), ScalarPath::Incremental)
                 }
-                DeltaCost::Full => (ScalarUpdate::Clear, "recompute"),
+                DeltaCost::Full => (ScalarUpdate::Clear, ScalarPath::Recompute),
             },
-            (Some(_), None) => (ScalarUpdate::Keep, "uncomputed"),
+            (Some(_), None) => (ScalarUpdate::Keep, ScalarPath::Uncomputed),
             (None, Some(old_scalar)) => match self.field {
                 FieldKind::Vertex => {
                     if compacted.graph.vertex_count() == old_vertex_count {
-                        (ScalarUpdate::Keep, "kept")
+                        (ScalarUpdate::Keep, ScalarPath::Kept)
                     } else {
                         return Err(TerrainError::Config {
                             what: "graph delta",
@@ -868,7 +868,7 @@ impl<'g> TerrainPipeline<'g> {
                             .iter()
                             .map(|e| old_scalar[e.expect("all checked Some").index()])
                             .collect();
-                        (ScalarUpdate::Set(remapped, None), "remapped")
+                        (ScalarUpdate::Set(remapped, None), ScalarPath::Remapped)
                     } else {
                         return Err(TerrainError::Config {
                             what: "graph delta",
@@ -1478,7 +1478,7 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_a_fresh_session_for_every_measure_tier() {
-        use ugraph::delta::{DeltaOp, DeltaOverlay, GraphDelta};
+        use ugraph::delta::{DeltaOp, GraphDelta};
         let graph = ugraph::generators::barabasi_albert(120, 3, 5);
         let e0 = graph.edges().next().unwrap();
         let grown = graph.vertex_count() as u32;
@@ -1488,9 +1488,8 @@ mod tests {
         delta.push(DeltaOp::Insert, grown, grown + 1);
         // The oracle graph, via the delta crate's compaction (itself proven
         // equal to a from-scratch build in its own tests).
-        let mut oracle = DeltaOverlay::new(&graph);
-        oracle.apply(&delta);
-        let final_graph = oracle.compact().graph;
+        let final_graph =
+            delta::apply(&graph, &delta).1.expect("the delta changes the graph").graph;
 
         for measure in [
             Measure::Degree,
@@ -1508,11 +1507,11 @@ mod tests {
             assert_eq!(report.measure, Some(measure.name()));
             assert_eq!(report.delta_cost, Some(measure.delta_cost()));
             let expected_path = match measure.delta_cost() {
-                DeltaCost::Local | DeltaCost::DirtyRegion => "incremental",
-                DeltaCost::Full => "recompute",
+                DeltaCost::Local | DeltaCost::DirtyRegion => ScalarPath::Incremental,
+                DeltaCost::Full => ScalarPath::Recompute,
             };
             assert_eq!(report.scalar_path, expected_path, "{}", measure.name());
-            if report.scalar_path == "incremental" {
+            if report.scalar_path == ScalarPath::Incremental {
                 assert!(session.timings().scalar_seconds.is_some(), "incremental update is timed");
             }
             let mut fresh = TerrainPipeline::from_measure(&final_graph, measure.clone());
@@ -1533,7 +1532,7 @@ mod tests {
         delta.push(DeltaOp::Reweight, 1u32, 2u32);
         let report = session.apply_delta(&delta).unwrap();
         assert!(!report.structural);
-        assert_eq!(report.scalar_path, "unchanged");
+        assert_eq!(report.scalar_path, ScalarPath::Unchanged);
         assert_eq!(report.stats.redundant_inserts, 1);
         assert_eq!(report.stats.absent_deletes, 1);
         assert_eq!(report.stats.reweights, 1);
@@ -1554,7 +1553,7 @@ mod tests {
         let mut shrink = GraphDelta::new();
         shrink.push(DeltaOp::Delete, 0u32, 1u32);
         let report = session.apply_delta(&shrink).unwrap();
-        assert_eq!(report.scalar_path, "kept");
+        assert_eq!(report.scalar_path, ScalarPath::Kept);
         assert_eq!(session.scalar().unwrap(), &scalar[..]);
         // Growing the vertex set has no scalar values for the new vertices:
         // rejected, and the session stays usable on its current graph.
@@ -1571,7 +1570,7 @@ mod tests {
         let mut del = GraphDelta::new();
         del.push(DeltaOp::Delete, e0.u, e0.v);
         let report = edges.apply_delta(&del).unwrap();
-        assert_eq!(report.scalar_path, "remapped");
+        assert_eq!(report.scalar_path, ScalarPath::Remapped);
         let remapped = edges.scalar().unwrap().to_vec();
         assert_eq!(remapped.len(), graph.edge_count() - 1);
         assert!(!remapped.contains(&edge_scalar[e0.id.index()]), "deleted edge's value is gone");

@@ -14,7 +14,8 @@
 //! and stream a `GTSC` scene document (saved as `tile_1_0_0.svg` /
 //! `scene.gtsc` so CI can byte-diff a re-requested tile). A second tile of
 //! the same graph and measure must render from the retained scene: `/stats`
-//! `scenes.builds` may not grow.
+//! `scenes.builds` may not grow. Two terrain widths of a measure not used
+//! before must compute its scalar field once: `scalars.builds` grows by 1.
 //!
 //! ```text
 //! route_smoke --addr <host:port> --graph <path> [--out-dir <dir>]
@@ -184,14 +185,15 @@ fn main() {
     }
     // A second tile of the same graph and measure renders from the scene the
     // first tile retained: `/stats` must show no new scene build.
-    let scene_builds = || {
-        let stats = client::get(addr, "/stats").unwrap_or_else(|e| fail("scene stats", e));
-        expect_status("scene stats", &stats, 200);
+    let builds = |object: &str| {
+        let stats = client::get(addr, "/stats").unwrap_or_else(|e| fail("build stats", e));
+        expect_status("build stats", &stats, 200);
         serde_json::from_str(&stats.body_utf8())
             .ok()
-            .and_then(|doc| doc.get("scenes")?.get("builds")?.as_u64())
-            .unwrap_or_else(|| fail("scene stats", "no scenes.builds counter in /stats"))
+            .and_then(|doc| doc.get(object)?.get("builds")?.as_u64())
+            .unwrap_or_else(|| fail("build stats", format!("no {object}.builds in /stats")))
     };
+    let scene_builds = || builds("scenes");
     let builds_before = scene_builds();
     let second_tile = client::get(addr, "/graphs/smoke/tiles/1/1/0?measure=kcore")
         .unwrap_or_else(|e| fail("second tile", e));
@@ -207,6 +209,20 @@ fn main() {
         fail(
             "second tile",
             format!("scenes.builds went {builds_before} -> {builds_after}; the scene was rebuilt"),
+        );
+    }
+    // Two terrain widths of one measure share its retained scalar field.
+    let scalar_builds_before = builds("scalars");
+    for width in [640, 800] {
+        let target = format!("/graphs/smoke/terrain?measure=pagerank&width={width}");
+        let render = client::get(addr, &target).unwrap_or_else(|e| fail("terrain width", e));
+        expect_status("terrain width", &render, 200);
+    }
+    let scalar_builds = builds("scalars") - scalar_builds_before;
+    if scalar_builds != 1 {
+        fail(
+            "retained scalar",
+            format!("two terrain widths made {scalar_builds} scalar builds, expected 1"),
         );
     }
     for bad_target in ["/graphs/smoke/tiles/99/0/0", "/graphs/smoke/tiles/1/2/0"] {

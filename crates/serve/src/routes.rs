@@ -24,36 +24,45 @@
 //! and the key — *not* on `budget`/`levels` (tiles render the unsimplified
 //! tree) and not on `threads` — which is exactly what the cache key embeds.
 //!
-//! Retained scenes: tiles and `/scene` render from an `Arc<Scene>` retained
-//! per (graph id, generation, measure) in [`AppState::scenes`], a second
-//! instance of the artifact cache's [`LruCache`](crate::cache::LruCache)
-//! bounded to [`RETAINED_SCENES`](crate::state::RETAINED_SCENES) entries. A
-//! miss builds the scene once, in a throwaway session whose scalar field and
-//! trees are dropped before the request ends, and every later tile of that
-//! graph and measure is just a tile write. Terrain and peaks keep building a
-//! fresh session per miss.
+//! Retained scalar fields: every terrain, peaks and scene build starts from
+//! the measure's scalar field, an `Arc<[f64]>` retained per (graph id,
+//! generation, measure) in [`AppState::scalars`], a third instance of the
+//! artifact cache's [`LruCache`](crate::cache::LruCache), bounded to
+//! [`RETAINED_SCALARS`](crate::state::RETAINED_SCALARS) entries and
+//! [`RETAINED_SCALAR_BYTES`](crate::state::RETAINED_SCALAR_BYTES). A terrain
+//! miss at a new width, budget or level count therefore rebuilds the trees
+//! and the geometry but not the measure. `threads` is not in the key: every
+//! measure is thread-count invariant. Only the field is retained; the
+//! session over it, and its trees, are dropped before the request ends.
 //!
-//! Fetch or build: artifacts and scenes go through one helper,
-//! [`fetch_or_build`]. It looks the key up in its LRU; on a miss, concurrent
-//! requests for one key build once ([`crate::flight`]) and waiters answer
-//! with the builder's value; the value is published only while its graph is
-//! still the one registered under its id.
+//! Retained scenes: tiles and `/scene` render from an `Arc<Scene>` retained
+//! per (graph id, generation, measure) in [`AppState::scenes`], bounded to
+//! [`RETAINED_SCENES`](crate::state::RETAINED_SCENES) entries. A miss builds
+//! the scene once, in a throwaway session over the retained scalar field,
+//! and every later tile of that graph and measure is just a tile write.
+//!
+//! Fetch or build: artifacts, scenes and scalar fields go through one
+//! helper, [`fetch_or_build`]. It looks the key up in its LRU; on a miss,
+//! concurrent requests for one key build once ([`crate::flight`]) and
+//! waiters answer with the builder's value; the value is published only
+//! while its graph is still the one registered under its id.
 //!
 //! Deltas: the body is an edge batch in any [`GraphFormat`] (same `format`
 //! parameter as uploads) and `op` (`insert` | `delete` | `reweight`,
 //! default `insert`) is applied to every edge in it through
 //! [`ugraph::delta::apply`], which alone decides whether the graph changed.
 //! A structural delta registers the compacted graph under the same id and
-//! evicts the id's cached artifacts and retained scenes — their ETags change
-//! because the bytes do. A no-op batch (all redundant) leaves the graph, the
-//! cache, and every ETag untouched. `DELETE /graphs/{id}` likewise evicts
-//! the id's artifacts and scenes so a later upload under the same id cannot
-//! alias stale bytes.
+//! evicts the id's cached artifacts, retained scenes and scalar fields —
+//! their ETags change because the bytes do. A no-op batch (all redundant)
+//! leaves the graph, the cache, and every ETag untouched. `DELETE
+//! /graphs/{id}` likewise evicts everything held for the id, so a later
+//! upload under the same id cannot alias stale bytes.
 //!
 //! Render parameters: `measure` (kcore | degree | pagerank | closeness |
-//! betweenness | ktruss | edge-triangles), `samples`/`seed` (betweenness),
-//! `format` (exporter backend), `width`/`height` (SVG px), `color`
-//! (height | degree), `budget` (`none` or a node count), `levels`,
+//! betweenness | ktruss | edge-triangles), `samples` (betweenness, in
+//! `[1, 4096]`) and `seed`, `format` (exporter backend), `width`/`height`
+//! (SVG px, in `(0, 16384]`), `color` (height | degree), `budget` (`none`
+//! or a node count), `levels` (at least 1),
 //! `threads` (`serial`, `auto` or a thread count in [1, 64] —
 //! deliberately *excluded* from the cache key: at the server's fixed chunk
 //! width the pipeline's determinism contract makes artifacts
@@ -92,6 +101,12 @@ const MAX_PEAK_MEMBERS: usize = 64;
 
 /// Most worker threads one request may ask for with `threads`.
 const MAX_THREADS: usize = 64;
+
+/// Largest SVG `width` or `height` one request may ask for, in px.
+const MAX_SVG_PX: f64 = 16_384.0;
+
+/// Most betweenness source samples one request may ask for.
+const MAX_SAMPLES: usize = 4_096;
 
 /// Dispatch a parsed request; never panics, never leaks a raw error. A
 /// panicking handler is caught here and answered with a typed 500, so it
@@ -307,26 +322,26 @@ struct RenderParams {
 fn parse_render_params(req: &Request) -> Result<RenderParams, ApiError> {
     let measure = parse_measure(req)?;
     let parallelism = parse_parallelism(req)?;
+    let levels = match req.query_param("levels") {
+        None => SimplificationConfig::default().levels,
+        Some(raw) => numeric_param("levels", raw)?,
+    };
+    if levels == 0 {
+        // Checked here, before any scalar field or tree is built for a
+        // request the simplification stage would refuse anyway.
+        return Err(ApiError::invalid_parameter("levels", "levels must be at least 1"));
+    }
     let simplification = SimplificationConfig {
         node_budget: match req.query_param("budget") {
             None => SimplificationConfig::default().node_budget,
             Some("none") => None,
             Some(raw) => Some(numeric_param("budget", raw)?),
         },
-        levels: match req.query_param("levels") {
-            None => SimplificationConfig::default().levels,
-            Some(raw) => numeric_param("levels", raw)?,
-        },
+        levels,
     };
     let svg_size = SvgSize {
-        width_px: match req.query_param("width") {
-            None => SvgSize::default().width_px,
-            Some(raw) => numeric_param("width", raw)?,
-        },
-        height_px: match req.query_param("height") {
-            None => SvgSize::default().height_px,
-            Some(raw) => numeric_param("height", raw)?,
-        },
+        width_px: svg_px_param(req, "width", SvgSize::default().width_px)?,
+        height_px: svg_px_param(req, "height", SvgSize::default().height_px)?,
     };
     let color = match req.query_param("color") {
         None | Some("height") => ColorChoice::Height,
@@ -373,6 +388,12 @@ fn parse_measure(req: &Request) -> Result<Measure, ApiError> {
     if let Measure::BetweennessSampled { samples, seed } = &mut measure {
         if let Some(raw) = req.query_param("samples") {
             *samples = numeric_param("samples", raw)?;
+            if !(1..=MAX_SAMPLES).contains(samples) {
+                return Err(ApiError::invalid_parameter(
+                    "samples",
+                    format!("samples must lie in [1, {MAX_SAMPLES}], got {samples}"),
+                ));
+            }
         }
         if let Some(raw) = req.query_param("seed") {
             *seed = numeric_param("seed", raw)?;
@@ -403,6 +424,23 @@ fn parse_parallelism(req: &Request) -> Result<Parallelism, ApiError> {
                  count in [1, {MAX_THREADS}] (the server fixes the chunk width)"
             ),
         )),
+    }
+}
+
+/// An SVG `width` or `height` in px (`default` when absent): finite,
+/// positive and at most [`MAX_SVG_PX`].
+fn svg_px_param(req: &Request, name: &'static str, default: f64) -> Result<f64, ApiError> {
+    let Some(raw) = req.query_param(name) else {
+        return Ok(default);
+    };
+    let px: f64 = numeric_param(name, raw)?;
+    if px > 0.0 && px <= MAX_SVG_PX {
+        Ok(px)
+    } else {
+        Err(ApiError::invalid_parameter(
+            name,
+            format!("{name} must lie in (0, {MAX_SVG_PX}] px, got {raw:?}"),
+        ))
     }
 }
 
@@ -612,29 +650,68 @@ fn scene_document(state: &AppState, req: &Request, id: &str) -> Result<Response,
     })
 }
 
+/// The key of everything retained for `entry` under `measure` (its scene
+/// and its scalar field): `"{id}|gen={generation}|measure={canonical}"`.
+fn retained_key(entry: &GraphEntry, measure: &Measure) -> String {
+    format!("{}|gen={}|measure={}", entry.id, entry.generation, measure_canonical(measure))
+}
+
 /// The retained scene of `entry` under `measure`: a retained one when there
 /// is one, else built once however many requests race it. The build runs in
-/// a throwaway session that hands its scene over and is dropped before this
-/// returns, so no scalar field or tree outlives the request. The build's
-/// stage seconds reach `/stats` once, here, not once per tile.
+/// a throwaway session over the retained scalar field that hands its scene
+/// over and is dropped before this returns, so no tree outlives the
+/// request. The build's stage seconds reach `/stats` once, here, not once
+/// per tile.
 fn retained_scene(
     state: &AppState,
     entry: &Arc<GraphEntry>,
     measure: Measure,
     parallelism: Parallelism,
 ) -> Result<Arc<Scene>, ApiError> {
-    let key =
-        format!("{}|gen={}|measure={}", entry.id, entry.generation, measure_canonical(&measure));
+    let key = retained_key(entry, &measure);
     fetch_or_build(state, entry, &state.scenes, &state.scene_flights, &key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-        session.set_parallelism(parallelism);
+        let mut session = session_over_retained_scalar(state, entry, measure, parallelism)?;
         session.scene()?;
         let timings = session.timings();
         let scene = session.into_scene()?;
         state.stage_totals.lock().expect("stage totals lock").absorb(&timings);
-        Ok(scene)
+        Ok(Arc::new(scene))
     })
     .map(|(scene, _)| scene)
+}
+
+/// The scalar field of `entry` under `measure`: a retained one when there
+/// is one, else computed once at `parallelism` however many requests race
+/// it (the field is the same at every thread count, so the first request's
+/// budget serves them all). The computation's seconds reach `/stats` once,
+/// here, not once per session that starts from the field.
+fn retained_scalar(
+    state: &AppState,
+    entry: &Arc<GraphEntry>,
+    measure: &Measure,
+    parallelism: Parallelism,
+) -> Result<Arc<[f64]>, ApiError> {
+    let key = retained_key(entry, measure);
+    fetch_or_build(state, entry, &state.scalars, &state.scalar_flights, &key, || {
+        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure.clone());
+        session.set_parallelism(parallelism);
+        let scalar = session.shared_scalar()?;
+        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
+        Ok(scalar)
+    })
+    .map(|(scalar, _)| scalar)
+}
+
+/// A fresh session on the entry's shared graph that starts from the
+/// retained scalar field of `measure`.
+fn session_over_retained_scalar(
+    state: &AppState,
+    entry: &Arc<GraphEntry>,
+    measure: Measure,
+    parallelism: Parallelism,
+) -> Result<TerrainPipeline<'static>, ApiError> {
+    let scalar = retained_scalar(state, entry, &measure, parallelism)?;
+    Ok(TerrainPipeline::from_shared_scalar(entry.graph.clone(), measure, scalar)?)
 }
 
 fn peaks_json(graph_id: &str, measure: &str, alpha: Option<f64>, peaks: &[Peak]) -> String {
@@ -697,7 +774,7 @@ fn serve_cached(
     let (artifact, source) =
         fetch_or_build(state, entry, &state.cache, &state.artifact_flights, key, || {
             let (bytes, content_type) = render()?;
-            Ok(CachedArtifact { bytes: Arc::new(bytes), etag, content_type })
+            Ok(Arc::new(CachedArtifact { bytes: Arc::new(bytes), etag, content_type }))
         })?;
     if source == Source::Built {
         state.stage_totals.lock().expect("stage totals lock").renders += 1;
@@ -706,24 +783,24 @@ fn serve_cached(
 }
 
 /// The one fetch-or-build protocol behind every retained value — rendered
-/// artifacts and tile scenes alike: look `key` up in `store`; on a miss,
-/// `build` once however many requests race the key (`flights`), and publish
-/// the value to `store` only while `entry` is still the graph registered
-/// under its id. The check runs with the store's lock held: a delta or
+/// artifacts, tile scenes and scalar fields alike: look `key` up in
+/// `store`; on a miss, `build` once however many requests race the key
+/// (`flights`), and publish the value to `store` only while `entry` is
+/// still the graph registered under its id. The check runs with the store's lock held: a delta or
 /// `DELETE` replaces the entry before it evicts, so a build that finishes
 /// after the eviction stores nothing for the graph that is gone.
-fn fetch_or_build<V: Weighted>(
+fn fetch_or_build<V: Weighted + ?Sized>(
     state: &AppState,
     entry: &Arc<GraphEntry>,
     store: &Mutex<LruCache<V>>,
     flights: &SingleFlight<Arc<V>>,
     key: &str,
-    build: impl FnOnce() -> Result<V, ApiError>,
+    build: impl FnOnce() -> Result<Arc<V>, ApiError>,
 ) -> Result<(Arc<V>, Source), ApiError> {
     flights.run(
         key,
         || store.lock().expect("store lock").get(key),
-        || build().map(Arc::new),
+        build,
         |value| {
             let mut store = store.lock().expect("store lock");
             if state.graph(&entry.id).is_some_and(|current| Arc::ptr_eq(&current, entry)) {
@@ -734,17 +811,17 @@ fn fetch_or_build<V: Weighted>(
 }
 
 /// The render side of a terrain or peaks miss: run `render` over a fresh
-/// session on the entry's shared graph at `parallelism`, then fold the
-/// session's stage timings into `/stats` (only for renders that succeed).
+/// session that starts from the retained scalar field, then fold the
+/// session's stage timings into `/stats` (only for renders that succeed;
+/// the scalar field's seconds were counted when it was computed).
 fn with_session<T>(
     state: &AppState,
-    entry: &GraphEntry,
+    entry: &Arc<GraphEntry>,
     measure: Measure,
     parallelism: Parallelism,
     render: impl FnOnce(&mut TerrainPipeline<'static>) -> Result<T, ApiError>,
 ) -> Result<T, ApiError> {
-    let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-    session.set_parallelism(parallelism);
+    let mut session = session_over_retained_scalar(state, entry, measure, parallelism)?;
     let rendered = render(&mut session)?;
     state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
     Ok(rendered)
@@ -761,7 +838,9 @@ fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
 fn stats(state: &AppState) -> Response {
     let cache = state.cache.lock().expect("cache lock").stats();
     let scenes = state.scenes.lock().expect("scenes lock").stats();
-    let waits = state.artifact_flights.waits() + state.scene_flights.waits();
+    let scalars = state.scalars.lock().expect("scalars lock").stats();
+    let waits =
+        state.artifact_flights.waits() + state.scene_flights.waits() + state.scalar_flights.waits();
     let totals = state.stage_totals.lock().expect("stage totals lock").clone();
     let load = std::sync::atomic::Ordering::Relaxed;
     let body = format!(
@@ -773,6 +852,8 @@ fn stats(state: &AppState) -> Response {
             "\"insertions\":{},\"uncacheable\":{},\"entries\":{},\"bytes\":{},",
             "\"capacity\":{},\"max_bytes\":{}}},",
             "\"scenes\":{{\"entries\":{},\"builds\":{},\"hits\":{}}},",
+            "\"scalars\":{{\"entries\":{},\"bytes\":{},\"max_bytes\":{},\"builds\":{},",
+            "\"hits\":{},\"uncacheable\":{}}},",
             "\"single_flight_waits\":{},",
             "\"stage_seconds\":{{\"renders\":{},\"scalar\":{},\"tree\":{},\"super_tree\":{},",
             "\"simplify\":{},\"layout\":{},\"mesh\":{},\"svg\":{},\"scene\":{}}}}}"
@@ -797,6 +878,13 @@ fn stats(state: &AppState) -> Response {
         scenes.entries,
         scenes.insertions,
         scenes.hits,
+        scalars.entries,
+        scalars.bytes,
+        scalars.max_bytes,
+        // A field refused as oversize was still built, once per refusal.
+        scalars.insertions + scalars.uncacheable,
+        scalars.hits,
+        scalars.uncacheable,
         waits,
         totals.renders,
         json_f64(totals.scalar_seconds),

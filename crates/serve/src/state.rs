@@ -1,6 +1,6 @@
 //! Shared server state: the named-graph registry, the artifact cache, the
-//! retained scenes, the single-flight slots, and the counters behind
-//! `/stats`.
+//! retained scenes and scalar fields, the single-flight slots, and the
+//! counters behind `/stats`.
 //!
 //! One [`AppState`] is shared by every worker thread through an `Arc`. The
 //! registry maps graph ids to [`SharedGraph`]s — uploading a v3 snapshot
@@ -8,10 +8,10 @@
 //! concurrent sessions borrow (an upload is stored once no matter how many
 //! workers render from it); any other format parses into an owned graph
 //! behind the same `Arc`. Locking is coarse but short: the registry is a
-//! `RwLock` (reads vastly dominate), the artifact cache and the retained
-//! scenes — two instances of one [`LruCache`] — a `Mutex` each, held only
-//! for lookup/insert; renders and scene builds always run outside every
-//! lock.
+//! `RwLock` (reads vastly dominate), the artifact cache, the retained
+//! scenes and the retained scalar fields — three instances of one
+//! [`LruCache`] — a `Mutex` each, held only for lookup/insert; renders,
+//! scene builds and measure computations always run outside every lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,6 +27,15 @@ use graph_terrain::{Scene, SharedGraph, StageTimings};
 /// bounds. On the 1M R-MAT rung a scene holds a few dozen items, so these
 /// cost next to nothing; the scenes carry no byte bound.
 pub const RETAINED_SCENES: usize = 16;
+
+/// Scalar fields retained at once. A field is one `f64` per vertex or per
+/// edge of one graph generation under one measure.
+pub const RETAINED_SCALARS: usize = 16;
+
+/// Byte bound of the retained scalar fields: eight fields of the 10M rung's
+/// 1M vertices (8 MiB each). A field alone above it is `uncacheable` and is
+/// recomputed by every session that needs it.
+pub const RETAINED_SCALAR_BYTES: usize = 64 << 20;
 
 /// Tunables fixed at server start.
 #[derive(Clone, Debug)]
@@ -84,7 +93,8 @@ pub struct GraphEntry {
 /// Per-stage wall-clock totals accumulated across every session the server
 /// ran, reported by `/stats` (the served-traffic analog of the per-run
 /// [`StageTimings`]). A retained scene's stages are absorbed once, when it
-/// is built, however many tiles it later serves.
+/// is built, however many tiles it later serves; a retained scalar field's
+/// seconds likewise once per field, however many sessions start from it.
 #[derive(Clone, Debug, Default)]
 pub struct StageTotals {
     /// Artifacts rendered on a cache miss (one per miss that built its
@@ -137,6 +147,11 @@ pub struct AppState {
     pub scenes: Mutex<LruCache<Scene>>,
     /// One build per missed scene key.
     pub scene_flights: SingleFlight<Arc<Scene>>,
+    /// The retained scalar fields, keyed like the scenes. Every terrain,
+    /// peaks and scene build starts from one of these.
+    pub scalars: Mutex<LruCache<[f64]>>,
+    /// One measure computation per missed scalar key.
+    pub scalar_flights: SingleFlight<Arc<[f64]>>,
     /// Stage-seconds accumulated across cache-miss renders.
     pub stage_totals: Mutex<StageTotals>,
     next_id: AtomicU64,
@@ -164,6 +179,8 @@ impl AppState {
             artifact_flights: SingleFlight::default(),
             scenes: Mutex::new(LruCache::new(RETAINED_SCENES, usize::MAX)),
             scene_flights: SingleFlight::default(),
+            scalars: Mutex::new(LruCache::new(RETAINED_SCALARS, RETAINED_SCALAR_BYTES)),
+            scalar_flights: SingleFlight::default(),
             stage_totals: Mutex::new(StageTotals::default()),
             next_id: AtomicU64::new(1),
             next_generation: AtomicU64::new(0),
@@ -246,11 +263,12 @@ impl AppState {
         Some(entry)
     }
 
-    /// Evict everything held for graph `id` — its cached artifacts and its
-    /// retained scenes, every key under the `"{id}|"` prefix — returning how
-    /// many artifacts went.
+    /// Evict everything held for graph `id` — its cached artifacts, its
+    /// retained scenes and scalar fields, every key under the `"{id}|"`
+    /// prefix — returning how many artifacts went.
     pub fn evict_graph(&self, id: &str) -> usize {
         let prefix = format!("{id}|");
+        self.scalars.lock().expect("scalars lock").evict_prefix(&prefix);
         self.scenes.lock().expect("scenes lock").evict_prefix(&prefix);
         self.cache.lock().expect("cache lock").evict_prefix(&prefix)
     }

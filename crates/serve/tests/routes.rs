@@ -126,16 +126,44 @@ fn invalid_parameters_never_panic_and_name_the_param() {
         ("/graphs/g/terrain?measure=edge-triangles&color=degree", "color"),
         ("/graphs/g/peaks?alpha=tall", "alpha"),
         ("/graphs/g/peaks?count=-1", "count"),
+        // Render knobs are bounded up front, not by the stage that uses them.
+        ("/graphs/g/terrain?levels=0", "levels"),
+        ("/graphs/g/terrain?measure=pagerank&levels=0", "levels"),
+        ("/graphs/g/terrain?width=0", "width"),
+        ("/graphs/g/terrain?width=-5", "width"),
+        ("/graphs/g/terrain?width=16385", "width"),
+        ("/graphs/g/terrain?width=NaN", "width"),
+        ("/graphs/g/terrain?width=inf", "width"),
+        ("/graphs/g/terrain?height=0", "height"),
+        ("/graphs/g/terrain?height=1e9", "height"),
+        ("/graphs/g/terrain?measure=betweenness&samples=0", "samples"),
+        ("/graphs/g/terrain?measure=betweenness&samples=4097", "samples"),
+        ("/graphs/g/peaks?measure=betweenness&samples=0", "samples"),
+        ("/graphs/g/tiles/0/0/0?measure=betweenness&samples=100000", "samples"),
+        ("/graphs/g/scene?measure=betweenness&samples=0", "samples"),
     ];
     for (target, param) in cases {
         let response = routes::handle(&state, &get(target));
         assert_eq!(response.status, 400, "{target}");
         let doc = body_json(&response);
-        assert_eq!(
-            doc.get("error").and_then(|e| e.get("param")).and_then(|p| p.as_str()),
-            Some(param),
-            "{target}"
-        );
+        let error = doc.get("error").expect("error object");
+        assert_eq!(error.get("code").and_then(|c| c.as_str()), Some("invalid_parameter"));
+        assert_eq!(error.get("param").and_then(|p| p.as_str()), Some(param), "{target}");
+    }
+    // Refused before any work: nothing was computed, retained or rendered.
+    let stats = body_json(&routes::handle(&state, &get("/stats")));
+    let counter = |object: &str, name: &str| stats.get(object)?.get(name)?.as_u64();
+    assert_eq!(counter("scalars", "builds"), Some(0));
+    assert_eq!(counter("scenes", "builds"), Some(0));
+    assert_eq!(counter("stage_seconds", "renders"), Some(0));
+    // The bounds themselves are accepted.
+    for target in [
+        "/graphs/g/terrain?levels=1",
+        "/graphs/g/terrain?width=16384&height=1",
+        "/graphs/g/terrain?measure=betweenness&samples=1",
+        "/graphs/g/terrain?measure=betweenness&samples=4096",
+    ] {
+        assert_eq!(routes::handle(&state, &get(target)).status, 200, "{target}");
     }
 }
 

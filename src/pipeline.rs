@@ -564,8 +564,10 @@ pub struct TerrainPipeline<'g> {
     lod_config: LodConfig,
     // Stage caches, upstream to downstream. `render_tree` distinguishes
     // "not computed" (outer None) from "within budget, render the super tree
-    // itself" (Some(None)) to avoid cloning unsimplified trees.
-    scalar: Option<Vec<f64>>,
+    // itself" (Some(None)) to avoid cloning unsimplified trees. The scalar
+    // field is shared: `from_shared_scalar` sessions start from a field
+    // someone else computed, and `shared_scalar` hands it back out.
+    scalar: Option<Arc<[f64]>>,
     scalar_tree: Option<ScalarTree>,
     super_tree: Option<SuperScalarTree>,
     render_tree: Option<Option<SuperScalarTree>>,
@@ -608,7 +610,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn vertex(graph: &'g dyn GraphStorage, scalar: Vec<f64>) -> TerrainResult<Self> {
         VertexScalarGraph::new(graph, &scalar)?;
         let mut p = Self::new(GraphStore::Borrowed(graph), FieldKind::Vertex);
-        p.scalar = Some(scalar);
+        p.scalar = Some(scalar.into());
         Ok(p)
     }
 
@@ -617,7 +619,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn edge(graph: &'g dyn GraphStorage, scalar: Vec<f64>) -> TerrainResult<Self> {
         EdgeScalarGraph::new(graph, &scalar)?;
         let mut p = Self::new(GraphStore::Borrowed(graph), FieldKind::Edge);
-        p.scalar = Some(scalar);
+        p.scalar = Some(scalar.into());
         Ok(p)
     }
 
@@ -669,6 +671,26 @@ impl<'g> TerrainPipeline<'g> {
         p
     }
 
+    /// [`from_shared`](Self::from_shared) with the measure's scalar field
+    /// already computed — typically handed out earlier by
+    /// [`shared_scalar`](Self::shared_scalar) of a session over the same
+    /// graph, so a cache of fields can skip the measure. The field is
+    /// validated against the measure's field kind (one finite entry per
+    /// vertex or edge) but not recomputed: the caller vouches that it *is*
+    /// `measure` on `graph`. The session stays a measure session
+    /// ([`apply_delta`](Self::apply_delta) carries the field like a computed
+    /// one), and its [`StageTimings::scalar_seconds`] stays `None`.
+    pub fn from_shared_scalar(
+        graph: SharedGraph,
+        measure: Measure,
+        scalar: Arc<[f64]>,
+    ) -> TerrainResult<TerrainPipeline<'static>> {
+        let mut p = Self::from_shared(graph, measure);
+        p.validate_scalar(&scalar)?;
+        p.scalar = Some(scalar);
+        Ok(p)
+    }
+
     /// Open a binary v3 snapshot as a memory-mapped graph and start a measure
     /// session over it without deserializing the CSR arrays — the session
     /// reads them zero-copy straight out of the page cache (see
@@ -711,16 +733,9 @@ impl<'g> TerrainPipeline<'g> {
     /// [`from_measure`](Self::from_measure) becomes an explicit-scalar
     /// session.
     pub fn set_scalar(&mut self, scalar: Vec<f64>) -> TerrainResult<&mut Self> {
-        match self.field {
-            FieldKind::Vertex => {
-                VertexScalarGraph::new(self.graph.get(), &scalar)?;
-            }
-            FieldKind::Edge => {
-                EdgeScalarGraph::new(self.graph.get(), &scalar)?;
-            }
-        }
+        self.validate_scalar(&scalar)?;
         self.measure = None;
-        self.scalar = Some(scalar);
+        self.scalar = Some(scalar.into());
         self.timings.scalar_seconds = None;
         self.invalidate_from_tree();
         Ok(self)
@@ -901,12 +916,25 @@ impl<'g> TerrainPipeline<'g> {
                 self.timings.scalar_seconds = None;
             }
             ScalarUpdate::Set(scalar, seconds) => {
-                self.scalar = Some(scalar);
+                self.scalar = Some(scalar.into());
                 self.timings.scalar_seconds = seconds;
             }
         }
         self.invalidate_from_tree();
         Ok(report)
+    }
+
+    /// One finite entry per vertex or edge, by the session's field kind.
+    fn validate_scalar(&self, scalar: &[f64]) -> TerrainResult<()> {
+        match self.field {
+            FieldKind::Vertex => {
+                VertexScalarGraph::new(self.graph.get(), scalar)?;
+            }
+            FieldKind::Edge => {
+                EdgeScalarGraph::new(self.graph.get(), scalar)?;
+            }
+        }
+        Ok(())
     }
 
     fn invalidate_from_tree(&mut self) {
@@ -994,6 +1022,16 @@ impl<'g> TerrainPipeline<'g> {
     pub fn scalar(&mut self) -> TerrainResult<&[f64]> {
         self.ensure_scalar()?;
         Ok(self.scalar.as_deref().expect("ensured"))
+    }
+
+    /// The scalar field as a shared handle, computing it on first demand
+    /// like [`scalar`](Self::scalar). The handle is the session's own
+    /// buffer, not a copy: hand it to
+    /// [`from_shared_scalar`](Self::from_shared_scalar) to start another
+    /// session over the same graph and measure without recomputing it.
+    pub fn shared_scalar(&mut self) -> TerrainResult<Arc<[f64]>> {
+        self.ensure_scalar()?;
+        Ok(Arc::clone(self.scalar.as_ref().expect("ensured")))
     }
 
     /// The scalar tree (Algorithm 1 for vertex fields, Algorithm 3 for edge
@@ -1179,7 +1217,7 @@ impl<'g> TerrainPipeline<'g> {
         let started = Instant::now();
         let scalar = measure.compute(self.graph.get(), self.parallelism);
         self.timings.scalar_seconds = Some(started.elapsed().as_secs_f64());
-        self.scalar = Some(scalar);
+        self.scalar = Some(scalar.into());
         Ok(())
     }
 
@@ -1465,6 +1503,32 @@ mod tests {
         assert_eq!(mapped.backend_name(), "mapped");
         let mut c = TerrainPipeline::from_shared(mapped, Measure::KCore);
         assert_eq!(c.svg().unwrap(), expected);
+    }
+
+    #[test]
+    fn from_shared_scalar_reuses_the_field_and_matches_a_computing_session() {
+        let shared = SharedGraph::new(toy_graph());
+        for measure in [Measure::PageRank, Measure::KTruss] {
+            let mut computing = TerrainPipeline::from_shared(shared.clone(), measure.clone());
+            let field = computing.shared_scalar().unwrap();
+            assert!(computing.timings().scalar_seconds.is_some());
+            let mut reusing =
+                TerrainPipeline::from_shared_scalar(shared.clone(), measure.clone(), field.clone())
+                    .unwrap();
+            assert_eq!(reusing.svg().unwrap(), computing.svg().unwrap(), "{}", measure.name());
+            assert!(reusing.timings().scalar_seconds.is_none(), "the field was not recomputed");
+            let handed_back = reusing.shared_scalar().unwrap();
+            assert!(Arc::ptr_eq(&handed_back, &field), "one buffer, never copied");
+        }
+        // Validated against the measure's field kind: one entry per vertex
+        // here, each finite.
+        let vertex_field =
+            TerrainPipeline::from_shared(shared.clone(), Measure::KCore).shared_scalar().unwrap();
+        let short: Arc<[f64]> = vertex_field[1..].into();
+        assert!(TerrainPipeline::from_shared_scalar(shared.clone(), Measure::KCore, short).is_err());
+        let mut bad = vertex_field.to_vec();
+        bad[0] = f64::NAN;
+        assert!(TerrainPipeline::from_shared_scalar(shared, Measure::KCore, bad.into()).is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! Retained scalar fields: every terrain, peaks and scene build starts from
 //! the measure's scalar field, an `Arc<[f64]>` retained per (graph id,
 //! generation, measure) in [`AppState::scalars`], a third instance of the
-//! artifact cache's [`LruCache`](crate::cache::LruCache), bounded to
+//! artifact cache's [`LruCache`], bounded to
 //! [`RETAINED_SCALARS`](crate::state::RETAINED_SCALARS) entries and
 //! [`RETAINED_SCALAR_BYTES`](crate::state::RETAINED_SCALAR_BYTES). A terrain
 //! miss at a new width, budget or level count therefore rebuilds the trees
@@ -42,7 +42,7 @@
 //! and every later tile of that graph and measure is just a tile write.
 //!
 //! Fetch or build: artifacts, scenes and scalar fields go through one
-//! helper, [`fetch_or_build`]. It looks the key up in its LRU; on a miss,
+//! helper, `fetch_or_build`. It looks the key up in its LRU; on a miss,
 //! concurrent requests for one key build once ([`crate::flight`]) and
 //! waiters answer with the builder's value; the value is published only
 //! while its graph is still the one registered under its id.
@@ -88,7 +88,7 @@ use crate::http::{Method, Request, Response};
 use crate::state::{AppState, GraphEntry};
 use graph_terrain::{
     FieldKind, LodConfig, Measure, Scene, SharedGraph, SimplificationConfig, SvgSize,
-    TerrainPipeline, TileKey, MEASURES,
+    TerrainPipeline, TileKey,
 };
 use measures::Parallelism;
 use terrain::{exporter_by_name_sized, highest_peaks, peaks_at_alpha, ColorScheme, Exporter, Peak};
@@ -233,9 +233,12 @@ fn delta_json(
     structural: bool,
     evicted: usize,
 ) -> String {
-    let costs: Vec<String> = MEASURES
+    let costs: Vec<String> = Measure::known_names()
         .iter()
-        .map(|m| format!("{}:{}", json_string(m.name), json_string(m.delta_cost.name())))
+        .map(|&name| {
+            let cost = Measure::from_name(name).expect("a known name parses").delta_cost();
+            format!("{}:{}", json_string(name), json_string(cost.name()))
+        })
         .collect();
     format!(
         concat!(
@@ -503,7 +506,6 @@ fn terrain(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiErr
     serve_cached(state, req, &entry, &key, || {
         with_session(state, &entry, params.measure, params.parallelism, |session| {
             session.set_simplification(params.simplification);
-            session.set_svg_size(params.svg_size);
             if params.color == ColorChoice::Degree {
                 let degrees: Vec<f64> = measures::degrees(entry.graph.storage())
                     .into_iter()

@@ -11,16 +11,15 @@
 //! canonical request once, and compute one scalar field per measure.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use graph_terrain::SharedGraph;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serve::http::{parse_query, Method, Request};
 use serve::routes;
-use serve::state::{AppState, ServerConfig};
-use ugraph::GraphBuilder;
+
+mod common;
+use common::{get, state_with, test_graph};
 
 /// One parameter of a canonical request: its accepted spellings (the first
 /// is the canonical one) and whether it is the route's default, which may
@@ -163,36 +162,12 @@ fn canonical_requests() -> Vec<Canonical> {
     all
 }
 
-/// Two cliques bridged by a path, plus pendants.
-fn state_with_graph() -> Arc<AppState> {
-    let mut builder = GraphBuilder::new();
-    for (lo, hi) in [(0u32, 6u32), (6, 10)] {
-        for u in lo..hi {
-            for v in (u + 1)..hi {
-                builder.add_edge(u, v);
-            }
-        }
-    }
-    builder.extend_edges([(5u32, 10u32), (10, 11), (11, 6), (0, 12), (12, 13), (7, 14)]);
-    let state = Arc::new(AppState::new(ServerConfig::default()));
-    state.insert_graph(Some("g".into()), SharedGraph::new(builder.build())).unwrap();
-    state
-}
-
-fn get(target: &str) -> Request {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target.to_string(), Vec::new()),
-    };
-    Request { method: Method::Get, path, query, headers: Vec::new(), body: Vec::new() }
-}
-
 #[test]
 fn every_spelling_of_a_request_is_one_artifact_and_one_scalar_per_measure() {
     let requests = canonical_requests();
     for seed in [1u64, 2, 3] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let state = state_with_graph();
+        let state = state_with(&SharedGraph::new(test_graph()));
         // Canonical key -> (first spelling, its bytes, its ETag).
         let mut seen: BTreeMap<String, (String, Vec<u8>, String)> = BTreeMap::new();
         let mut measures_used = BTreeSet::new();

@@ -7,10 +7,13 @@
 use std::sync::Arc;
 
 use graph_terrain::SharedGraph;
-use serve::http::{parse_query, Method, Request};
+use serve::http::{Method, Request};
 use serve::routes;
 use serve::state::{AppState, ServerConfig};
 use ugraph::GraphBuilder;
+
+mod common;
+use common::get;
 
 fn state_with_graph() -> Arc<AppState> {
     let state = Arc::new(AppState::new(ServerConfig::default()));
@@ -23,14 +26,6 @@ fn state_with_graph() -> Arc<AppState> {
     builder.extend_edges([(4u32, 5u32), (5, 6)]);
     state.insert_graph(Some("g".into()), SharedGraph::new(builder.build())).unwrap();
     state
-}
-
-fn get(target: &str) -> Request {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target.to_string(), Vec::new()),
-    };
-    Request { method: Method::Get, path, query, headers: Vec::new(), body: Vec::new() }
 }
 
 fn post(target: &str, body: Vec<u8>) -> Request {
@@ -286,6 +281,14 @@ fn peaks_returns_the_clique_and_stats_reflects_traffic() {
     assert_eq!(cache.get("misses").and_then(|v| v.as_u64()), Some(1));
     let totals = doc.get("stage_seconds").expect("stage_seconds object");
     assert_eq!(totals.get("renders").and_then(|v| v.as_u64()), Some(1));
+
+    // One terrain miss times its exporter write into the svg stage.
+    assert_eq!(routes::handle(&state, &get("/graphs/g/terrain")).status, 200);
+    let doc = body_json(&routes::handle(&state, &get("/stats")));
+    let totals = doc.get("stage_seconds").expect("stage_seconds object");
+    assert_eq!(totals.get("renders").and_then(|v| v.as_u64()), Some(2));
+    let svg = totals.get("svg").and_then(|v| v.as_f64()).expect("stage_seconds.svg");
+    assert!(svg > 0.0, "a terrain miss must time its write, got {svg}");
 }
 
 #[test]
@@ -329,6 +332,18 @@ fn structural_deltas_mutate_the_graph_and_change_the_etag() {
     assert_eq!(costs.get("degree").and_then(|v| v.as_str()), Some("local"));
     assert_eq!(costs.get("kcore").and_then(|v| v.as_str()), Some("dirty-region"));
     assert_eq!(costs.get("pagerank").and_then(|v| v.as_str()), Some("full"));
+    assert_eq!(costs.get("closeness").and_then(|v| v.as_str()), Some("full"));
+    assert_eq!(costs.get("betweenness").and_then(|v| v.as_str()), Some("full"));
+    assert_eq!(costs.get("ktruss").and_then(|v| v.as_str()), Some("dirty-region"));
+    assert_eq!(costs.get("edge-triangles").and_then(|v| v.as_str()), Some("local"));
+    assert!(
+        String::from_utf8_lossy(&applied.body).contains(concat!(
+            r#""measure_costs":{"kcore":"dirty-region","degree":"local","pagerank":"full","#,
+            r#""closeness":"full","betweenness":"full","ktruss":"dirty-region","#,
+            r#""edge-triangles":"local"}"#
+        )),
+        "the cost table lists all seven measures in canonical order"
+    );
 
     // The registry now serves the mutated graph, and a re-render is a
     // fresh artifact with a different ETag (the key embeds only the id,

@@ -8,50 +8,18 @@
 use std::sync::{Arc, Barrier};
 
 use graph_terrain::{Measure, SharedGraph, TerrainPipeline};
-use serve::http::{parse_query, Method, Request};
+use serve::http::{Method, Request};
 use serve::routes;
 use serve::state::{AppState, ServerConfig, RETAINED_SCALARS};
 use serve::LruCache;
-use ugraph::{CsrGraph, GraphBuilder, GraphStorage};
+use ugraph::GraphStorage;
 
-/// Two cliques bridged by a path, plus pendants (as in the scene retention
-/// suite): enough structure for every measure to vary.
-fn test_graph() -> CsrGraph {
-    let mut builder = GraphBuilder::new();
-    for (lo, hi) in [(0u32, 6u32), (6, 10)] {
-        for u in lo..hi {
-            for v in (u + 1)..hi {
-                builder.add_edge(u, v);
-            }
-        }
-    }
-    builder.extend_edges([(5u32, 10u32), (10, 11), (11, 6), (0, 12), (12, 13), (7, 14)]);
-    builder.build()
-}
+mod common;
+use common::{get, ok, state_with, stats, test_graph};
 
 /// The graph as an edge-list upload body.
 fn edge_list(graph: &dyn GraphStorage) -> Vec<u8> {
     graph.edges().map(|e| format!("{} {}\n", e.u.index(), e.v.index())).collect::<String>().into()
-}
-
-fn state_with(graph: &SharedGraph) -> Arc<AppState> {
-    let state = Arc::new(AppState::new(ServerConfig::default()));
-    state.insert_graph(Some("g".into()), graph.clone()).unwrap();
-    state
-}
-
-fn get(target: &str) -> Request {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target.to_string(), Vec::new()),
-    };
-    Request { method: Method::Get, path, query, headers: Vec::new(), body: Vec::new() }
-}
-
-fn ok(state: &AppState, target: &str) -> Vec<u8> {
-    let response = routes::handle(state, &get(target));
-    assert_eq!(response.status, 200, "{target}: {}", String::from_utf8_lossy(&response.body));
-    response.body.to_vec()
 }
 
 fn post(state: &AppState, target: &str, body: &[u8]) {
@@ -62,10 +30,6 @@ fn post(state: &AppState, target: &str, body: &[u8]) {
         "{target}: {}",
         String::from_utf8_lossy(&response.body)
     );
-}
-
-fn stats(state: &AppState) -> serde_json::Value {
-    serde_json::from_str(&String::from_utf8_lossy(&ok(state, "/stats"))).expect("stats are JSON")
 }
 
 fn scalars(state: &AppState, counter: &str) -> u64 {

@@ -7,49 +7,12 @@
 use std::sync::{Arc, Barrier};
 
 use graph_terrain::{Measure, SharedGraph, TerrainPipeline, TileKey};
-use serve::http::{parse_query, Method, Request};
+use serve::http::{Method, Request};
 use serve::state::{AppState, ServerConfig};
 use serve::{client, routes, Server};
-use ugraph::{CsrGraph, GraphBuilder};
 
-/// Two cliques bridged by a path, plus pendants: enough structure for
-/// tiles at zoom 1 to differ.
-fn test_graph() -> CsrGraph {
-    let mut builder = GraphBuilder::new();
-    for (lo, hi) in [(0u32, 6u32), (6, 10)] {
-        for u in lo..hi {
-            for v in (u + 1)..hi {
-                builder.add_edge(u, v);
-            }
-        }
-    }
-    builder.extend_edges([(5u32, 10u32), (10, 11), (11, 6), (0, 12), (12, 13), (7, 14)]);
-    builder.build()
-}
-
-fn state_with(graph: &SharedGraph) -> Arc<AppState> {
-    let state = Arc::new(AppState::new(ServerConfig::default()));
-    state.insert_graph(Some("g".into()), graph.clone()).unwrap();
-    state
-}
-
-fn get(target: &str) -> Request {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target.to_string(), Vec::new()),
-    };
-    Request { method: Method::Get, path, query, headers: Vec::new(), body: Vec::new() }
-}
-
-fn ok(state: &AppState, target: &str) -> Vec<u8> {
-    let response = routes::handle(state, &get(target));
-    assert_eq!(response.status, 200, "{target}: {}", String::from_utf8_lossy(&response.body));
-    response.body.to_vec()
-}
-
-fn stats(state: &AppState) -> serde_json::Value {
-    serde_json::from_str(&String::from_utf8_lossy(&ok(state, "/stats"))).expect("stats are JSON")
-}
+mod common;
+use common::{get, ok, state_with, stats, test_graph};
 
 fn counter(doc: &serde_json::Value, path: &[&str]) -> u64 {
     let mut value = doc;

@@ -14,30 +14,14 @@ use serve::client;
 use serve::state::{AppState, ServerConfig};
 use serve::Server;
 use terrain::exporter_by_name;
-use ugraph::{CsrGraph, GraphBuilder};
+
+mod common;
+use common::test_graph;
 
 /// Number of concurrent client threads — the ISSUE floor is 8.
 const CLIENT_THREADS: usize = 10;
 /// Requests each client issues.
 const REQUESTS_PER_CLIENT: usize = 12;
-
-/// A graph with actual structure: two dense cliques bridged by a path,
-/// plus a sprinkling of pendant vertices.
-fn test_graph() -> CsrGraph {
-    let mut builder = GraphBuilder::new();
-    for u in 0..6u32 {
-        for v in (u + 1)..6u32 {
-            builder.add_edge(u, v);
-        }
-    }
-    for u in 6..10u32 {
-        for v in (u + 1)..10u32 {
-            builder.add_edge(u, v);
-        }
-    }
-    builder.extend_edges([(5u32, 10u32), (10, 11), (11, 6), (0, 12), (12, 13), (7, 14)]);
-    builder.build()
-}
 
 /// A fresh serial render, started from scratch — the reference bytes.
 fn direct_render(graph: &SharedGraph, measure: Measure, exporter_name: &str) -> Vec<u8> {

@@ -15,6 +15,12 @@
 //! Children are packed with the slice-and-dice rule, alternating the split
 //! axis with depth, which keeps the construction deterministic and simple to
 //! reason about in tests.
+//!
+//! One walker owns that arithmetic. [`layout_super_tree`] runs it with the
+//! default policies and places every node; the scene's level-of-detail pass
+//! ([`crate::scene::lod`]) runs the same walk with its own culling, recursion
+//! gate and child cap, so an uncapped, ungated scene has exactly this
+//! layout's rectangles.
 
 use crate::error::{TerrainError, TerrainResult};
 use scalarfield::SuperScalarTree;
@@ -196,70 +202,21 @@ pub fn layout_super_tree(tree: &SuperScalarTree, config: &LayoutConfig) -> Terra
 }
 
 fn layout_validated(tree: &SuperScalarTree, config: &LayoutConfig) -> TerrainLayout {
-    let n = tree.node_count();
-    let mut rects = vec![Rect::new(0.0, 0.0, 0.0, 0.0); n];
-    let subtree_members = tree.subtree_member_counts();
-
-    // Roots partition the full domain horizontally, proportionally to their
-    // subtree sizes.
-    let domain = Rect::new(0.0, 0.0, config.width, config.height);
-    let root_weights: Vec<f64> =
-        tree.roots().iter().map(|&r| subtree_members[r as usize] as f64).collect();
-    let root_rects = split_rect(&domain, &root_weights, true);
-    let mut stack: Vec<(u32, Rect, usize)> =
-        tree.roots().iter().zip(root_rects).map(|(&r, rect)| (r, rect, 0usize)).collect();
-
-    while let Some((node, rect, depth)) = stack.pop() {
-        rects[node as usize] = rect;
-        let children = tree.children(node);
-        if children.is_empty() {
-            continue;
-        }
-        // Children share the inner rectangle, proportionally to their subtree
-        // sizes; the parent's own members occupy the margin ring (plus a share
-        // of the inner area if the parent has many direct members).
-        let own = tree.members(node).len() as f64;
-        let child_total: f64 = children.iter().map(|&c| subtree_members[c as usize] as f64).sum();
-        let inner_full = rect.shrunk(config.margin_fraction);
-        // Scale the children's area share by child_total / (child_total + own)
-        // so parents with many direct members keep more visible ring area.
-        let share = if child_total + own > 0.0 { child_total / (child_total + own) } else { 0.0 };
-        let inner = scale_rect_area(&inner_full, share.max(0.2));
-        let horizontal = depth % 2 == 0;
-        // Walk the children with a running cursor instead of materializing a
-        // weight vector and a rect vector per node (`split_rect` stays for the
-        // one-shot root partition). `child_total` sums the same values in the
-        // same order as `split_rect`'s internal total, so the arithmetic — and
-        // therefore every emitted coordinate — is bit-identical to splitting.
-        let mut cursor = 0.0f64;
-        for &c in children {
-            let w = subtree_members[c as usize] as f64;
-            let fraction =
-                if child_total > 0.0 { w / child_total } else { 1.0 / children.len() as f64 };
-            let next = cursor + fraction;
-            let child_rect = if horizontal {
-                Rect::new(
-                    inner.x0 + cursor * inner.width(),
-                    inner.y0,
-                    inner.x0 + next * inner.width(),
-                    inner.y1,
-                )
-            } else {
-                Rect::new(
-                    inner.x0,
-                    inner.y0 + cursor * inner.height(),
-                    inner.x1,
-                    inner.y0 + next * inner.height(),
-                )
-            };
-            cursor = next;
-            // Leave a hairline gap between siblings so walls are distinct.
-            stack.push((c, child_rect.shrunk(0.02), depth + 1));
+    /// Records every node's rectangle; the default policies place them all.
+    struct FullLayout(Vec<Rect>);
+    impl WalkPolicy for FullLayout {
+        type Carry = ();
+        fn place(&mut self, placed: &Placement, _carry: ()) -> Option<()> {
+            self.0[placed.node.expect("uncapped walks place no bucket") as usize] = placed.rect;
+            Some(())
         }
     }
 
+    let subtree_members = tree.subtree_member_counts();
+    let mut full = FullLayout(vec![Rect::new(0.0, 0.0, 0.0, 0.0); tree.node_count()]);
+    walk(tree, config, &subtree_members, &mut full);
     TerrainLayout {
-        rects,
+        rects: full.0,
         config: *config,
         scalar: tree.scalars().to_vec(),
         parent: tree.parents().to_vec(),
@@ -267,37 +224,158 @@ fn layout_validated(tree: &SuperScalarTree, config: &LayoutConfig) -> TerrainLay
     }
 }
 
-/// Split `rect` into one sub-rectangle per weight, side by side along the
-/// chosen axis, with widths proportional to the weights.
-fn split_rect(rect: &Rect, weights: &[f64], horizontal: bool) -> Vec<Rect> {
-    let total: f64 = weights.iter().sum();
-    let mut result = Vec::with_capacity(weights.len());
-    if weights.is_empty() {
-        return result;
+/// One rectangle a [`walk`] places: a super node, or the bucket a capped
+/// family's folded children share.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Placement {
+    /// The super node, or `None` for a bucket.
+    pub node: Option<u32>,
+    /// Where it was placed.
+    pub rect: Rect,
+    /// Nesting depth (roots at 0; a bucket at its folded children's depth).
+    pub depth: u32,
+    /// Subtree members it stands for.
+    pub members: u64,
+    /// The node's scalar, or the tallest folded child's.
+    pub height: f64,
+}
+
+/// What a [`walk`] decides beyond the shared slice-and-dice arithmetic. The
+/// default gate and cap place every node.
+pub(crate) trait WalkPolicy {
+    /// What a placed node hands down to its children.
+    type Carry: Copy + Default;
+
+    /// Take one placement, given its parent's carry. `None` drops a node's
+    /// whole subtree (a bucket has none).
+    fn place(&mut self, placed: &Placement, carry: Self::Carry) -> Option<Self::Carry>;
+
+    /// Whether to lay out a placed node's children inside `inner`, the
+    /// rectangle they share.
+    fn descend(&self, _inner: &Rect) -> bool {
+        true
     }
-    let mut cursor = 0.0f64;
-    for &w in weights {
-        let fraction = if total > 0.0 { w / total } else { 1.0 / weights.len() as f64 };
-        let next = cursor + fraction;
-        let r = if horizontal {
-            Rect::new(
-                rect.x0 + cursor * rect.width(),
-                rect.y0,
-                rect.x0 + next * rect.width(),
-                rect.y1,
-            )
-        } else {
-            Rect::new(
-                rect.x0,
-                rect.y0 + cursor * rect.height(),
-                rect.x1,
-                rect.y0 + next * rect.height(),
-            )
+
+    /// Children per node past which all but the `max_children - 1` heaviest
+    /// fold into one bucket.
+    fn max_children(&self) -> usize {
+        usize::MAX
+    }
+}
+
+/// Walk `tree` depth first and hand every placement to `policy`. A parent
+/// is placed before its subtree, roots and siblings in arena order, and a
+/// capped family's bucket right after its parent.
+///
+/// Roots partition the domain horizontally by subtree weight. A node's
+/// children share its inner rectangle: the node's rectangle minus the
+/// margin ring, scaled down about its center to the children's share of
+/// the subtree's members (at least a fifth) so parents with many direct
+/// members keep more visible ring. They are sliced by weight along an axis
+/// that alternates with depth, each shrunk by a hairline sibling gap; a
+/// bucket takes the trailing slot.
+pub(crate) fn walk<P: WalkPolicy>(
+    tree: &SuperScalarTree,
+    config: &LayoutConfig,
+    subtree_members: &[usize],
+    policy: &mut P,
+) {
+    let weight = |node: u32| subtree_members[node as usize] as f64;
+    let roots = tree.roots();
+    let domain = Rect::new(0.0, 0.0, config.width, config.height);
+    let mut slicer = Slicer::new(domain, true, roots.iter().map(|&r| weight(r)).sum(), roots.len());
+    let mut stack: Vec<(u32, Rect, u32, P::Carry)> =
+        roots.iter().map(|&r| (r, slicer.next(weight(r)), 0, P::Carry::default())).collect();
+    stack.reverse();
+
+    let mut kept = Vec::new();
+    while let Some((node, rect, depth, carry)) = stack.pop() {
+        let members = subtree_members[node as usize] as u64;
+        let placed =
+            Placement { node: Some(node), rect, depth, members, height: tree.scalar(node) };
+        let Some(carry) = policy.place(&placed, carry) else {
+            continue;
         };
-        result.push(r);
-        cursor = next;
+        let children = tree.children(node);
+        if children.is_empty() {
+            continue;
+        }
+        let own = tree.members(node).len() as f64;
+        let child_total: f64 = children.iter().map(|&c| weight(c)).sum();
+        let share = if child_total + own > 0.0 { child_total / (child_total + own) } else { 0.0 };
+        let inner = scale_rect_area(&rect.shrunk(config.margin_fraction), share.max(0.2));
+        if !policy.descend(&inner) {
+            continue;
+        }
+
+        let capped = children.len() > policy.max_children();
+        let shown = if capped {
+            keep_heaviest(children, policy.max_children() - 1, subtree_members, &mut kept);
+            kept.as_slice()
+        } else {
+            children
+        };
+        let mut slicer =
+            Slicer::new(inner, depth % 2 == 0, child_total, shown.len() + usize::from(capped));
+        let first = stack.len();
+        for &c in shown {
+            stack.push((c, slicer.next(weight(c)).shrunk(SIBLING_GAP), depth + 1, carry));
+        }
+        if capped {
+            let (mut members, mut height) = (0u64, f64::NEG_INFINITY);
+            for &c in children.iter().filter(|c| kept.binary_search(c).is_err()) {
+                members += subtree_members[c as usize] as u64;
+                height = height.max(tree.scalar(c));
+            }
+            let rect = slicer.next(members as f64).shrunk(SIBLING_GAP);
+            policy.place(&Placement { node: None, rect, depth: depth + 1, members, height }, carry);
+        }
+        // Pop order = arena order.
+        stack[first..].reverse();
     }
-    result
+}
+
+/// Hairline gap between siblings, as a margin fraction, so walls are
+/// distinct.
+const SIBLING_GAP: f64 = 0.02;
+
+/// Fill `kept` with the `limit` heaviest of `children` by subtree members
+/// (ties to the lower id), in id order.
+fn keep_heaviest(children: &[u32], limit: usize, subtree_members: &[usize], kept: &mut Vec<u32>) {
+    kept.clear();
+    kept.extend_from_slice(children);
+    kept.select_nth_unstable_by(limit, |&a, &b| {
+        subtree_members[b as usize].cmp(&subtree_members[a as usize]).then(a.cmp(&b))
+    });
+    kept.truncate(limit);
+    kept.sort_unstable();
+}
+
+/// Slices a rectangle into consecutive slots along one axis, each as wide
+/// as its weight's share of `total` (equal slots when `total` is zero).
+struct Slicer {
+    rect: Rect,
+    horizontal: bool,
+    total: f64,
+    slots: usize,
+    cursor: f64,
+}
+
+impl Slicer {
+    fn new(rect: Rect, horizontal: bool, total: f64, slots: usize) -> Self {
+        Slicer { rect, horizontal, total, slots, cursor: 0.0 }
+    }
+
+    fn next(&mut self, weight: f64) -> Rect {
+        let fraction = if self.total > 0.0 { weight / self.total } else { 1.0 / self.slots as f64 };
+        let (r, from, to) = (&self.rect, self.cursor, self.cursor + fraction);
+        self.cursor = to;
+        if self.horizontal {
+            Rect::new(r.x0 + from * r.width(), r.y0, r.x0 + to * r.width(), r.y1)
+        } else {
+            Rect::new(r.x0, r.y0 + from * r.height(), r.x1, r.y0 + to * r.height())
+        }
+    }
 }
 
 /// Shrink a rectangle about its center so its area becomes `fraction` of the

@@ -2,11 +2,12 @@
 //! validated [`LodConfig`] so a million-node super tree lays out to a
 //! *bounded visible set* instead of one rectangle per node.
 //!
-//! The pass walks the tree with exactly the slice-and-dice arithmetic of
-//! [`crate::layout2d`] (same margin ring, same area scaling, same running
-//! cursor, same hairline sibling gap) but makes three additional decisions
-//! per node, all phrased in *pixels at the finest LOD* so they are
-//! resolution-independent in layout space:
+//! The pass runs the one slice-and-dice walker of [`crate::layout2d`], the
+//! walk `layout_super_tree` also runs: root partition, margin ring, area
+//! scaling, running cursor, hairline sibling gap and the child-cap fold
+//! are that code, not a copy. The pass supplies only its policies, all
+//! phrased in *pixels at the finest LOD* so they are resolution-independent
+//! in layout space:
 //!
 //! * **culling** — a node whose rectangle stays below `min_side` /
 //!   `min_area` pixels even at the finest LOD is dropped together with its
@@ -14,10 +15,10 @@
 //! * **recursion gating** — children are laid out only while the parent's
 //!   inner rectangle is at least `recurse_min_side` pixels at the finest
 //!   LOD, which bounds the walk long before a 10M-edge tree is exhausted;
-//! * **child capping** — a node with more than `max_children` children
-//!   keeps the heaviest ones (by subtree member count, ties to the lower
-//!   node id) and redistributes the tail into one synthetic *"other"
-//!   bucket* item that occupies the tail's combined area share.
+//! * **child capping** — `max_children`: a node with more children keeps
+//!   the heaviest `max_children - 1` (by subtree member count, ties to the
+//!   lower node id) and the walker folds the tail into one synthetic
+//!   *"other" bucket* item that occupies the tail's combined area share.
 //!
 //! Every emitted item additionally carries the accumulated cushion surface
 //! coefficients `[sx1, sx2, sy1, sy2]` of van Wijk & van de Wetering,
@@ -31,7 +32,7 @@
 //! construction — the property the tile cache keys on.
 
 use crate::error::{TerrainError, TerrainResult};
-use crate::layout2d::{LayoutConfig, Rect};
+use crate::layout2d::{walk, LayoutConfig, Placement, Rect, WalkPolicy};
 use scalarfield::SuperScalarTree;
 
 /// Level-of-detail knobs of the scene pass. All pixel thresholds are
@@ -207,168 +208,52 @@ pub(crate) fn lod_layout(
     layout: &LayoutConfig,
     config: &LodConfig,
 ) -> Vec<SceneItem> {
-    let subtree_members = tree.subtree_member_counts();
-    let domain = Rect::new(0.0, 0.0, layout.width, layout.height);
+    let mut pass = LodPass { layout, config, items: Vec::new() };
+    walk(tree, layout, &tree.subtree_member_counts(), &mut pass);
+    pass.items
+}
 
-    // Roots partition the domain horizontally by subtree weight — the same
-    // arithmetic as `layout2d::split_rect`, inlined as a running cursor.
-    let root_total: f64 = tree.roots().iter().map(|&r| subtree_members[r as usize] as f64).sum();
-    let mut stack: Vec<(u32, Rect, u32, [f64; 4])> = Vec::new();
-    let mut cursor = 0.0f64;
-    for &root in tree.roots() {
-        let w = subtree_members[root as usize] as f64;
-        let fraction =
-            if root_total > 0.0 { w / root_total } else { 1.0 / tree.roots().len() as f64 };
-        let next = cursor + fraction;
-        let rect = Rect::new(
-            domain.x0 + cursor * domain.width(),
-            domain.y0,
-            domain.x0 + next * domain.width(),
-            domain.y1,
-        );
-        cursor = next;
-        stack.push((root, rect, 0, [0.0; 4]));
-    }
-    // Match `layout_validated`'s LIFO order exactly: it pops roots from the
-    // end of the stack, so reverse to process the first root first.
-    stack.reverse();
+/// The scene's policies over the shared walk; the carry is the parent's
+/// cushion surface.
+struct LodPass<'a> {
+    layout: &'a LayoutConfig,
+    config: &'a LodConfig,
+    items: Vec<SceneItem>,
+}
 
-    let mut items = Vec::new();
-    let mut keep: Vec<u32> = Vec::new();
-    while let Some((node, rect, depth, parent_surface)) = stack.pop() {
+impl WalkPolicy for LodPass<'_> {
+    type Carry = [f64; 4];
+
+    /// Culling: a placement too small even at the finest LOD is dropped
+    /// with its subtree, which is strictly nested inside it.
+    fn place(&mut self, placed: &Placement, parent_surface: [f64; 4]) -> Option<[f64; 4]> {
+        let (layout, config, rect) = (self.layout, self.config, placed.rect);
         if !visible_at(&rect, config.max_lod, layout, config) {
-            // Too small even at the finest LOD; the whole subtree is
-            // strictly nested inside, so nothing below can be visible.
-            continue;
+            return None;
         }
-        let surface = cushion_surface(&parent_surface, &rect, depth, config);
-        items.push(SceneItem {
-            node: Some(node),
+        let surface = cushion_surface(&parent_surface, &rect, placed.depth, config);
+        self.items.push(SceneItem {
+            node: placed.node,
             rect,
-            depth,
-            height: tree.scalar(node),
-            members: subtree_members[node as usize] as u64,
+            depth: placed.depth,
+            height: placed.height,
+            members: placed.members,
             min_visible_lod: min_visible_lod(&rect, layout, config),
             surface,
         });
-
-        let children = tree.children(node);
-        if children.is_empty() {
-            continue;
-        }
-        let own = tree.members(node).len() as f64;
-        let child_total: f64 = children.iter().map(|&c| subtree_members[c as usize] as f64).sum();
-        let inner_full = rect.shrunk(layout.margin_fraction);
-        let share = if child_total + own > 0.0 { child_total / (child_total + own) } else { 0.0 };
-        let inner = scale_rect_area(&inner_full, share.max(0.2));
-        {
-            // Recursion gate: once the inner rectangle is below
-            // `recurse_min_side` pixels at the finest LOD, no child can be
-            // individually explorable — stop walking this branch.
-            let (sx, sy) = config.pixel_scale(config.max_lod, layout);
-            let side = (inner.width() * sx).min(inner.height() * sy);
-            if side < config.recurse_min_side {
-                continue;
-            }
-        }
-
-        // Child cap: keep the heaviest `max_children - 1` children (ties
-        // broken toward the lower node id), collapse the rest into one
-        // "other" bucket that takes the tail's combined share at the end
-        // of the cursor walk.
-        keep.clear();
-        let capped = children.len() > config.max_children;
-        let (kept_children, tail_members, tail_height, tail_count) = if capped {
-            let mut order: Vec<u32> = children.to_vec();
-            order.sort_by(|&a, &b| {
-                subtree_members[b as usize].cmp(&subtree_members[a as usize]).then(a.cmp(&b))
-            });
-            order.truncate(config.max_children - 1);
-            keep.extend_from_slice(&order);
-            keep.sort_unstable();
-            let mut tail_members = 0u64;
-            let mut tail_height = f64::NEG_INFINITY;
-            let mut tail_count = 0u64;
-            for &c in children {
-                if keep.binary_search(&c).is_err() {
-                    tail_members += subtree_members[c as usize] as u64;
-                    tail_height = tail_height.max(tree.scalar(c));
-                    tail_count += 1;
-                }
-            }
-            (keep.as_slice(), tail_members, tail_height, tail_count)
-        } else {
-            (children, 0, f64::NEG_INFINITY, 0)
-        };
-
-        let horizontal = depth % 2 == 0;
-        // The running cursor, bit-identical to `layout_validated` when the
-        // cap does not trigger: same fractions of the same totals, summed
-        // in the same (arena) order.
-        let mut cursor = 0.0f64;
-        let slots = kept_children.len() + usize::from(capped);
-        let place = |weight: f64, cursor: &mut f64| -> Rect {
-            let fraction =
-                if child_total > 0.0 { weight / child_total } else { 1.0 / slots as f64 };
-            let next = *cursor + fraction;
-            let r = if horizontal {
-                Rect::new(
-                    inner.x0 + *cursor * inner.width(),
-                    inner.y0,
-                    inner.x0 + next * inner.width(),
-                    inner.y1,
-                )
-            } else {
-                Rect::new(
-                    inner.x0,
-                    inner.y0 + *cursor * inner.height(),
-                    inner.x1,
-                    inner.y0 + next * inner.height(),
-                )
-            };
-            *cursor = next;
-            r
-        };
-        // Children keep their arena order (the order the full layout walks
-        // them in); the other bucket takes the trailing slot.
-        let mut pending = Vec::with_capacity(kept_children.len());
-        for &c in kept_children {
-            let child_rect = place(subtree_members[c as usize] as f64, &mut cursor);
-            pending.push((c, child_rect.shrunk(0.02)));
-        }
-        if capped && tail_count > 0 {
-            let other_rect = place(tail_members as f64, &mut cursor).shrunk(0.02);
-            if visible_at(&other_rect, config.max_lod, layout, config) {
-                let other_surface = cushion_surface(&surface, &other_rect, depth + 1, config);
-                items.push(SceneItem {
-                    node: None,
-                    rect: other_rect,
-                    depth: depth + 1,
-                    height: tail_height,
-                    members: tail_members,
-                    min_visible_lod: min_visible_lod(&other_rect, layout, config),
-                    surface: other_surface,
-                });
-            }
-        }
-        // Push in reverse so the stack pops children in arena order,
-        // mirroring `layout_validated`'s traversal.
-        for (c, r) in pending.into_iter().rev() {
-            stack.push((c, r, depth + 1, surface));
-        }
+        Some(surface)
     }
-    items
-}
 
-/// Shrink a rectangle about its center so its area becomes `fraction` of
-/// the original — must stay bit-identical to `layout2d::scale_rect_area`.
-fn scale_rect_area(rect: &Rect, fraction: f64) -> Rect {
-    let fraction = fraction.clamp(0.0, 1.0);
-    let scale = fraction.sqrt();
-    let (cx, cy) = rect.center();
-    let half_w = rect.width() / 2.0 * scale;
-    let half_h = rect.height() / 2.0 * scale;
-    Rect::new(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+    /// Recursion gate: once the inner rectangle is below `recurse_min_side`
+    /// pixels at the finest LOD, no child can be individually explorable.
+    fn descend(&self, inner: &Rect) -> bool {
+        let (sx, sy) = self.config.pixel_scale(self.config.max_lod, self.layout);
+        (inner.width() * sx).min(inner.height() * sy) >= self.config.recurse_min_side
+    }
+
+    fn max_children(&self) -> usize {
+        self.config.max_children
+    }
 }
 
 #[cfg(test)]

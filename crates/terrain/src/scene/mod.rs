@@ -4,10 +4,10 @@
 //! A [`Scene`] is built once from a super scalar tree and then answers
 //! viewport questions without touching the tree again:
 //!
-//! * [`lod`] runs the LOD layout pass — `layout_super_tree`'s
-//!   slice-and-dice arithmetic extended with culling, recursion gating,
-//!   per-node child capping (tails collapse into "other" buckets) and van
-//!   Wijk cushion shading coefficients — producing a bounded list of
+//! * [`lod`] runs the LOD layout pass — `layout_super_tree`'s own
+//!   slice-and-dice walker under the scene's policies: culling, recursion
+//!   gating, per-node child capping (tails fold into "other" buckets) and
+//!   van Wijk cushion shading coefficients — producing a bounded list of
 //!   [`SceneItem`]s even for million-node trees;
 //! * [`quadtree`] indexes the item rectangles in a flat arena for
 //!   `O(log n + k)` viewport queries and point hit tests;

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --example quickstart [-- --threads <serial|auto|N>]
 //!                                [-- --input <graph file>]
-//!                                [-- --format <svg|treemap|obj|ply|ascii|json>]
+//!                                [-- --format <svg|treemap|obj|ply|ascii|json|tiled|scene>]
 //!                                [-- --out <artifact path>]
 //!                                [-- --save-graph <binary snapshot path>]
 //!                                [-- --mapped]

@@ -154,21 +154,12 @@ impl Measure {
         }
     }
 
-    /// The canonical names [`Measure::from_name`] accepts, for error
-    /// messages that must list the alternatives. Derived from the
-    /// [`MEASURES`] table, so it cannot desync from the per-measure
-    /// metadata.
+    /// The canonical names [`Measure::from_name`] accepts, one per
+    /// measure, in the order the server and the docs list them — for error
+    /// messages that must list the alternatives and for the delta report's
+    /// per-measure cost table.
     pub fn known_names() -> &'static [&'static str] {
-        const NAMES: [&str; MEASURES.len()] = {
-            let mut names = [""; MEASURES.len()];
-            let mut i = 0;
-            while i < MEASURES.len() {
-                names[i] = MEASURES[i].name;
-                i += 1;
-            }
-            names
-        };
-        &NAMES
+        &["kcore", "degree", "pagerank", "closeness", "betweenness", "ktruss", "edge-triangles"]
     }
 
     /// How much of this measure survives a graph delta (see
@@ -230,30 +221,6 @@ impl Measure {
         }
     }
 }
-
-/// One row of the measure metadata table: the canonical request-facing
-/// name together with the measure's incremental-recompute tier.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MeasureInfo {
-    /// The canonical name [`Measure::from_name`] accepts.
-    pub name: &'static str,
-    /// How much of the measure survives a graph delta.
-    pub delta_cost: DeltaCost,
-}
-
-/// The single-source measure table: every request-facing measure with its
-/// delta-recompute tier, in the order the server and the docs list them.
-/// [`Measure::known_names`] and the per-measure delta report derive from
-/// this slice, so adding a measure here cannot silently desync them.
-pub const MEASURES: &[MeasureInfo] = &[
-    MeasureInfo { name: "kcore", delta_cost: DeltaCost::DirtyRegion },
-    MeasureInfo { name: "degree", delta_cost: DeltaCost::Local },
-    MeasureInfo { name: "pagerank", delta_cost: DeltaCost::Full },
-    MeasureInfo { name: "closeness", delta_cost: DeltaCost::Full },
-    MeasureInfo { name: "betweenness", delta_cost: DeltaCost::Full },
-    MeasureInfo { name: "ktruss", delta_cost: DeltaCost::DirtyRegion },
-    MeasureInfo { name: "edge-triangles", delta_cost: DeltaCost::Local },
-];
 
 /// The Section II-E simplification knob: super trees larger than
 /// `node_budget` nodes are discretized to `levels` scalar levels before
@@ -337,7 +304,8 @@ pub struct StageTimings {
     pub layout_seconds: Option<f64>,
     /// The 3D mesh extrusion (incl. coloring).
     pub mesh_seconds: Option<f64>,
-    /// SVG serialization.
+    /// SVG serialization: the [`svg`](TerrainPipeline::svg) stage, or the
+    /// latest `render_to` / `render_deterministic_to` write (any backend).
     pub svg_seconds: Option<f64>,
     /// The retained LOD scene build (layout pass + quadtree index).
     pub scene_seconds: Option<f64>,
@@ -1125,7 +1093,8 @@ impl<'g> TerrainPipeline<'g> {
     /// artifact into `writer`. The backend sees a [`RenderScene`] borrowed
     /// from the cached stages (forcing them on first demand) together with
     /// the per-stage timings recorded so far, so repeated renders across
-    /// backends share one pipeline run.
+    /// backends share one pipeline run. The write itself is timed into
+    /// [`StageTimings::svg_seconds`].
     ///
     /// The built-in [`Svg`] backend at the session's
     /// [`SvgSize`] produces exactly the bytes of [`svg`](Self::svg).
@@ -1142,7 +1111,10 @@ impl<'g> TerrainPipeline<'g> {
             self.mesh.as_ref().expect("ensured"),
         )
         .with_timings(&timings);
-        exporter.write_to(&scene, writer)
+        let started = Instant::now();
+        exporter.write_to(&scene, writer)?;
+        self.timings.svg_seconds = Some(started.elapsed().as_secs_f64());
+        Ok(())
     }
 
     /// [`render_to`](Self::render_to) minus the wall-clock stage timings:
@@ -1151,6 +1123,7 @@ impl<'g> TerrainPipeline<'g> {
     /// Backends that serialize timings (`json`, `ascii` headers) become
     /// reproducible byte-for-byte across runs — the form a
     /// content-addressed artifact cache must serve and revalidate against.
+    /// The write is still timed into [`StageTimings::svg_seconds`].
     pub fn render_deterministic_to(
         &mut self,
         exporter: &dyn Exporter,
@@ -1162,7 +1135,10 @@ impl<'g> TerrainPipeline<'g> {
             self.layout.as_ref().expect("ensured"),
             self.mesh.as_ref().expect("ensured"),
         );
-        exporter.write_to(&scene, writer)
+        let started = Instant::now();
+        exporter.write_to(&scene, writer)?;
+        self.timings.svg_seconds = Some(started.elapsed().as_secs_f64());
+        Ok(())
     }
 
     /// [`render_to`](Self::render_to) into a freshly created (buffered) file.
@@ -1532,15 +1508,6 @@ mod tests {
     }
 
     #[test]
-    fn measures_table_is_the_single_source_of_measure_metadata() {
-        assert_eq!(Measure::known_names().len(), MEASURES.len());
-        for info in MEASURES {
-            let measure = Measure::from_name(info.name).unwrap();
-            assert_eq!(measure.delta_cost(), info.delta_cost, "{}", info.name);
-        }
-    }
-
-    #[test]
     fn apply_delta_matches_a_fresh_session_for_every_measure_tier() {
         use ugraph::delta::{DeltaOp, GraphDelta};
         let graph = ugraph::generators::barabasi_albert(120, 3, 5);
@@ -1716,6 +1683,14 @@ mod tests {
         let first = render();
         assert_eq!(first, render());
         assert!(String::from_utf8(first).unwrap().contains("\"timings\": []"));
+    }
+
+    #[test]
+    fn deterministic_render_times_the_write_as_the_svg_stage() {
+        let graph = toy_graph();
+        let mut session = TerrainPipeline::from_measure(&graph, Measure::KCore);
+        session.render_deterministic_to(&Svg::new(900.0, 700.0), &mut Vec::new()).unwrap();
+        assert!(session.timings().svg_seconds.is_some(), "{:?}", session.timings());
     }
 
     #[test]

@@ -37,16 +37,16 @@
 //! Each rung also runs the delta bench: a fixed ≤1k-edge batch (half
 //! deletes of existing edges, half fresh inserts) applied to a warm session
 //! via [`TerrainPipeline::apply_delta`] and re-rendered (`storage:
-//! "delta-apply"`, timing covers overlay + compaction + scalar splice +
-//! downstream re-render), against the from-scratch path a client without
-//! the delta subsystem pays: re-parse the final edge list (the same
-//! re-upload CI's delta smoke performs), build the graph, and render a
-//! fresh session (`storage: "delta-rebuild"`). Timings are best-of-3; a
-//! byte-equality guard on the two SVGs backs every recorded pair. Both run
-//! at `degree` (local incremental tier), `kcore` (dirty-region tier), and
-//! `pagerank` (full-recompute fallback), so the recorded baseline
-//! documents where incremental recomputation pays and where it degenerates
-//! to a rebuild.
+//! "delta-apply"`, timing covers the one-pass apply and compaction, the
+//! scalar splice and the downstream re-render), against the from-scratch
+//! path a client without the delta subsystem pays: re-parse the final edge
+//! list (the same re-upload CI's delta smoke performs), build the graph,
+//! and render a fresh session (`storage: "delta-rebuild"`). Timings are
+//! best-of-3; a byte-equality guard on the two SVGs backs every recorded
+//! pair. Both run at `degree` (local incremental tier), `kcore`
+//! (dirty-region tier), and `pagerank` (full-recompute fallback), so the
+//! recorded baseline documents where incremental recomputation pays and
+//! where it degenerates to a rebuild.
 //!
 //! Finally each rung runs the tile bench over the retained scene: `storage:
 //! "tile-query"` records the *mean* quadtree viewport query over a fixed
@@ -55,6 +55,7 @@
 //! (best-of-3, guarded byte-identical across iterations). The scene build
 //! itself lands in those rows' `generate_seconds`.
 
+use bench::cli::flag_value;
 use bench::output::{results_dir, write_artifact};
 use bench::report::{
     compare, git_short_rev, peak_rss_bytes, utc_date, validate, BenchReport, RungResult,
@@ -82,20 +83,6 @@ const CI_LADDER: &[(&str, u32, usize)] =
 
 /// Seed shared by every baseline so runs are comparable across machines.
 const LADDER_SEED: u64 = 20_170_419; // the paper's ICDE 2017 presentation date
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.to_string());
-        }
-        if arg == flag {
-            return iter.next().cloned();
-        }
-    }
-    None
-}
 
 /// The fixed ≤1k-edge batch the delta bench applies: half stride-sampled
 /// deletes of existing edges, half fresh inserts from a deterministic

@@ -7,6 +7,8 @@
 
 use ugraph::par::Parallelism;
 
+use crate::cli::flag_value;
+
 /// Parse `--threads <serial|auto|N>` from an argument list, defaulting to
 /// [`Parallelism::auto`].
 ///
@@ -16,23 +18,10 @@ use ugraph::par::Parallelism;
 /// the effective setting — a typo cannot silently change what a recorded
 /// timing measured without leaving both lines in the log.
 pub fn parallelism_from(args: &[String]) -> Parallelism {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(value) = arg.strip_prefix("--threads=") {
-            return parse_or_warn(value);
-        }
-        if arg == "--threads" {
-            return match iter.next() {
-                Some(value) => parse_or_warn(value),
-                None => parse_or_warn(""),
-            };
-        }
-    }
-    Parallelism::auto()
-}
-
-fn parse_or_warn(value: &str) -> Parallelism {
-    Parallelism::parse(value).unwrap_or_else(|e| {
+    let Some(value) = flag_value(args, "--threads") else {
+        return Parallelism::auto();
+    };
+    Parallelism::parse(&value).unwrap_or_else(|e| {
         eprintln!("[warn] {e}; using auto");
         Parallelism::auto()
     })
@@ -52,20 +41,7 @@ pub fn parallelism_from_args() -> Parallelism {
 /// the offending token: the scale ladder records baselines, and a typo'd
 /// setting must abort the run rather than silently measure something else.
 pub fn parallelism_list_from(args: &[String], default: &str) -> Result<Vec<Parallelism>, String> {
-    let mut value = default.to_string();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(v) = arg.strip_prefix("--parallelism=") {
-            value = v.to_string();
-            break;
-        }
-        if arg == "--parallelism" {
-            if let Some(v) = iter.next() {
-                value = v.clone();
-            }
-            break;
-        }
-    }
+    let value = flag_value(args, "--parallelism").unwrap_or_else(|| default.to_string());
     let settings: Vec<Parallelism> = value
         .split(',')
         .map(str::trim)

@@ -260,7 +260,7 @@ mod tests {
     use super::*;
     use crate::degree::degrees;
     use crate::triangles::{edge_triangle_counts_with, vertex_triangle_counts_with};
-    use ugraph::delta::{DeltaOp, DeltaOverlay, GraphDelta};
+    use ugraph::delta::{apply, DeltaApplyStats, DeltaOp, GraphDelta};
     use ugraph::generators::rmat;
     use ugraph::CsrGraph;
 
@@ -282,9 +282,7 @@ mod tests {
             let op = if r % 2 == 0 { DeltaOp::Insert } else { DeltaOp::Delete };
             delta.push(op, u, v);
         }
-        let mut overlay = DeltaOverlay::new(base);
-        overlay.apply(&delta);
-        overlay.compact()
+        apply(base, &delta).1.expect("a random batch changes the graph")
     }
 
     fn check_all_measures(base: &CsrGraph, compacted: &CompactedDelta) {
@@ -330,10 +328,15 @@ mod tests {
     #[test]
     fn empty_delta_copies_everything() {
         let base = rmat(5, 60, 7);
-        let mut overlay = DeltaOverlay::new(&base);
-        overlay.apply(&GraphDelta::new());
-        let compacted = overlay.compact();
-        assert_eq!(compacted.graph, base);
+        // `apply` reports an empty batch as no change; the identity
+        // compaction is what it would stand for.
+        assert!(apply(&base, &GraphDelta::new()).1.is_none());
+        let compacted = CompactedDelta {
+            graph: base.clone(),
+            base_edge: (0..base.edge_count()).map(|e| Some(EdgeId::from_index(e))).collect(),
+            dirty: vec![false; base.vertex_count()],
+            stats: DeltaApplyStats::default(),
+        };
         check_all_measures(&base, &compacted);
         // With no dirty vertices the triangle pass recomputes nothing.
         let old_tri = edge_triangle_counts_with(&base, Parallelism::Serial);
@@ -353,9 +356,7 @@ mod tests {
         let far = base.vertex_count() as u32 + 5;
         delta.push(DeltaOp::Insert, 0, far);
         delta.push(DeltaOp::Insert, far + 2, far + 2); // isolated mention
-        let mut overlay = DeltaOverlay::new(&base);
-        overlay.apply(&delta);
-        let compacted = overlay.compact();
+        let compacted = apply(&base, &delta).1.expect("the batch grows the graph");
         assert_eq!(compacted.graph.vertex_count(), far as usize + 3);
         check_all_measures(&base, &compacted);
     }

@@ -47,7 +47,6 @@ pub mod kcore;
 pub mod ktruss;
 pub mod pagerank;
 pub mod roles;
-pub mod scalar;
 pub mod triangles;
 
 pub use betweenness::{
@@ -65,7 +64,6 @@ pub use kcore::{core_numbers, KCoreDecomposition};
 pub use ktruss::{truss_numbers, truss_numbers_with, KTrussDecomposition};
 pub use pagerank::{pagerank, pagerank_with, PageRankConfig};
 pub use roles::{assign_roles, Role, RoleAssignment};
-pub use scalar::{EdgeScalarField, VertexScalarField};
 pub use triangles::{
     clustering_coefficients, clustering_coefficients_with, edge_triangle_counts,
     edge_triangle_counts_with, total_triangles, total_triangles_with, vertex_triangle_counts,

@@ -8,9 +8,9 @@
 //! LCI disagrees with the global trend is an outlier; the paper visualizes
 //! `outlier_score(v) = -LCI(v)` as its own scalar field (Figure 10).
 
-use ugraph::{
-    traversal::k_hop_neighborhood, GraphError, GraphStorage, GraphStorageExt, Result, VertexId,
-};
+use ugraph::{traversal::k_hop_neighborhood, GraphStorage, GraphStorageExt, Result, VertexId};
+
+use crate::scalar_graph::check_finite;
 
 /// Local Correlation Index of two scalar fields over the `k`-hop neighborhood
 /// of every vertex.
@@ -26,8 +26,8 @@ pub fn local_correlation_index<G: GraphStorage + ?Sized>(
 ) -> Result<Vec<f64>> {
     graph.check_vertex_values(field_i)?;
     graph.check_vertex_values(field_j)?;
-    check_finite(field_i)?;
-    check_finite(field_j)?;
+    check_finite(field_i, "first correlation field")?;
+    check_finite(field_j, "second correlation field")?;
 
     let mut lci = vec![0.0f64; graph.vertex_count()];
     for v in graph.vertices() {
@@ -86,17 +86,6 @@ fn pearson_over(vertices: &[VertexId], field_i: &[f64], field_j: &[f64]) -> f64 
         return 0.0;
     }
     (cov_ij / nf) / ((cov_ii / nf).sqrt() * (cov_jj / nf).sqrt())
-}
-
-fn check_finite(values: &[f64]) -> Result<()> {
-    if values.iter().all(|v| v.is_finite()) {
-        Ok(())
-    } else {
-        Err(GraphError::Parse {
-            line: 0,
-            message: "scalar field contains non-finite values".into(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +187,16 @@ mod tests {
         let ok = vec![1.0; 5];
         assert!(local_correlation_index(&g, &short, &ok, 1).is_err());
         let nan = vec![1.0, 2.0, f64::NAN, 4.0, 5.0];
-        assert!(local_correlation_index(&g, &nan, &ok, 1).is_err());
+        for (field_i, field_j, field) in
+            [(&nan, &ok, "first correlation field"), (&ok, &nan, "second correlation field")]
+        {
+            match local_correlation_index(&g, field_i, field_j, 1).unwrap_err() {
+                ugraph::GraphError::NonFiniteScalar { what, index, .. } => {
+                    assert_eq!((what, index), (field, 2));
+                }
+                other => panic!("expected NonFiniteScalar, got {other:?}"),
+            }
+        }
     }
 
     #[test]

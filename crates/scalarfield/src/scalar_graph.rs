@@ -146,7 +146,9 @@ impl<'a, G: GraphStorage + ?Sized> EdgeScalarGraph<'a, G> {
     }
 }
 
-fn check_finite(values: &[f64], what: &'static str) -> Result<()> {
+/// Reject the first non-finite value of a scalar field, naming the field
+/// and the value's position.
+pub(crate) fn check_finite(values: &[f64], what: &'static str) -> Result<()> {
     match values.iter().position(|v| !v.is_finite()) {
         Some(index) => Err(GraphError::NonFiniteScalar { what, index, value: values[index] }),
         None => Ok(()),

@@ -243,14 +243,13 @@ fn delta_json(
     format!(
         concat!(
             "{{\"graph\":{},\"structural\":{structural},\"evicted_artifacts\":{evicted},",
-            "\"inserted\":{},\"deleted\":{},\"reinserted\":{},\"redundant_inserts\":{},",
+            "\"inserted\":{},\"deleted\":{},\"redundant_inserts\":{},",
             "\"absent_deletes\":{},\"reweights\":{},\"dropped_self_loops\":{},",
             "\"superseded\":{},\"measure_costs\":{{{costs}}}}}"
         ),
         graph_json(entry),
         stats.inserted,
         stats.deleted,
-        stats.reinserted,
         stats.redundant_inserts,
         stats.absent_deletes,
         stats.reweights,

@@ -13,7 +13,7 @@ use serve::state::{AppState, ServerConfig};
 use ugraph::GraphBuilder;
 
 mod common;
-use common::get;
+use common::{get, ok, test_graph};
 
 fn state_with_graph() -> Arc<AppState> {
     let state = Arc::new(AppState::new(ServerConfig::default()));
@@ -404,6 +404,58 @@ fn noop_deltas_leave_the_graph_cache_and_etags_alone() {
     let cached = routes::handle(&state, &get("/graphs/g/terrain"));
     assert_eq!(cached.header_value("x-cache"), Some("hit"), "no-op deltas must not evict");
     assert_eq!(cached.header_value("etag"), Some(etag.as_str()));
+}
+
+#[test]
+fn a_delta_chain_on_a_mapped_upload_serves_the_bytes_of_a_fresh_upload() {
+    let state = Arc::new(AppState::new(ServerConfig::default()));
+    let base = test_graph();
+    let snapshot = ugraph::io::encode_binary_v3(&base, None).expect("encode v3");
+    let uploaded = routes::handle(&state, &post("/graphs?id=g", snapshot));
+    assert_eq!(uploaded.status, 201, "{}", String::from_utf8_lossy(&uploaded.body));
+    assert_eq!(body_json(&uploaded).get("storage").and_then(|v| v.as_str()), Some("mapped"));
+
+    // Insert three absent edges, delete them again, send a no-op batch,
+    // then grow the graph by one vertex.
+    let inserts = b"2 13\n3 14\n8 12\n".to_vec();
+    let chain: [(&str, Vec<u8>, bool, &str); 4] = [
+        ("/graphs/g/deltas", inserts.clone(), true, "inserted"),
+        ("/graphs/g/deltas?op=delete", inserts, true, "deleted"),
+        ("/graphs/g/deltas", b"0 1\n".to_vec(), false, "redundant_inserts"),
+        ("/graphs/g/deltas", b"14 15\n".to_vec(), true, "inserted"),
+    ];
+    let mut generation = 0;
+    for (target, body, structural, counter) in chain {
+        let applied = routes::handle(&state, &post(target, body.clone()));
+        assert_eq!(applied.status, 200, "{}", String::from_utf8_lossy(&applied.body));
+        let doc = body_json(&applied);
+        let edges = body.iter().filter(|&&b| b == b'\n').count() as u64;
+        assert_eq!(doc.get("structural").and_then(|v| v.as_bool()), Some(structural), "{target}");
+        assert_eq!(doc.get(counter).and_then(|v| v.as_u64()), Some(edges), "{target}");
+        generation += u64::from(structural);
+        let graph = doc.get("graph").expect("graph facts");
+        assert_eq!(graph.get("generation").and_then(|v| v.as_u64()), Some(generation));
+        assert_eq!(graph.get("storage").and_then(|v| v.as_str()), Some("owned"), "{target}");
+    }
+
+    // The oracle is the final edge list, written out independently of the
+    // server's copy and uploaded from scratch.
+    let mut final_edges = String::new();
+    for e in base.edges() {
+        final_edges.push_str(&format!("{} {}\n", e.u, e.v));
+    }
+    final_edges.push_str("14 15\n");
+    let fresh = routes::handle(&state, &post("/graphs?id=fresh", final_edges.into_bytes()));
+    assert_eq!(fresh.status, 201, "{}", String::from_utf8_lossy(&fresh.body));
+    let info = body_json(&routes::handle(&state, &get("/graphs/g")));
+    assert_eq!(info.get("vertices").and_then(|v| v.as_u64()), Some(16));
+    assert_eq!(info.get("edges"), body_json(&fresh).get("edges"));
+
+    for artifact in ["terrain", "terrain?measure=kcore", "tiles/1/0/0"] {
+        let chained = ok(&state, &format!("/graphs/g/{artifact}"));
+        let direct = ok(&state, &format!("/graphs/fresh/{artifact}"));
+        assert!(chained == direct, "{artifact}: a delta chain and a fresh upload disagree");
+    }
 }
 
 #[test]

@@ -80,15 +80,23 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Build a graph from a vertex count and a list of canonical edges.
+    /// Build a graph from a vertex count and a sorted list of canonical
+    /// edges; edge `i` of the list gets id `i`.
     ///
-    /// The caller must guarantee that edges are deduplicated, contain no self
-    /// loops and are given with `u < v`. [`crate::GraphBuilder`] enforces all
-    /// of this; the constructor only debug-asserts it.
+    /// The caller must pass the edges with `u < v` (so no self loops) in
+    /// strictly increasing order (so no duplicates). [`crate::GraphBuilder`]
+    /// sorts and deduplicates; the constructor only debug-asserts it.
+    ///
+    /// Sorted input is what makes the counting scatter below produce the
+    /// canonical form directly: vertex `w`'s block first receives its lower
+    /// neighbors `u` from the edges `(u, w)`, in increasing `u`, and then
+    /// its higher neighbors `v` from the edges `(w, v)`, in increasing `v`.
+    /// Every adjacency block is therefore ascending without a re-sort.
     pub(crate) fn from_canonical_edges(
         vertex_count: usize,
         edges: Vec<(VertexId, VertexId)>,
     ) -> Self {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must be strictly increasing");
         let mut degree = vec![0usize; vertex_count];
         for &(u, v) in &edges {
             debug_assert!(u < v, "edges must be canonical (u < v)");
@@ -120,24 +128,7 @@ impl CsrGraph {
         }
 
         let endpoints = edges.into_iter().map(|(u, v)| [u.0, v.0]).collect();
-
-        // Sort each adjacency block by target id to obtain the canonical form.
-        let mut graph = CsrGraph { offsets, targets, edge_ids, endpoints };
-        for v in 0..vertex_count {
-            let (start, end) = (graph.offsets[v], graph.offsets[v + 1]);
-            // Sort the (target, edge_id) pairs together.
-            let mut pairs: Vec<(VertexId, EdgeId)> = graph.targets[start..end]
-                .iter()
-                .copied()
-                .zip(graph.edge_ids[start..end].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (k, (t, e)) in pairs.into_iter().enumerate() {
-                graph.targets[start + k] = t;
-                graph.edge_ids[start + k] = e;
-            }
-        }
-        graph
+        CsrGraph { offsets, targets, edge_ids, endpoints }
     }
 
     /// Assemble a graph directly from the four canonical CSR arrays.

@@ -8,33 +8,30 @@
 //! of the same edge are deduplicated **last-wins**, and non-finite weights
 //! are rejected up front.
 //!
-//! [`apply`] is the one mutation path: it applies a batch to any
-//! [`GraphStorage`] backend and returns the apply counters plus, when the
-//! graph changed, the compacted result. It is the only place that decides
-//! whether a batch changed the graph.
+//! [`apply`] is the one mutation path and the whole algorithm. It applies a
+//! batch to any [`GraphStorage`] backend — an owned [`CsrGraph`] or a
+//! read-only memory-mapped snapshot, which it never touches — and returns
+//! the apply counters plus, when the graph changed, the compacted result.
+//! It is the only place that decides whether a batch changed the graph.
 //!
-//! Underneath, a [`DeltaOverlay`] is a short-lived merge buffer over the
-//! base, which it never touches — the base may be an owned [`CsrGraph`] or
-//! a read-only memory-mapped snapshot. The overlay records per-edge deletion
-//! marks and a sorted set of inserted edges, plus the set of *dirty*
-//! vertices (endpoints of every effective structural change), which seeds
-//! the incremental-recompute paths downstream.
-//!
-//! [`DeltaOverlay::compact`] merges the overlay into a fresh canonical
-//! [`CsrGraph`] **without a full edge re-sort**: the surviving base edges
-//! (iterated in CSR order) and the inserted edges (kept sorted by the
-//! overlay) are two already-sorted streams, so one linear merge produces the
-//! canonical edge list directly. The result is bit-identical to building the
-//! final edge list from scratch with [`crate::GraphBuilder`], and comes with
-//! a new-edge-id → base-edge-id remap so per-edge results (triangle counts,
-//! truss numbers) can be copied instead of recomputed for untouched edges.
+//! It works in one pass over the batch's deduplicated, sorted changes: the
+//! pass marks deleted base edges, collects the inserted edges once each in
+//! canonical order, sets the *dirty* flags (endpoints of every effective
+//! structural change, which seed the incremental-recompute paths
+//! downstream) and counts the stats. When an edge toggled or a vertex was
+//! added, the surviving base edges (iterated in CSR order) and the inserts
+//! are two already-sorted streams, so one linear merge produces the
+//! canonical edge list **without a re-sort**. The result is bit-identical
+//! to building the final edge list from scratch with
+//! [`crate::GraphBuilder`], and comes with a new-edge-id → base-edge-id
+//! remap so per-edge results (triangle counts, truss numbers) can be copied
+//! instead of recomputed for untouched edges.
 //!
 //! Vertices are never removed: like the builder's `ensure_vertex`, every
 //! vertex *mentioned* by a delta (including by dropped self loops and
 //! deletes of absent edges) exists in the compacted graph.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
@@ -210,16 +207,13 @@ impl GraphDelta {
     }
 }
 
-/// Counters describing what applying one or more batches actually did.
+/// Counters describing what applying one batch actually did.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaApplyStats {
-    /// Edges inserted that were absent from the base and overlay.
+    /// Edges inserted that were absent from the base.
     pub inserted: usize,
-    /// Base edges newly marked deleted, plus overlay-inserted edges
-    /// removed again.
+    /// Base edges deleted.
     pub deleted: usize,
-    /// Base edges whose deletion mark was cleared by a later insert.
-    pub reinserted: usize,
     /// Inserts of edges that already existed (no-ops).
     pub redundant_inserts: usize,
     /// Deletes of edges that did not exist (no-ops).
@@ -235,15 +229,14 @@ pub struct DeltaApplyStats {
 
 impl DeltaApplyStats {
     /// Number of effective structural changes (edges whose presence
-    /// changed). Zero means the compacted graph equals the base graph.
+    /// changed). Zero means the compacted graph has the base graph's edges.
     pub fn structural_changes(&self) -> usize {
-        self.inserted + self.deleted + self.reinserted
+        self.inserted + self.deleted
     }
 }
 
-/// The product of [`DeltaOverlay::compact`] (and of [`apply`], when the
-/// batch changed the graph): the new canonical graph plus the provenance
-/// needed by incremental recomputation.
+/// The product of [`apply`] when the batch changed the graph: the new
+/// canonical graph plus the provenance needed by incremental recomputation.
 #[derive(Clone, Debug)]
 pub struct CompactedDelta {
     /// The merged graph, bit-identical to a from-scratch
@@ -256,7 +249,7 @@ pub struct CompactedDelta {
     /// Per-vertex dirty flags: `true` for endpoints of every effective
     /// structural change. Length `graph.vertex_count()`.
     pub dirty: Vec<bool>,
-    /// What the applied batches actually did.
+    /// What the batch did.
     pub stats: DeltaApplyStats,
 }
 
@@ -265,31 +258,9 @@ pub struct CompactedDelta {
 /// did not change — no edge's presence toggled and no new vertex was
 /// mentioned — so `base` is still the current graph and nothing derived
 /// from it needs invalidating.
-pub fn apply<G: GraphStorage + ?Sized>(
-    base: &G,
-    delta: &GraphDelta,
-) -> (DeltaApplyStats, Option<CompactedDelta>) {
-    let mut overlay = DeltaOverlay::new(base);
-    overlay.apply(delta);
-    let stats = overlay.stats();
-    let changed = stats.structural_changes() > 0 || overlay.vertex_count() > base.vertex_count();
-    (stats, changed.then(|| overlay.compact()))
-}
-
-/// Pending edge mutations layered over an immutable [`GraphStorage`] base:
-/// a short-lived merge buffer between a batch and its [`compact`]ion
-/// (most callers want [`apply`], which runs both).
-///
-/// [`compact`]: DeltaOverlay::compact
-///
-/// The base is never modified — deletion marks and inserted edges live in
-/// the overlay — so the same overlay shape works over an owned
-/// [`CsrGraph`] (whose holder may then swap in the compacted result,
-/// copy-on-write) and over a read-only [`crate::MappedCsrGraph`] (where the
-/// compacted result becomes a new owned graph).
 ///
 /// ```
-/// use ugraph::delta::{DeltaOp, DeltaOverlay, GraphDelta};
+/// use ugraph::delta::{apply, DeltaOp, GraphDelta};
 /// use ugraph::{GraphBuilder, VertexId};
 ///
 /// let mut b = GraphBuilder::new();
@@ -302,185 +273,119 @@ pub fn apply<G: GraphStorage + ?Sized>(
 /// delta.push(DeltaOp::Delete, 0, 1);
 /// delta.push(DeltaOp::Insert, 1, 3);
 ///
-/// let mut overlay = DeltaOverlay::new(&base);
-/// overlay.apply(&delta);
-/// assert_eq!(overlay.edge_count(), 3);
-///
-/// let compacted = overlay.compact();
+/// let (stats, compacted) = apply(&base, &delta);
+/// assert_eq!((stats.inserted, stats.deleted), (1, 1));
+/// let compacted = compacted.expect("the batch changed the graph");
 /// assert_eq!(compacted.graph.vertex_count(), 4);
 /// assert_eq!(compacted.graph.edge_count(), 3);
 /// assert!(!compacted.graph.has_edge(VertexId(0), VertexId(1)));
 /// assert!(compacted.graph.has_edge(VertexId(1), VertexId(3)));
+///
+/// // A batch of no-ops leaves `base` the current graph.
+/// let (stats, compacted) = apply(&base, &GraphDelta::new());
+/// assert_eq!(stats.structural_changes(), 0);
+/// assert!(compacted.is_none());
 /// ```
-pub struct DeltaOverlay<'g, G: GraphStorage + ?Sized> {
-    base: &'g G,
-    /// Current vertex count: base count, grown by mentioned vertices.
-    vertex_count: usize,
-    /// Symmetric half-edge set of overlay-inserted edges. Sorted, which is
-    /// what lets [`DeltaOverlay::compact`] merge instead of re-sort.
-    inserts: BTreeSet<(VertexId, VertexId)>,
-    /// Deletion marks, indexed by base edge id.
-    deleted: Vec<bool>,
-    deleted_count: usize,
-    /// Dirty flags, indexed by (current) vertex id.
-    dirty: Vec<bool>,
-    stats: DeltaApplyStats,
+pub fn apply<G: GraphStorage + ?Sized>(
+    base: &G,
+    delta: &GraphDelta,
+) -> (DeltaApplyStats, Option<CompactedDelta>) {
+    let base_vertices = base.vertex_count();
+    let vertex_count = base_vertices.max(delta.min_vertex_count());
+    let mut stats = DeltaApplyStats {
+        dropped_self_loops: delta.dropped_self_loops(),
+        superseded: delta.superseded(),
+        ..DeltaApplyStats::default()
+    };
+    // Deletion marks indexed by base edge id; the inserts arrive in the
+    // batch's canonical order, so they need no sorting.
+    let mut deleted = vec![false; base.edge_count()];
+    let mut inserts: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut dirty = vec![false; vertex_count];
+    for (&(u, v), &op) in &delta.ops {
+        let toggled = match op {
+            DeltaOp::Reweight => {
+                stats.reweights += 1;
+                false
+            }
+            DeltaOp::Insert => match base_edge_between(base, u, v) {
+                Some(_) => {
+                    stats.redundant_inserts += 1;
+                    false
+                }
+                None => {
+                    inserts.push((u, v));
+                    stats.inserted += 1;
+                    true
+                }
+            },
+            DeltaOp::Delete => match base_edge_between(base, u, v) {
+                Some(e) => {
+                    deleted[e.index()] = true;
+                    stats.deleted += 1;
+                    true
+                }
+                None => {
+                    stats.absent_deletes += 1;
+                    false
+                }
+            },
+        };
+        if toggled {
+            dirty[u.index()] = true;
+            dirty[v.index()] = true;
+        }
+    }
+    if stats.structural_changes() == 0 && vertex_count == base_vertices {
+        return (stats, None);
+    }
+
+    // Merge the surviving base edges (CSR order is canonical order) with
+    // the sorted inserts into the final canonical edge list.
+    let edge_count = base.edge_count() - stats.deleted + stats.inserted;
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(edge_count);
+    let mut base_edge: Vec<Option<EdgeId>> = Vec::with_capacity(edge_count);
+    let mut inserts = inserts.into_iter().peekable();
+    for u in 0..base_vertices {
+        let u = VertexId::from_index(u);
+        for (t, e) in base.neighbors(u) {
+            if t < u || deleted[e.index()] {
+                continue;
+            }
+            while let Some(edge) = inserts.next_if(|&edge| edge < (u, t)) {
+                edges.push(edge);
+                base_edge.push(None);
+            }
+            edges.push((u, t));
+            base_edge.push(Some(e));
+        }
+    }
+    for edge in inserts {
+        edges.push(edge);
+        base_edge.push(None);
+    }
+    let graph = CsrGraph::from_canonical_edges(vertex_count, edges);
+    (stats, Some(CompactedDelta { graph, base_edge, dirty, stats }))
 }
 
-impl<'g, G: GraphStorage + ?Sized> DeltaOverlay<'g, G> {
-    /// An overlay with no pending changes over `base`.
-    pub fn new(base: &'g G) -> Self {
-        DeltaOverlay {
-            base,
-            vertex_count: base.vertex_count(),
-            inserts: BTreeSet::new(),
-            deleted: vec![false; base.edge_count()],
-            deleted_count: 0,
-            dirty: vec![false; base.vertex_count()],
-            stats: DeltaApplyStats::default(),
-        }
+/// The base edge between `u` and `v`, if the base has one. Vertices beyond
+/// the base have no base edges.
+fn base_edge_between<G: GraphStorage + ?Sized>(
+    base: &G,
+    u: VertexId,
+    v: VertexId,
+) -> Option<EdgeId> {
+    let n = base.vertex_count();
+    if u.index() >= n || v.index() >= n {
+        return None;
     }
-
-    /// Apply one batch on top of whatever is already pending.
-    pub fn apply(&mut self, delta: &GraphDelta) {
-        self.grow_to(delta.min_vertex_count());
-        self.stats.dropped_self_loops += delta.dropped_self_loops();
-        self.stats.superseded += delta.superseded();
-        for change in delta.changes() {
-            let (u, v) = (change.u, change.v);
-            match change.op {
-                DeltaOp::Insert => match self.base_edge_between(u, v) {
-                    Some(e) if self.deleted[e.index()] => {
-                        self.deleted[e.index()] = false;
-                        self.deleted_count -= 1;
-                        self.stats.reinserted += 1;
-                        self.mark_dirty(u, v);
-                    }
-                    Some(_) => self.stats.redundant_inserts += 1,
-                    None => {
-                        if self.inserts.insert((u, v)) {
-                            self.inserts.insert((v, u));
-                            self.stats.inserted += 1;
-                            self.mark_dirty(u, v);
-                        } else {
-                            self.stats.redundant_inserts += 1;
-                        }
-                    }
-                },
-                DeltaOp::Delete => match self.base_edge_between(u, v) {
-                    Some(e) if !self.deleted[e.index()] => {
-                        self.deleted[e.index()] = true;
-                        self.deleted_count += 1;
-                        self.stats.deleted += 1;
-                        self.mark_dirty(u, v);
-                    }
-                    Some(_) => self.stats.absent_deletes += 1,
-                    None => {
-                        if self.inserts.remove(&(u, v)) {
-                            self.inserts.remove(&(v, u));
-                            self.stats.deleted += 1;
-                            self.mark_dirty(u, v);
-                        } else {
-                            self.stats.absent_deletes += 1;
-                        }
-                    }
-                },
-                DeltaOp::Reweight => self.stats.reweights += 1,
-            }
-        }
-    }
-
-    /// Current vertex count (base vertices plus newly mentioned ones).
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_count
-    }
-
-    /// Current edge count (base edges minus deletions plus insertions).
-    pub fn edge_count(&self) -> usize {
-        self.base.edge_count() - self.deleted_count + self.inserts.len() / 2
-    }
-
-    /// Counters for everything applied so far.
-    pub fn stats(&self) -> DeltaApplyStats {
-        self.stats
-    }
-
-    /// Merge the overlay into a fresh canonical [`CsrGraph`].
-    ///
-    /// Surviving base edges arrive in CSR (canonical) order and the insert
-    /// set is kept sorted, so a single linear merge of the two streams
-    /// yields the globally sorted edge list — no re-sort of the full edge
-    /// set. The output is bit-identical to a from-scratch build of the
-    /// final edge list.
-    pub fn compact(&self) -> CompactedDelta {
-        let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.edge_count());
-        let mut base_edge: Vec<Option<EdgeId>> = Vec::with_capacity(self.edge_count());
-        let mut ins = self.inserts.iter().filter(|&&(a, b)| a < b).copied().peekable();
-        for u in 0..self.base.vertex_count() {
-            let u = VertexId::from_index(u);
-            for (t, e) in self.base.neighbors(u) {
-                if t < u || self.deleted[e.index()] {
-                    continue;
-                }
-                while let Some(&(a, b)) = ins.peek() {
-                    if (a, b) < (u, t) {
-                        edges.push((a, b));
-                        base_edge.push(None);
-                        ins.next();
-                    } else {
-                        break;
-                    }
-                }
-                edges.push((u, t));
-                base_edge.push(Some(e));
-            }
-        }
-        for (a, b) in ins {
-            edges.push((a, b));
-            base_edge.push(None);
-        }
-        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "merge output must be canonical");
-        let graph = CsrGraph::from_canonical_edges(self.vertex_count, edges);
-        CompactedDelta { graph, base_edge, dirty: self.dirty.clone(), stats: self.stats }
-    }
-
-    fn grow_to(&mut self, vertex_count: usize) {
-        if vertex_count > self.vertex_count {
-            self.vertex_count = vertex_count;
-            self.dirty.resize(vertex_count, false);
-        }
-    }
-
-    fn mark_dirty(&mut self, u: VertexId, v: VertexId) {
-        self.dirty[u.index()] = true;
-        self.dirty[v.index()] = true;
-    }
-
-    /// The base edge between `u` and `v`, deleted or not, if the base has
-    /// one. Out-of-base vertices have no base edges.
-    fn base_edge_between(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        let n = self.base.vertex_count();
-        if u.index() >= n || v.index() >= n {
-            return None;
-        }
-        self.base.find_edge(u, v)
-    }
-}
-
-impl<'g, G: GraphStorage + ?Sized> std::fmt::Debug for DeltaOverlay<'g, G> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeltaOverlay")
-            .field("vertex_count", &self.vertex_count)
-            .field("edge_count", &self.edge_count())
-            .field("inserted", &(self.inserts.len() / 2))
-            .field("deleted", &self.deleted_count)
-            .field("dirty", &self.dirty.iter().filter(|&&d| d).count())
-            .finish()
-    }
+    base.find_edge(u, v)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::generators::rmat;
@@ -575,28 +480,7 @@ mod tests {
         let (stats, compacted) = apply(&base, &delta);
         assert!(compacted.is_none(), "a batch of no-ops leaves the graph unchanged");
         assert_eq!((stats.redundant_inserts, stats.absent_deletes), (1, 1));
-        let mut overlay = DeltaOverlay::new(&base);
-        overlay.apply(&delta);
-        let compacted = overlay.compact();
-        assert!(dirty(&compacted).is_empty());
-        assert_eq!(compacted.graph, base);
-    }
-
-    #[test]
-    fn reinsert_clears_the_deletion_mark() {
-        let base = base_graph();
-        let mut overlay = DeltaOverlay::new(&base);
-        let mut del = GraphDelta::new();
-        del.push(DeltaOp::Delete, 0, 1);
-        overlay.apply(&del);
-        let mut ins = GraphDelta::new();
-        ins.push(DeltaOp::Insert, 0, 1);
-        overlay.apply(&ins);
-        assert_eq!(overlay.stats().reinserted, 1);
-        let compacted = overlay.compact();
-        assert_eq!(compacted.graph, base);
-        // The edge's presence toggled twice: its endpoints stay dirty.
-        assert_eq!(dirty(&compacted), vec![0, 1]);
+        assert_eq!(stats.structural_changes(), 0);
     }
 
     #[test]
@@ -606,9 +490,7 @@ mod tests {
         delta.push(DeltaOp::Delete, 1, 2);
         delta.push(DeltaOp::Insert, 1, 3);
         delta.push(DeltaOp::Insert, 6, 2);
-        let mut overlay = DeltaOverlay::new(&base);
-        overlay.apply(&delta);
-        let compacted = overlay.compact();
+        let compacted = apply(&base, &delta).1.expect("the batch changes the graph");
 
         let mut final_edges: BTreeSet<(u32, u32)> = base.edges().map(|e| (e.u.0, e.v.0)).collect();
         final_edges.remove(&(1, 2));
@@ -668,7 +550,8 @@ mod tests {
         };
         let mut edges: BTreeSet<(u32, u32)> = base.edges().map(|e| (e.u.0, e.v.0)).collect();
         let mut vertex_count = base.vertex_count();
-        let mut overlay = DeltaOverlay::new(&base);
+        // Chain one compaction per batch, as the server does.
+        let mut graph = base;
         for _ in 0..20 {
             let mut delta = GraphDelta::new();
             for _ in 0..15 {
@@ -697,16 +580,22 @@ mod tests {
                     DeltaOp::Reweight => {}
                 }
             }
-            overlay.apply(&delta);
-        }
-        let compacted = overlay.compact();
-        assert_eq!(compacted.graph, rebuild(vertex_count, &edges));
-        compacted.graph.check_invariants().unwrap();
-        assert_eq!(compacted.graph.edge_count(), overlay.edge_count());
-        for e in compacted.graph.edges() {
-            if let Some(old) = compacted.base_edge[e.id.index()] {
-                assert_eq!(base.endpoints(old), (e.u, e.v));
+            let (stats, compacted) = apply(&graph, &delta);
+            let Some(compacted) = compacted else {
+                assert_eq!(stats.structural_changes(), 0);
+                assert_eq!(graph.vertex_count(), vertex_count);
+                continue;
+            };
+            assert_eq!(compacted.graph, rebuild(vertex_count, &edges));
+            compacted.graph.check_invariants().unwrap();
+            for e in compacted.graph.edges() {
+                match compacted.base_edge[e.id.index()] {
+                    Some(old) => assert_eq!(graph.endpoints(old), (e.u, e.v)),
+                    None => assert_eq!(base_edge_between(&graph, e.u, e.v), None),
+                }
             }
+            graph = compacted.graph;
         }
+        assert_eq!(graph, rebuild(vertex_count, &edges));
     }
 }

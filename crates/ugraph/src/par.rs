@@ -416,53 +416,22 @@ where
     M: Fn(Range<usize>, &mut [T]) -> A + Sync,
     R: FnMut(A, A) -> A,
 {
-    let len = data.len();
-    if len == 0 {
-        return None;
-    }
-    let chunk = chunk_size(len, parallelism.width());
-    let n_chunks = len.div_ceil(chunk);
-    let workers = parallelism.thread_count().min(n_chunks);
+    let chunk = chunk_size(data.len(), parallelism.width());
     // Both execution paths consume the same pre-split decomposition, so the
     // chunk boundaries — and with them the merge order — cannot drift apart.
-    let pieces = split_chunks_mut(data, chunk);
-    debug_assert_eq!(pieces.len(), n_chunks);
-    if workers <= 1 {
-        // Serial fast path: run the chunks in order on the calling thread.
-        return pieces.into_iter().map(|(range, piece)| map(range, piece)).reduce(reduce);
-    }
-
-    // Workers claim the next unclaimed chunk (same work-stealing scheme as
-    // `map_chunks`) and park their accumulator in the chunk's slot so the
-    // caller merges in chunk order regardless of completion order.
-    let next = AtomicUsize::new(0);
-    let work: Vec<Mutex<Option<ChunkPiece<'_, T>>>> =
-        pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let slots: Vec<Mutex<Option<A>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_chunks {
-                    break;
-                }
-                let (range, piece) = work[i]
-                    .lock()
-                    .expect("no other panic while holding a work lock")
-                    .take()
-                    .expect("each chunk index is claimed exactly once");
-                let acc = map(range, piece);
-                *slots[i].lock().expect("no other panic while holding a slot lock") = Some(acc);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            let acc = slot.into_inner().expect("worker panics propagate before this");
-            acc.expect("every chunk index was claimed and completed")
-        })
-        .reduce(reduce)
+    // Chunk `i` takes piece `i` exactly once.
+    let pieces: Vec<Mutex<Option<ChunkPiece<'_, T>>>> =
+        split_chunks_mut(data, chunk).into_iter().map(|p| Mutex::new(Some(p))).collect();
+    run(parallelism.thread_count(), pieces.len(), |i| {
+        let (range, piece) = pieces[i]
+            .lock()
+            .expect("no other panic while holding a work lock")
+            .take()
+            .expect("each chunk index is claimed exactly once");
+        map(range, piece)
+    })
+    .into_iter()
+    .reduce(reduce)
 }
 
 /// A chunk of a mutable slice: its global index range plus the disjoint
@@ -493,20 +462,29 @@ where
     A: Send,
     M: Fn(Range<usize>) -> A + Sync,
 {
-    if len == 0 {
-        return Vec::new();
-    }
     let chunk = chunk_size(len, parallelism.width());
-    let n_chunks = len.div_ceil(chunk);
-    let chunk_range = |i: usize| i * chunk..((i + 1) * chunk).min(len);
-    let workers = parallelism.thread_count().min(n_chunks);
-    if workers <= 1 {
-        return (0..n_chunks).map(|i| map(chunk_range(i))).collect();
-    }
+    run(parallelism.thread_count(), len.div_ceil(chunk), |i| {
+        map(i * chunk..((i + 1) * chunk).min(len))
+    })
+}
 
-    // Work-stealing over chunk indices: each worker claims the next unclaimed
-    // chunk. Results are parked in their chunk's slot so the caller can merge
-    // them in chunk order regardless of completion order.
+/// Run `f` for every chunk index of `0..n_chunks` on up to `workers` scoped
+/// threads and return the results in chunk order. The one worker pool
+/// behind [`map_chunks`] and [`map_reduce_chunks_mut`].
+///
+/// Workers claim the next unclaimed index (work stealing) and park each
+/// result in its chunk's slot, so the output order never depends on
+/// completion order. With at most one worker the chunks run in order on
+/// the calling thread. Panics in `f` propagate once all workers stop.
+fn run<A, F>(workers: usize, n_chunks: usize, f: F) -> Vec<A>
+where
+    A: Send,
+    F: Fn(usize) -> A + Sync,
+{
+    let workers = workers.min(n_chunks);
+    if workers <= 1 {
+        return (0..n_chunks).map(f).collect();
+    }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<A>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -516,7 +494,7 @@ where
                 if i >= n_chunks {
                     break;
                 }
-                let acc = map(chunk_range(i));
+                let acc = f(i);
                 *slots[i].lock().expect("no other panic while holding a slot lock") = Some(acc);
             });
         }

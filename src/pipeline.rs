@@ -340,8 +340,9 @@ pub struct TerrainStages<'a> {
     pub mesh: &'a TerrainMesh,
 }
 
-/// What [`TerrainPipeline::apply_delta`] did: the overlay's apply counters
-/// plus how the session's cached scalar field crossed the mutation.
+/// What [`TerrainPipeline::apply_delta`] did: the apply counters of
+/// [`ugraph::delta::apply`] plus how the session's cached scalar field
+/// crossed the mutation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DeltaReport {
     /// Counters for the applied batch (inserted / deleted / no-ops …).

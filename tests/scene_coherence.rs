@@ -9,7 +9,7 @@
 //! `/graphs/{id}/terrain` route would serve.
 
 use graph_terrain::{Measure, Scene, TerrainPipeline, TileKey};
-use ugraph::delta::{DeltaOp, DeltaOverlay, GraphDelta};
+use ugraph::delta::{apply, DeltaOp, GraphDelta};
 use ugraph::generators::barabasi_albert;
 use ugraph::io::encode_binary_v3;
 use ugraph::io::MappedCsrGraph;
@@ -86,11 +86,7 @@ fn tiles_after_a_delta_match_a_from_scratch_build_of_the_final_graph() {
     for e in graph.edges().take(5) {
         delta.push(DeltaOp::Delete, e.u, e.v);
     }
-    let final_graph = {
-        let mut overlay = DeltaOverlay::new(&graph);
-        overlay.apply(&delta);
-        overlay.compact().graph
-    };
+    let final_graph = apply(&graph, &delta).1.expect("the batch changes the graph").graph;
 
     for measure in [Measure::Degree, Measure::KCore, Measure::PageRank] {
         let mut warm = TerrainPipeline::from_measure(&graph, measure.clone());

@@ -7,6 +7,11 @@
 //! result is an *approximate* super tree with far fewer nodes. This module
 //! implements that operation directly on a [`SuperScalarTree`], so it can be
 //! applied after construction without touching the original scalar field.
+//!
+//! Snapping never merges two roots, so a forest of many small components
+//! (R-MAT graphs leave ~40% of their vertices isolated) stays as large as its
+//! root count. [`cap_super_tree`] makes a node budget a hard cap: it keeps the
+//! heaviest subtrees and folds the rest into one synthetic root.
 
 use crate::super_tree::SuperScalarTree;
 use ugraph::{GraphError, Result};
@@ -50,7 +55,7 @@ pub fn simplify_super_tree(tree: &SuperScalarTree, levels: usize) -> SuperScalar
         }
     };
 
-    // Phase 1: assign every old node to a new (merged) group. Walk each root's
+    // Assign every old node to a new (merged) group. Walk each root's
     // subtree; a child whose snapped scalar equals its parent's group scalar
     // joins the parent's group, otherwise it starts a new group. Groups are
     // created parents-first, which `from_parts` renumbers into DFS pre-order.
@@ -77,8 +82,90 @@ pub fn simplify_super_tree(tree: &SuperScalarTree, levels: usize) -> SuperScalar
         }
     }
 
-    // Phase 2: scatter the members into one flat arena grouped by new group
-    // (counting sort keyed on group id; `from_parts` sorts within each group).
+    regroup(tree, &group_of, groups)
+}
+
+/// Cap a (snapped) super tree at `budget` nodes by folding its lightest
+/// parts, the same "keep the heaviest, bucket the rest" rule the terrain
+/// layout applies to children.
+///
+/// A tree that already fits comes back unchanged. Otherwise the roots are
+/// ranked by subtree members, heaviest first (ties to the lower id), and
+/// whole root subtrees are kept in that order while they fit in
+/// `budget - 1` nodes. The first root that does not fit keeps only its
+/// heaviest nodes by subtree members, up to the room left; that set is
+/// ancestor-closed because every node has at least one member, and each
+/// dropped node's members merge into its nearest kept ancestor. Every later
+/// root folds into one synthetic root, placed last, whose members are the
+/// union of theirs and whose scalar is their minimum — so the fold never
+/// invents a peak, and [`SuperScalarTree::total_members`] is preserved.
+///
+/// Returns [`GraphError::InvalidConfig`] when `budget` is zero.
+pub fn cap_super_tree(tree: SuperScalarTree, budget: usize) -> Result<SuperScalarTree> {
+    if budget == 0 {
+        return Err(GraphError::InvalidConfig {
+            what: "node budget",
+            message: "a render tree needs room for at least one node".into(),
+        });
+    }
+    if tree.node_count() <= budget {
+        return Ok(tree);
+    }
+    let heaviest_first = |a: &u32, b: &u32| {
+        tree.subtree_member_count(*b).cmp(&tree.subtree_member_count(*a)).then(a.cmp(b))
+    };
+    let mut roots = tree.roots().to_vec();
+    roots.sort_unstable_by(heaviest_first);
+
+    let mut kept = vec![false; tree.node_count()];
+    let mut room = budget - 1;
+    let mut folded = &roots[..0];
+    for (rank, &root) in roots.iter().enumerate() {
+        let subtree = tree.subtree_nodes(root);
+        if subtree.len() <= room {
+            room -= subtree.len();
+            subtree.for_each(|node| kept[node as usize] = true);
+            continue;
+        }
+        let mut heaviest: Vec<u32> = subtree.collect();
+        heaviest.select_nth_unstable_by(room, heaviest_first);
+        heaviest[..room].iter().for_each(|&node| kept[node as usize] = true);
+        folded = &roots[rank + usize::from(room > 0)..];
+        break;
+    }
+
+    // Kept nodes become groups in id order, so the capped tree keeps the
+    // snapped tree's order; a dropped node joins its parent's group, and a
+    // folded root the synthetic group, numbered last.
+    let other = kept.iter().filter(|&&k| k).count() as u32;
+    let mut group_of = vec![u32::MAX; tree.node_count()];
+    let mut groups: Vec<(f64, Option<u32>)> = Vec::with_capacity(other as usize + 1);
+    for node in 0..tree.node_count() as u32 {
+        let parent = tree.parent(node);
+        group_of[node as usize] = if kept[node as usize] {
+            groups.push((tree.scalar(node), parent.map(|p| group_of[p as usize])));
+            (groups.len() - 1) as u32
+        } else {
+            parent.map_or(other, |p| group_of[p as usize])
+        };
+    }
+    if !folded.is_empty() {
+        let floor = folded.iter().map(|&root| tree.scalar(root)).fold(f64::INFINITY, f64::min);
+        groups.push((floor, None));
+    }
+    Ok(regroup(&tree, &group_of, groups))
+}
+
+/// Rebuild `tree` with every old node merged into the group
+/// `group_of[node]`, where `groups[g]` is group `g`'s scalar and parent
+/// group. The members are scattered into one flat arena grouped by group id
+/// (a counting sort; `from_parts` sorts within each group and renumbers the
+/// groups into DFS pre-order, children in increasing group id).
+fn regroup(
+    tree: &SuperScalarTree,
+    group_of: &[u32],
+    groups: Vec<(f64, Option<u32>)>,
+) -> SuperScalarTree {
     let group_count = groups.len();
     let mut member_offsets = vec![0u32; group_count + 1];
     for (old, &group) in group_of.iter().enumerate() {
@@ -181,6 +268,49 @@ mod tests {
         let b = simplify_super_tree(&st, 2);
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.scalars(), b.scalars());
+    }
+
+    /// A three-node chain root (4 members) and three singleton-node roots
+    /// of 1, 1 and 2 members.
+    fn forest() -> SuperScalarTree {
+        SuperScalarTree::from_parts(
+            vec![1.0, 2.0, 3.0, 0.5, 0.25, 2.0],
+            vec![None, Some(0), Some(1), None, None, None],
+            vec![0, 2, 3, 4, 5, 6, 8],
+            (0..8).collect(),
+            8,
+        )
+    }
+
+    #[test]
+    fn cap_keeps_heavy_subtrees_and_folds_the_rest_into_a_last_root() {
+        let tree = forest();
+        for (budget, chain_nodes) in [(4, 3), (3, 2), (2, 1)] {
+            let capped = cap_super_tree(tree.clone(), budget).unwrap();
+            capped.check_invariants().unwrap();
+            assert_eq!(capped.node_count(), budget);
+            assert_eq!(capped.roots().len(), 2, "the chain root and one folded root");
+            let (chain, other) = (capped.roots()[0], capped.roots()[1]);
+            assert_eq!(capped.subtree_nodes(chain).len(), chain_nodes);
+            assert_eq!(capped.subtree_members(chain), [0, 1, 2, 3]);
+            assert_eq!(capped.members(other), [4, 5, 6, 7]);
+            assert_eq!(capped.scalar(other), 0.25, "the folded root takes the lowest scalar");
+        }
+        // The chain's leaf is the lightest node: at budget 3 it merges into
+        // its parent, which keeps its scalar.
+        let capped = cap_super_tree(tree.clone(), 3).unwrap();
+        assert_eq!(capped.members(1), [2, 3]);
+        assert_eq!(capped.scalar(1), 2.0);
+        // One node holds everything; a fitting tree is returned as is.
+        let single = cap_super_tree(tree.clone(), 1).unwrap();
+        assert_eq!((single.node_count(), single.scalar(0)), (1, 0.25));
+        assert_eq!(cap_super_tree(tree.clone(), 6).unwrap(), tree);
+    }
+
+    #[test]
+    fn zero_budget_is_an_error() {
+        let err = cap_super_tree(forest(), 0).unwrap_err();
+        assert!(matches!(err, ugraph::GraphError::InvalidConfig { .. }), "{err:?}");
     }
 
     #[test]

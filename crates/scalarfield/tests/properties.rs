@@ -8,10 +8,10 @@
 
 use proptest::prelude::*;
 use scalarfield::{
-    build_super_tree, component_members_at_alpha, components_at_alpha, edge_scalar_tree,
-    edge_scalar_tree_naive, maximal_alpha_components, maximal_alpha_edge_components,
-    mcc_of_element, simplify_super_tree, vertex_scalar_tree, EdgeScalarGraph, SuperScalarTree,
-    VertexScalarGraph,
+    build_super_tree, cap_super_tree, component_members_at_alpha, components_at_alpha,
+    edge_scalar_tree, edge_scalar_tree_naive, maximal_alpha_components,
+    maximal_alpha_edge_components, mcc_of_element, simplify_super_tree, vertex_scalar_tree,
+    EdgeScalarGraph, SuperScalarTree, VertexScalarGraph,
 };
 use std::collections::BTreeSet;
 use ugraph::{CsrGraph, GraphBuilder};
@@ -101,6 +101,27 @@ fn graph_and_edge_scalars(max_n: usize) -> impl Strategy<Value = (CsrGraph, Vec<
                 .map(|s| s as f64)
                 .collect();
             (g, scalars)
+        })
+}
+
+/// Strategy: a random forest of scalar graphs in which many vertices are
+/// isolated — edges only touch the first `k` of `n` vertices — so the super
+/// tree has many singleton roots beside a few deeper ones, as on R-MAT.
+fn forest_with_singletons(max_n: usize) -> impl Strategy<Value = (CsrGraph, Vec<f64>)> {
+    (2usize..max_n)
+        .prop_flat_map(|n| (Just(n), 1..=n))
+        .prop_flat_map(|(n, k)| {
+            let edges = proptest::collection::vec((0..k as u32, 0..k as u32), 0..(2 * k));
+            let scalars = proptest::collection::vec(0u8..6, n);
+            (Just(n), edges, scalars)
+        })
+        .prop_map(|(n, edges, scalars)| {
+            let mut b = GraphBuilder::new();
+            b.ensure_vertex(n - 1);
+            for (u, v) in edges {
+                b.add_edge(u, v);
+            }
+            (b.build(), scalars.into_iter().map(|s| s as f64).collect())
         })
 }
 
@@ -252,6 +273,38 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The node-budget cap: for every budget from 1 to one past the tree's
+    /// size, the capped tree fits, keeps every member, stays a valid tree,
+    /// leaves a fitting tree alone, and keeps the heaviest root subtree whole
+    /// whenever it fits in `budget - 1` nodes.
+    #[test]
+    fn cap_fits_every_budget_and_keeps_the_heaviest_root((graph, scalar) in forest_with_singletons(40)) {
+        let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
+        let st = build_super_tree(&vertex_scalar_tree(&sg));
+        let n = st.node_count();
+        let heaviest = *st
+            .roots()
+            .iter()
+            .max_by(|&&a, &&b| st.subtree_member_count(a).cmp(&st.subtree_member_count(b)).then(b.cmp(&a)))
+            .unwrap();
+        for budget in 1..=n + 1 {
+            let capped = cap_super_tree(st.clone(), budget).unwrap();
+            prop_assert!(capped.node_count() <= budget, "{} nodes over budget {}", capped.node_count(), budget);
+            prop_assert_eq!(capped.total_members(), st.total_members());
+            capped.check_invariants().unwrap();
+            if n <= budget {
+                prop_assert_eq!(&capped, &st);
+            }
+            if st.subtree_nodes(heaviest).len() < budget {
+                let kept = capped.node_of(st.members(heaviest)[0]);
+                prop_assert_eq!(capped.parent(kept), None);
+                prop_assert_eq!(capped.subtree_members(kept), st.subtree_members(heaviest));
+                prop_assert_eq!(capped.subtree_nodes(kept).len(), st.subtree_nodes(heaviest).len());
+            }
+        }
+        prop_assert!(cap_super_tree(st, 0).is_err());
     }
 
     /// K-Core scalar fields: Proposition 4 — every maximal α-connected

@@ -62,7 +62,8 @@
 //! betweenness | ktruss | edge-triangles), `samples` (betweenness, in
 //! `[1, 4096]`) and `seed`, `format` (exporter backend), `width`/`height`
 //! (SVG px, in `(0, 16384]`), `color` (height | degree), `budget` (`none`
-//! or a node count), `levels` (at least 1),
+//! or a node count of at least 1: a hard cap on the rendered tree), `levels`
+//! (at least 1),
 //! `threads` (`serial`, `auto` or a thread count in [1, 64] —
 //! deliberately *excluded* from the cache key: at the server's fixed chunk
 //! width the pipeline's determinism contract makes artifacts
@@ -154,7 +155,7 @@ fn upload_graph(state: &AppState, req: &Request) -> Result<Response, ApiError> {
     let graph = if is_v3_snapshot(&req.body) {
         SharedGraph::from_snapshot_bytes(&req.body)?
     } else {
-        let parsed = GraphSource::reader(std::io::Cursor::new(req.body.clone()))
+        let parsed = GraphSource::reader(&req.body[..])
             .with_format(graph_format_param(req)?)
             .load()
             .map_err(|e| ApiError::new(400, "invalid_graph", e.to_string()))?;
@@ -205,7 +206,7 @@ fn post_delta(state: &AppState, req: &Request, id: &str) -> Result<Response, Api
         })?,
         None => DeltaOp::Insert,
     };
-    let parsed = GraphSource::reader(std::io::Cursor::new(req.body.clone()))
+    let parsed = GraphSource::reader(&req.body[..])
         .with_format(graph_format_param(req)?)
         .load()
         .map_err(|e| ApiError::new(400, "invalid_delta", e.to_string()))?;
@@ -333,14 +334,16 @@ fn parse_render_params(req: &Request) -> Result<RenderParams, ApiError> {
         // request the simplification stage would refuse anyway.
         return Err(ApiError::invalid_parameter("levels", "levels must be at least 1"));
     }
-    let simplification = SimplificationConfig {
-        node_budget: match req.query_param("budget") {
-            None => SimplificationConfig::default().node_budget,
-            Some("none") => None,
-            Some(raw) => Some(numeric_param("budget", raw)?),
-        },
-        levels,
+    let node_budget = match req.query_param("budget") {
+        None => SimplificationConfig::default().node_budget,
+        Some("none") => None,
+        Some(raw) => Some(numeric_param("budget", raw)?),
     };
+    if node_budget == Some(0) {
+        // A non-empty render tree cannot fit in zero nodes.
+        return Err(ApiError::invalid_parameter("budget", "budget must be at least 1 or none"));
+    }
+    let simplification = SimplificationConfig { node_budget, levels };
     let svg_size = SvgSize {
         width_px: svg_px_param(req, "width", SvgSize::default().width_px)?,
         height_px: svg_px_param(req, "height", SvgSize::default().height_px)?,

@@ -124,6 +124,8 @@ fn invalid_parameters_never_panic_and_name_the_param() {
         // Render knobs are bounded up front, not by the stage that uses them.
         ("/graphs/g/terrain?levels=0", "levels"),
         ("/graphs/g/terrain?measure=pagerank&levels=0", "levels"),
+        ("/graphs/g/terrain?budget=0", "budget"),
+        ("/graphs/g/terrain?measure=pagerank&budget=0", "budget"),
         ("/graphs/g/terrain?width=0", "width"),
         ("/graphs/g/terrain?width=-5", "width"),
         ("/graphs/g/terrain?width=16385", "width"),

@@ -11,6 +11,7 @@ use super::{Exporter, RenderScene};
 use crate::error::TerrainResult;
 use crate::mesh::TerrainMesh;
 use crate::treemap::{build_treemap, Treemap};
+use std::fmt::Write as _;
 use std::io::Write;
 
 /// The 3D terrain backend: streams the oblique-projected mesh as an SVG
@@ -176,41 +177,39 @@ fn write_terrain_svg(
     };
 
     // Painter's algorithm: sort triangles by depth (far to near), then height.
-    let mut order: Vec<usize> = (0..mesh.triangles.len()).collect();
-    let depth_key = |i: usize| -> (f64, f64) {
-        let t = &mesh.triangles[i];
-        let mean_y = t.indices.iter().map(|&v| mesh.vertices[v as usize].y).sum::<f64>() / 3.0;
-        let mean_z = t.indices.iter().map(|&v| mesh.vertices[v as usize].z).sum::<f64>() / 3.0;
-        (mean_y, mean_z)
-    };
-    order.sort_by(|&a, &b| {
-        let (ya, za) = depth_key(a);
-        let (yb, zb) = depth_key(b);
-        yb.total_cmp(&ya).then(za.total_cmp(&zb))
-    });
+    // Each key is computed once; the stable sort keeps id order within ties.
+    let mut order: Vec<((f64, f64), usize)> = mesh
+        .triangles
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let mean_y = t.indices.iter().map(|&v| mesh.vertices[v as usize].y).sum::<f64>() / 3.0;
+            let mean_z = t.indices.iter().map(|&v| mesh.vertices[v as usize].z).sum::<f64>() / 3.0;
+            ((mean_y, mean_z), i)
+        })
+        .collect();
+    order.sort_by(|((ya, za), _), ((yb, zb), _)| yb.total_cmp(ya).then(za.total_cmp(zb)));
 
     writeln!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">"#
     )?;
     out.write_all(b"<!-- graph-terrain 3D terrain (oblique projection) -->\n")?;
-    for i in order {
+    // One polygon element per triangle, formatted into a reused buffer.
+    let mut line = String::new();
+    for (_, i) in order {
         let t = &mesh.triangles[i];
-        let pts: Vec<String> = t
-            .indices
-            .iter()
-            .map(|&v| {
-                let vert = &mesh.vertices[v as usize];
-                let p = to_px(project(vert.x, vert.y, vert.z));
-                format!("{:.2},{:.2}", p.0, p.1)
-            })
-            .collect();
-        writeln!(
-            out,
-            r#"  <polygon points="{}" fill="{}" stroke="none"/>"#,
-            pts.join(" "),
-            t.color.hex()
-        )?;
+        line.clear();
+        line.push_str(r#"  <polygon points=""#);
+        for (corner, &v) in t.indices.iter().enumerate() {
+            let vert = &mesh.vertices[v as usize];
+            let p = to_px(project(vert.x, vert.y, vert.z));
+            let sep = if corner == 0 { "" } else { " " };
+            let _ = write!(line, "{sep}{:.2},{:.2}", p.0, p.1);
+        }
+        let c = t.color;
+        let _ = writeln!(line, r##"" fill="#{:02x}{:02x}{:02x}" stroke="none"/>"##, c.r, c.g, c.b);
+        out.write_all(line.as_bytes())?;
     }
     out.write_all(b"</svg>\n")?;
     Ok(())

@@ -34,18 +34,18 @@ use std::path::{Path, PathBuf};
 /// assert_eq!(csv.graph.edge_count(), 1);
 /// # Ok::<(), ugraph::GraphError>(())
 /// ```
-pub struct GraphSource {
-    input: SourceInput,
+pub struct GraphSource<'a> {
+    input: SourceInput<'a>,
     format: Option<GraphFormat>,
     use_extension: bool,
 }
 
-enum SourceInput {
+enum SourceInput<'a> {
     Path(PathBuf),
-    Reader(Box<dyn Read>),
+    Reader(Box<dyn Read + 'a>),
 }
 
-impl fmt::Debug for GraphSource {
+impl fmt::Debug for GraphSource<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("GraphSource");
         match &self.input {
@@ -56,7 +56,7 @@ impl fmt::Debug for GraphSource {
     }
 }
 
-impl GraphSource {
+impl<'a> GraphSource<'a> {
     /// A source reading from a file. The format is resolved from (in order)
     /// an explicit [`with_format`](Self::with_format), the file extension,
     /// and content sniffing.
@@ -82,7 +82,9 @@ impl GraphSource {
 
     /// A source reading from any [`Read`]er (a socket, a decompressor, an
     /// in-memory buffer). Without an explicit format the content is sniffed.
-    pub fn reader(reader: impl Read + 'static) -> Self {
+    /// The reader may borrow: `GraphSource::reader(&body[..])` parses a
+    /// buffer in place, without copying it.
+    pub fn reader(reader: impl Read + 'a) -> Self {
         GraphSource {
             input: SourceInput::Reader(Box::new(reader)),
             format: None,
@@ -102,15 +104,16 @@ impl GraphSource {
     pub fn load(self) -> Result<ParsedEdgeList> {
         let explicit = self.format;
         let use_extension = self.use_extension;
-        let (reader, extension_format): (Box<dyn BufRead>, Option<GraphFormat>) = match self.input {
-            SourceInput::Path(path) => {
-                let by_extension =
-                    if use_extension { GraphFormat::from_extension(&path) } else { None };
-                let file = std::fs::File::open(&path)?;
-                (Box::new(BufReader::new(file)), by_extension)
-            }
-            SourceInput::Reader(reader) => (Box::new(BufReader::new(reader)), None),
-        };
+        let (reader, extension_format): (Box<dyn BufRead + 'a>, Option<GraphFormat>) =
+            match self.input {
+                SourceInput::Path(path) => {
+                    let by_extension =
+                        if use_extension { GraphFormat::from_extension(&path) } else { None };
+                    let file = std::fs::File::open(&path)?;
+                    (Box::new(BufReader::new(file)), by_extension)
+                }
+                SourceInput::Reader(reader) => (Box::new(BufReader::new(reader)), None),
+            };
 
         match explicit.or(extension_format) {
             Some(format) => dispatch(format, reader),

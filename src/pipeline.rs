@@ -64,8 +64,8 @@
 
 use measures::{DeltaCost, KCoreDecomposition, KTrussDecomposition};
 use scalarfield::{
-    build_super_tree, edge_scalar_tree, try_simplify_super_tree, vertex_scalar_tree,
-    EdgeScalarGraph, ScalarTree, SuperScalarTree, VertexScalarGraph,
+    build_super_tree, cap_super_tree, edge_scalar_tree, try_simplify_super_tree,
+    vertex_scalar_tree, EdgeScalarGraph, ScalarTree, SuperScalarTree, VertexScalarGraph,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -224,11 +224,14 @@ impl Measure {
 
 /// The Section II-E simplification knob: super trees larger than
 /// `node_budget` nodes are discretized to `levels` scalar levels before
-/// rendering; smaller trees render as-is.
+/// rendering, and if the snapped tree is still over budget its lightest
+/// components are folded ([`scalarfield::cap_super_tree`]) so the render tree
+/// never exceeds `node_budget` nodes. Smaller trees render as-is.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SimplificationConfig {
-    /// Maximum super-tree size rendered without simplification
-    /// (`None` = never simplify).
+    /// Hard cap on the render tree's node count (`None` = never simplify).
+    /// Trees within it render unsimplified; `Some(0)` is rejected at the
+    /// render-tree stage.
     pub node_budget: Option<usize>,
     /// Number of evenly spaced scalar levels to snap to when simplifying
     /// (must be at least 1; checked at the simplification stage).
@@ -621,7 +624,7 @@ impl<'g> TerrainPipeline<'g> {
     /// # Ok::<(), graph_terrain::TerrainError>(())
     /// ```
     pub fn from_source(
-        source: GraphSource,
+        source: GraphSource<'_>,
         measure: Measure,
     ) -> TerrainResult<TerrainPipeline<'static>> {
         let parsed = source.load()?;
@@ -1017,8 +1020,10 @@ impl<'g> TerrainPipeline<'g> {
     }
 
     /// The tree the terrain is rendered from: the super tree itself when it
-    /// fits the [`SimplificationConfig::node_budget`], the simplified tree
-    /// otherwise.
+    /// fits the [`SimplificationConfig::node_budget`], otherwise the
+    /// simplified tree, snapped to `levels` and then capped at the budget by
+    /// folding its lightest components. Either way it has at most
+    /// `node_budget` nodes.
     pub fn render_tree(&mut self) -> TerrainResult<&SuperScalarTree> {
         self.ensure_render_tree()?;
         Ok(self.render_tree_ref())
@@ -1235,9 +1240,13 @@ impl<'g> TerrainPipeline<'g> {
         }
         let super_tree = self.super_tree.as_ref().expect("ensured");
         let started = Instant::now();
+        // Snapping merges chains but never two roots, so a forest of many
+        // small components is capped after it; `cap_super_tree` also refuses
+        // a zero budget, even for an empty tree.
         let simplified = match self.simplification.node_budget {
-            Some(budget) if super_tree.node_count() > budget => {
-                Some(try_simplify_super_tree(super_tree, self.simplification.levels)?)
+            Some(budget) if budget == 0 || super_tree.node_count() > budget => {
+                let snapped = try_simplify_super_tree(super_tree, self.simplification.levels)?;
+                Some(cap_super_tree(snapped, budget)?)
             }
             _ => None,
         };
@@ -1420,6 +1429,11 @@ mod tests {
         session.set_layout(LayoutConfig::default());
         session.set_simplification(SimplificationConfig { node_budget: Some(0), levels: 0 });
         assert!(matches!(session.svg(), Err(TerrainError::Graph(_))));
+        session.set_simplification(SimplificationConfig { node_budget: Some(0), levels: 64 });
+        assert!(matches!(
+            session.svg(),
+            Err(TerrainError::Graph(ugraph::GraphError::InvalidConfig { what: "node budget", .. }))
+        ));
         session.set_simplification(SimplificationConfig::default());
         session.set_svg_size(SvgSize::new(0.0, 100.0));
         assert!(matches!(session.svg(), Err(TerrainError::Config { .. })));
@@ -1725,6 +1739,41 @@ mod tests {
         session.set_simplification(SimplificationConfig::disabled());
         assert_eq!(session.render_tree().unwrap().node_count(), full_nodes);
         assert_eq!(session.timings().super_tree_seconds, super_time, "super tree reused");
+    }
+
+    #[test]
+    fn node_budget_caps_a_forest_of_isolated_vertices_and_keeps_its_peak() {
+        // 6 000 isolated vertices around a 12-clique: 6 001 roots that
+        // snapping alone cannot merge.
+        let mut builder = ugraph::GraphBuilder::new();
+        builder.ensure_vertex(6_011);
+        let clique = 3_000..3_012u32;
+        for u in clique.clone() {
+            for v in u + 1..clique.end {
+                builder.add_edge(u, v);
+            }
+        }
+        let graph = builder.build();
+        let top_peak = |session: &mut TerrainPipeline<'_>| {
+            let stages = session.stages().unwrap();
+            terrain::highest_peaks(stages.render_tree, stages.layout, 1).remove(0).members
+        };
+        let mut session = TerrainPipeline::from_measure(&graph, Measure::Degree);
+        session.set_simplification(SimplificationConfig::disabled());
+        assert_eq!(session.render_tree().unwrap().node_count(), 6_001);
+        let uncapped_peak = top_peak(&mut session);
+        assert_eq!(uncapped_peak, clique.clone().collect::<Vec<_>>());
+
+        for budget in [4_000, 100, 2, 1] {
+            session
+                .set_simplification(SimplificationConfig { node_budget: Some(budget), levels: 64 });
+            let render = session.render_tree().unwrap();
+            assert!(render.node_count() <= budget, "{} nodes over {budget}", render.node_count());
+            assert_eq!(render.total_members(), graph.vertex_count());
+            if budget > 1 {
+                assert_eq!(top_peak(&mut session), uncapped_peak, "budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! chain `GraphSource -> TerrainPipeline -> Exporter` is byte-stable across
 //! ingest paths and pinned to a recorded golden digest.
 
-use graph_terrain::{Measure, TerrainPipeline};
+use graph_terrain::{Measure, SimplificationConfig, TerrainPipeline};
 use terrain::{builtin_exporters, Exporter, RenderScene, Svg};
 use ugraph::io::{
     encode_binary_v3, fnv1a64, restamp_v3_checksum, GraphFormat, GraphSource, MappedCsrGraph,
@@ -121,6 +121,22 @@ fn streaming_svg_is_byte_identical_to_the_pre_redesign_output() {
     session.render_to(&Svg::new(900.0, 700.0), &mut via_render_to).unwrap();
     assert_quickstart_golden(&via_render_to, "render_to");
     assert_quickstart_golden(session.svg().unwrap().as_bytes(), "session.svg()");
+}
+
+/// Length and FNV-1a 64 of an unsimplified (`budget=none`) PageRank terrain of
+/// `barabasi_albert(1500, 3, 11)` as a default-size SVG, recorded on x86_64
+/// Linux before the SVG writer computed its painter keys once per triangle.
+/// Its ~15 000 triangles, many with tied depth keys, pin the painter order as
+/// well as the number formatting.
+const BA_SVG: (usize, u64) = (1_394_396, 0x7a85_0fa4_ed0b_1b29);
+
+#[test]
+fn unsimplified_ba_terrain_svg_matches_the_recorded_golden() {
+    let graph = ugraph::generators::barabasi_albert(1500, 3, 11);
+    let mut session = TerrainPipeline::from_measure(&graph, Measure::PageRank);
+    session.set_simplification(SimplificationConfig::disabled());
+    let svg = session.svg().unwrap().as_bytes();
+    assert_eq!((svg.len(), fnv1a64(svg)), BA_SVG, "the unsimplified BA terrain SVG changed");
 }
 
 #[test]

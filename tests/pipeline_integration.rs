@@ -119,9 +119,12 @@ fn simplification_keeps_the_headline_peaks() {
     let original_top = terrain::highest_peaks(stages.render_tree, stages.layout, 1);
     let orig_summit = original_top[0].summit_height;
 
-    session.set_simplification(SimplificationConfig { node_budget: Some(0), levels: 8 });
+    // One node under the tree's size forces simplification (a zero budget
+    // is rejected: no tree fits in zero nodes).
+    let budget = full_nodes - 1;
+    session.set_simplification(SimplificationConfig { node_budget: Some(budget), levels: 8 });
     let simplified = session.stages().unwrap();
-    assert!(simplified.render_tree.node_count() <= full_nodes);
+    assert!(simplified.render_tree.node_count() <= budget);
     assert_eq!(simplified.render_tree.total_members(), graph.vertex_count());
 
     let simplified_top = terrain::highest_peaks(simplified.render_tree, simplified.layout, 1);

@@ -45,9 +45,10 @@ fn bench_terrain_rendering(c: &mut Criterion) {
         })
     });
 
-    // Simplification ablation: rendering cost after discretizing to N levels.
+    // Simplification ablation: rendering cost after discretizing to N levels
+    // (a budget of the whole tree, so only snapping shrinks it).
     for levels in [64usize, 16, 4] {
-        let simplified = simplify_super_tree(&tree, levels);
+        let simplified = simplify_super_tree(&tree, levels, tree.node_count()).unwrap();
         group.bench_with_input(
             BenchmarkId::new("simplified_levels", levels),
             &simplified,

@@ -86,6 +86,6 @@ pub use mcc::{
     component_members_at_alpha, components_at_alpha, mcc_members, mcc_of_element, AlphaCut,
 };
 pub use scalar_graph::{EdgeScalarGraph, VertexScalarGraph};
-pub use simplify::{cap_super_tree, simplify_super_tree, try_simplify_super_tree};
+pub use simplify::simplify_super_tree;
 pub use super_tree::{build_super_tree, SuperScalarTree};
 pub use vertex_tree::{vertex_scalar_tree, ScalarTree};

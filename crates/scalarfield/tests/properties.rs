@@ -8,10 +8,10 @@
 
 use proptest::prelude::*;
 use scalarfield::{
-    build_super_tree, cap_super_tree, component_members_at_alpha, components_at_alpha,
-    edge_scalar_tree, edge_scalar_tree_naive, maximal_alpha_components,
-    maximal_alpha_edge_components, mcc_of_element, simplify_super_tree, vertex_scalar_tree,
-    EdgeScalarGraph, SuperScalarTree, VertexScalarGraph,
+    build_super_tree, component_members_at_alpha, components_at_alpha, edge_scalar_tree,
+    edge_scalar_tree_naive, maximal_alpha_components, maximal_alpha_edge_components,
+    mcc_of_element, simplify_super_tree, vertex_scalar_tree, EdgeScalarGraph, SuperScalarTree,
+    VertexScalarGraph,
 };
 use std::collections::BTreeSet;
 use ugraph::{CsrGraph, GraphBuilder};
@@ -125,6 +125,14 @@ fn forest_with_singletons(max_n: usize) -> impl Strategy<Value = (CsrGraph, Vec<
         })
 }
 
+/// The level count at which snapping is the identity on an integer-valued
+/// tree: one level per integer from its minimum to its maximum scalar.
+fn identity_levels(tree: &SuperScalarTree) -> usize {
+    let min = tree.scalars().iter().copied().fold(f64::INFINITY, f64::min);
+    let max = tree.scalars().iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (max - min) as usize + 1
+}
+
 fn distinct_levels(values: &[f64]) -> Vec<f64> {
     let mut levels = values.to_vec();
     levels.sort_by(f64::total_cmp);
@@ -209,9 +217,12 @@ proptest! {
         let st = build_super_tree(&vertex_scalar_tree(&sg));
         assert_arena_roundtrip(&st);
         // Simplified trees come from the second arena producer; they must
-        // round-trip just as well.
+        // round-trip just as well, snapped alone or snapped and capped.
+        let n = st.node_count();
         for levels in [2usize, 5] {
-            assert_arena_roundtrip(&simplify_super_tree(&st, levels));
+            for budget in [1, 2, 3, n.div_ceil(2).max(1), n.max(1)] {
+                assert_arena_roundtrip(&simplify_super_tree(&st, levels, budget).unwrap());
+            }
         }
     }
 
@@ -255,7 +266,7 @@ proptest! {
         let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
         let st = build_super_tree(&vertex_scalar_tree(&sg));
         for levels in [1usize, 2, 3, 8] {
-            let s = simplify_super_tree(&st, levels);
+            let s = simplify_super_tree(&st, levels, st.node_count()).unwrap();
             s.check_invariants().unwrap();
             prop_assert_eq!(s.total_members(), st.total_members());
             prop_assert!(s.node_count() <= st.node_count());
@@ -275,22 +286,62 @@ proptest! {
         }
     }
 
-    /// The node-budget cap: for every budget from 1 to one past the tree's
-    /// size, the capped tree fits, keeps every member, stays a valid tree,
-    /// leaves a fitting tree alone, and keeps the heaviest root subtree whole
-    /// whenever it fits in `budget - 1` nodes.
+    /// Where snapping is the identity (integer scalars at one level per
+    /// integer) and the budget fits, simplification returns the tree `==`
+    /// unchanged: same shape, order, scalars and members.
+    #[test]
+    fn identity_levels_and_a_fitting_budget_leave_the_tree_unchanged(
+        (graph, scalar) in forest_with_singletons(40),
+        slack in 0usize..4,
+    ) {
+        let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
+        let st = build_super_tree(&vertex_scalar_tree(&sg));
+        let unchanged = simplify_super_tree(&st, identity_levels(&st), st.node_count() + slack);
+        prop_assert_eq!(&unchanged.unwrap(), &st);
+    }
+
+    /// Snapping and capping keep the input's order: every result node but the
+    /// synthetic folded root starts at the input node its members reach
+    /// first, and those tops strictly increase with the result's ids, so root
+    /// order and sibling order both survive.
+    #[test]
+    fn simplification_keeps_root_and_sibling_order(
+        (graph, scalar) in forest_with_singletons(40),
+        levels in 1usize..12,
+        budget_pick in 0usize..1000,
+    ) {
+        let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
+        let st = build_super_tree(&vertex_scalar_tree(&sg));
+        let n = st.node_count();
+        let budget = 1 + budget_pick % (n + 1);
+        let snapped_nodes = simplify_super_tree(&st, levels, n).unwrap().node_count();
+        let result = simplify_super_tree(&st, levels, budget).unwrap();
+        let mut ordered = result.node_count() as u32;
+        if snapped_nodes > budget && result.parent(ordered - 1).is_none() {
+            ordered -= 1; // the synthetic root folds roots from anywhere
+        }
+        let top = |node: u32| result.members(node).iter().map(|&m| st.node_of(m)).min().unwrap();
+        for node in 1..ordered {
+            prop_assert!(top(node - 1) < top(node), "result nodes {} and {} out of order", node - 1, node);
+        }
+    }
+
+    /// The node-budget cap at identity levels: for every budget from 1 to one
+    /// past the tree's size, the capped tree fits, keeps every member, stays a
+    /// valid tree, leaves a fitting tree alone, and keeps the heaviest root
+    /// subtree whole whenever it fits in `budget - 1` nodes.
     #[test]
     fn cap_fits_every_budget_and_keeps_the_heaviest_root((graph, scalar) in forest_with_singletons(40)) {
         let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
         let st = build_super_tree(&vertex_scalar_tree(&sg));
-        let n = st.node_count();
+        let (n, levels) = (st.node_count(), identity_levels(&st));
         let heaviest = *st
             .roots()
             .iter()
             .max_by(|&&a, &&b| st.subtree_member_count(a).cmp(&st.subtree_member_count(b)).then(b.cmp(&a)))
             .unwrap();
         for budget in 1..=n + 1 {
-            let capped = cap_super_tree(st.clone(), budget).unwrap();
+            let capped = simplify_super_tree(&st, levels, budget).unwrap();
             prop_assert!(capped.node_count() <= budget, "{} nodes over budget {}", capped.node_count(), budget);
             prop_assert_eq!(capped.total_members(), st.total_members());
             capped.check_invariants().unwrap();
@@ -304,7 +355,7 @@ proptest! {
                 prop_assert_eq!(capped.subtree_nodes(kept).len(), st.subtree_nodes(heaviest).len());
             }
         }
-        prop_assert!(cap_super_tree(st, 0).is_err());
+        prop_assert!(simplify_super_tree(&st, levels, 0).is_err());
     }
 
     /// K-Core scalar fields: Proposition 4 — every maximal α-connected

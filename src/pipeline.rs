@@ -64,8 +64,8 @@
 
 use measures::{DeltaCost, KCoreDecomposition, KTrussDecomposition};
 use scalarfield::{
-    build_super_tree, cap_super_tree, edge_scalar_tree, try_simplify_super_tree,
-    vertex_scalar_tree, EdgeScalarGraph, ScalarTree, SuperScalarTree, VertexScalarGraph,
+    build_super_tree, edge_scalar_tree, simplify_super_tree, vertex_scalar_tree, EdgeScalarGraph,
+    ScalarTree, SuperScalarTree, VertexScalarGraph,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -225,8 +225,9 @@ impl Measure {
 /// The Section II-E simplification knob: super trees larger than
 /// `node_budget` nodes are discretized to `levels` scalar levels before
 /// rendering, and if the snapped tree is still over budget its lightest
-/// components are folded ([`scalarfield::cap_super_tree`]) so the render tree
-/// never exceeds `node_budget` nodes. Smaller trees render as-is.
+/// components are folded, in the same pass
+/// ([`scalarfield::simplify_super_tree`]), so the render tree never exceeds
+/// `node_budget` nodes. Smaller trees render as-is.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SimplificationConfig {
     /// Hard cap on the render tree's node count (`None` = never simplify).
@@ -234,7 +235,8 @@ pub struct SimplificationConfig {
     /// render-tree stage.
     pub node_budget: Option<usize>,
     /// Number of evenly spaced scalar levels to snap to when simplifying
-    /// (must be at least 1; checked at the simplification stage).
+    /// (must be at least 1; whenever `node_budget` is set, zero is rejected
+    /// at the render-tree stage, whatever the tree's size).
     pub levels: usize,
 }
 
@@ -1240,13 +1242,12 @@ impl<'g> TerrainPipeline<'g> {
         }
         let super_tree = self.super_tree.as_ref().expect("ensured");
         let started = Instant::now();
-        // Snapping merges chains but never two roots, so a forest of many
-        // small components is capped after it; `cap_super_tree` also refuses
-        // a zero budget, even for an empty tree.
-        let simplified = match self.simplification.node_budget {
-            Some(budget) if budget == 0 || super_tree.node_count() > budget => {
-                let snapped = try_simplify_super_tree(super_tree, self.simplification.levels)?;
-                Some(cap_super_tree(snapped, budget)?)
+        // One pass snaps and caps; it refuses a zero budget or level count at
+        // every tree size.
+        let SimplificationConfig { node_budget, levels } = self.simplification;
+        let simplified = match node_budget {
+            Some(budget) if budget == 0 || levels == 0 || super_tree.node_count() > budget => {
+                Some(simplify_super_tree(super_tree, levels, budget)?)
             }
             _ => None,
         };
@@ -1438,6 +1439,24 @@ mod tests {
         session.set_svg_size(SvgSize::new(0.0, 100.0));
         assert!(matches!(session.svg(), Err(TerrainError::Config { .. })));
         session.set_svg_size(SvgSize::default());
+        assert!(session.svg().unwrap().starts_with("<svg"));
+    }
+
+    #[test]
+    fn zero_levels_are_refused_even_when_the_tree_fits_the_budget() {
+        let graph = toy_graph();
+        let mut session = TerrainPipeline::from_measure(&graph, Measure::Degree);
+        let nodes = session.super_tree().unwrap().node_count();
+        session.set_simplification(SimplificationConfig { node_budget: Some(nodes), levels: 0 });
+        assert!(matches!(
+            session.svg(),
+            Err(TerrainError::Graph(ugraph::GraphError::InvalidConfig {
+                what: "simplification levels",
+                ..
+            }))
+        ));
+        // Without a budget nothing is simplified, so the level count is moot.
+        session.set_simplification(SimplificationConfig { node_budget: None, levels: 0 });
         assert!(session.svg().unwrap().starts_with("<svg"));
     }
 

@@ -139,6 +139,30 @@ fn unsimplified_ba_terrain_svg_matches_the_recorded_golden() {
     assert_eq!((svg.len(), fnv1a64(svg)), BA_SVG, "the unsimplified BA terrain SVG changed");
 }
 
+/// Length and FNV-1a 64 of a snapped *and* capped PageRank terrain of
+/// `rmat(10, 2_000, 5)` at a 64-node budget, as a default-size SVG, recorded
+/// on x86_64 Linux when snapping and the cap became one order-preserving
+/// pass. Snapping shrinks the 941-node super tree to 489 nodes, but its 465
+/// roots (mostly isolated vertices) still overflow the budget, so the cap
+/// folds them too.
+const SNAPPED_RMAT_SVG: (usize, u64) = (31_258, 0x29ba_eb7a_41bd_2b38);
+const SNAPPED_RMAT_BUDGET: usize = 64;
+
+#[test]
+fn snapped_and_capped_terrain_svg_matches_the_recorded_golden() {
+    let graph = ugraph::generators::rmat(10, 2_000, 5);
+    let mut session = TerrainPipeline::from_measure(&graph, Measure::PageRank);
+    session.set_simplification(SimplificationConfig {
+        node_budget: Some(SNAPPED_RMAT_BUDGET),
+        levels: 64,
+    });
+    // Snapping never merges roots, so these alone overflow the budget.
+    assert!(session.super_tree().unwrap().roots().len() > SNAPPED_RMAT_BUDGET);
+    assert_eq!(session.render_tree().unwrap().node_count(), SNAPPED_RMAT_BUDGET);
+    let svg = session.svg().unwrap().as_bytes();
+    assert_eq!((svg.len(), fnv1a64(svg)), SNAPPED_RMAT_SVG, "the snapped RMAT terrain SVG changed");
+}
+
 #[test]
 fn every_ingest_path_yields_the_same_svg_bytes() {
     // GraphSource -> from_source -> Exporter across all five formats: one

@@ -368,6 +368,27 @@ mod tests {
     }
 
     #[test]
+    fn capped_tree_memory_is_bounded_by_its_budget_and_elements() {
+        // 20 000 vertices with all-distinct scalars: one super node each.
+        let g = barabasi_albert(20_000, 2, 11);
+        let scalar: Vec<f64> = (0..20_000u64).map(|i| ((i * 7_919) % 20_011) as f64).collect();
+        let st =
+            build_super_tree(&vertex_scalar_tree(&VertexScalarGraph::new(&g, &scalar).unwrap()));
+        assert_eq!(st.node_count(), 20_000);
+        let capped = simplify_super_tree(&st, 64, 500).unwrap();
+        assert!(capped.node_count() <= 500);
+        // 40 bytes per node (scalar 8, parent 8, subtree end, depth, child
+        // and member offsets, level order 4 each, one child-or-root id 4),
+        // 8 per element (its member id and its `node_of` entry), 8 for the
+        // two offset arrays' closing entries.
+        let bound = |nodes: usize| 40 * nodes + 8 * 20_000 + 8;
+        assert!(capped.heap_bytes() <= bound(500), "{} > {}", capped.heap_bytes(), bound(500));
+        assert!(capped.heap_bytes() <= bound(capped.node_count()));
+        // The uncapped tree pays the per-node cost 20 000 times.
+        assert_eq!(st.heap_bytes(), bound(20_000));
+    }
+
+    #[test]
     fn empty_tree_is_unchanged() {
         let g = GraphBuilder::new().build();
         let scalar: Vec<f64> = vec![];

@@ -253,6 +253,26 @@ impl SuperScalarTree {
         self.node_of.len()
     }
 
+    /// Bytes held by the arena: the summed byte length of its arrays (not
+    /// their spare capacity, nor the struct itself): exactly 40 bytes per
+    /// node, 8 per element — `member_ids` and `node_of` hold one `u32` each
+    /// per element — and 8 for the two offset arrays' closing entries, so a
+    /// tree capped at a node budget weighs O(budget + elements).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.scalar.as_slice())
+            + size_of_val(self.parent.as_slice())
+            + size_of_val(self.subtree_end.as_slice())
+            + size_of_val(self.depth.as_slice())
+            + size_of_val(self.child_offsets.as_slice())
+            + size_of_val(self.child_ids.as_slice())
+            + size_of_val(self.member_offsets.as_slice())
+            + size_of_val(self.member_ids.as_slice())
+            + size_of_val(self.depth_order.as_slice())
+            + size_of_val(self.roots.as_slice())
+            + size_of_val(self.node_of.as_slice())
+    }
+
     /// Scalar value of super node `node`.
     #[inline]
     pub fn scalar(&self, node: u32) -> f64 {

@@ -15,7 +15,8 @@
 //! `scene.gtsc` so CI can byte-diff a re-requested tile). A second tile of
 //! the same graph and measure must render from the retained scene: `/stats`
 //! `scenes.builds` may not grow. Two terrain widths of a measure not used
-//! before must compute its scalar field once: `scalars.builds` grows by 1.
+//! before must compute its scalar field once and build its render tree
+//! once: `scalars.builds` and `render_trees.builds` each grow by 1.
 //!
 //! ```text
 //! route_smoke --addr <host:port> --graph <path> [--out-dir <dir>]
@@ -211,19 +212,23 @@ fn main() {
             format!("scenes.builds went {builds_before} -> {builds_after}; the scene was rebuilt"),
         );
     }
-    // Two terrain widths of one measure share its retained scalar field.
-    let scalar_builds_before = builds("scalars");
+    // Two terrain widths of one measure share its retained scalar field and
+    // its retained render tree.
+    let kinds = ["scalars", "render_trees"];
+    let builds_before = kinds.map(builds);
     for width in [640, 800] {
         let target = format!("/graphs/smoke/terrain?measure=pagerank&width={width}");
         let render = client::get(addr, &target).unwrap_or_else(|e| fail("terrain width", e));
         expect_status("terrain width", &render, 200);
     }
-    let scalar_builds = builds("scalars") - scalar_builds_before;
-    if scalar_builds != 1 {
-        fail(
-            "retained scalar",
-            format!("two terrain widths made {scalar_builds} scalar builds, expected 1"),
-        );
+    for (kind, before) in kinds.into_iter().zip(builds_before) {
+        let made = builds(kind) - before;
+        if made != 1 {
+            fail(
+                "retained state",
+                format!("two terrain widths made {made} {kind} builds, expected 1"),
+            );
+        }
     }
     for bad_target in ["/graphs/smoke/tiles/99/0/0", "/graphs/smoke/tiles/1/2/0"] {
         let out_of_grid =

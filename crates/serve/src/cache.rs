@@ -1,7 +1,7 @@
 //! A bounded LRU cache of shared values, keyed by a canonical string — the
-//! server keeps three: rendered artifacts keyed by their render parameters,
-//! and retained tile scenes and scalar fields, both keyed by (graph id,
-//! generation, measure).
+//! server keeps two: rendered artifacts keyed by their render parameters,
+//! and the retained store of scalar fields, render trees and tile scenes,
+//! keyed by graph id, generation, stage and the stage's parameters.
 //!
 //! Because the pipeline is deterministic — the same graph and settings
 //! produce bit-identical artifacts at every thread count — a cache hit is
@@ -22,7 +22,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use graph_terrain::Scene;
 use ugraph::io::fnv1a64;
 
 /// A value an [`LruCache`] can hold: it reports the bytes it charges
@@ -49,14 +48,6 @@ impl Weighted for CachedArtifact {
     /// The body length.
     fn weight(&self) -> usize {
         self.bytes.len()
-    }
-}
-
-impl Weighted for Scene {
-    /// The item array (the quadtree index and the configurations are not
-    /// counted). The server bounds scenes by count, not by bytes.
-    fn weight(&self) -> usize {
-        std::mem::size_of_val(self.items())
     }
 }
 
@@ -194,6 +185,12 @@ impl<V: Weighted + ?Sized> LruCache<V> {
     /// Look up a key without touching recency or the counters (tests).
     pub fn peek(&self, key: &str) -> Option<&Arc<V>> {
         self.map.get(key).and_then(|&slot| self.slots[slot].value.as_ref())
+    }
+
+    /// Every resident value, in no particular order, without touching
+    /// recency or the counters.
+    pub fn values(&self) -> impl Iterator<Item = &Arc<V>> {
+        self.map.values().filter_map(|&slot| self.slots[slot].value.as_ref())
     }
 
     /// Insert (or replace) a value at most-recently-used, then evict from

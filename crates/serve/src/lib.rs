@@ -17,9 +17,10 @@
 //!
 //! Module map: [`http`] (hand-rolled request/response layer with typed
 //! errors), [`error`] (structured JSON API errors), [`cache`] (the bounded
-//! LRU, one instance each for rendered artifacts, retained tile scenes and
-//! retained scalar fields), [`flight`] (single-flight builds for all
-//! three), [`state`] (graph registry + shared counters), [`routes`] (the
+//! LRU, one instance for rendered artifacts and one for the retained store
+//! of scalar fields, render trees and tile scenes), [`flight`]
+//! (single-flight builds for both), [`state`] (graph registry, retained
+//! store + shared counters), [`routes`] (the
 //! handlers and their one fetch-or-build helper), [`server`] (accept loop
 //! and worker pool), [`client`] (the matching minimal client).
 //!

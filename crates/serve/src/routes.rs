@@ -24,36 +24,41 @@
 //! and the key — *not* on `budget`/`levels` (tiles render the unsimplified
 //! tree) and not on `threads` — which is exactly what the cache key embeds.
 //!
-//! Retained scalar fields: every terrain, peaks and scene build starts from
-//! the measure's scalar field, an `Arc<[f64]>` retained per (graph id,
-//! generation, measure) in [`AppState::scalars`], a third instance of the
-//! artifact cache's [`LruCache`], bounded to
-//! [`RETAINED_SCALARS`](crate::state::RETAINED_SCALARS) entries and
-//! [`RETAINED_SCALAR_BYTES`](crate::state::RETAINED_SCALAR_BYTES). A terrain
-//! miss at a new width, budget or level count therefore rebuilds the trees
-//! and the geometry but not the measure. `threads` is not in the key: every
-//! measure is thread-count invariant. Only the field is retained; the
-//! session over it, and its trees, are dropped before the request ends.
+//! Retained state: what a render starts from is kept per graph generation
+//! in one store, [`AppState::retained`] (a second instance of the artifact
+//! cache's [`LruCache`], bounded to
+//! [`RETAINED_ENTRIES`](crate::state::RETAINED_ENTRIES) values of every kind
+//! together and [`RETAINED_BYTES`](crate::state::RETAINED_BYTES)), keyed
+//! `"{id}|gen={generation}|{stage}|{params}"`:
 //!
-//! Retained scenes: tiles and `/scene` render from an `Arc<Scene>` retained
-//! per (graph id, generation, measure) in [`AppState::scenes`], bounded to
-//! [`RETAINED_SCENES`](crate::state::RETAINED_SCENES) entries. A miss builds
-//! the scene once, in a throwaway session over the retained scalar field,
-//! and every later tile of that graph and measure is just a tile write.
+//! - `scalar|measure={m}`: the measure's scalar field, an `Arc<[f64]>`.
+//!   Every render tree and scene build starts from it.
+//! - `render_tree|measure={m}|budget={b}|levels={l}`: the super tree snapped
+//!   and capped at the budget, an `Arc<SuperScalarTree>` (within budget, the
+//!   super tree itself). Terrains and peaks lay out and render from it, so a
+//!   terrain miss that changes only the width, height, color or exporter
+//!   runs layout, mesh and export, not the tree chain. The unsimplified
+//!   super tree behind it is dropped once the render tree is built.
+//! - `scene|measure={m}`: the tile scene, an `Arc<Scene>`, built once in a
+//!   throwaway session over the retained scalar field; every later tile of
+//!   that graph and measure is just a tile write.
 //!
-//! Fetch or build: artifacts, scenes and scalar fields go through one
-//! helper, `fetch_or_build`. It looks the key up in its LRU; on a miss,
-//! concurrent requests for one key build once ([`crate::flight`]) and
-//! waiters answer with the builder's value; the value is published only
-//! while its graph is still the one registered under its id.
+//! `threads` is in no key: every measure is thread-count invariant.
+//!
+//! Fetch or build: artifacts and retained values go through one helper,
+//! `fetch_or_build`. It looks the key up in its LRU; on a miss, concurrent
+//! requests for one key build once ([`crate::flight`]) and waiters answer
+//! with the builder's value; the value is published only while its graph is
+//! still the one registered under its id. A render-tree build fetches its
+//! scalar field through the same flight table, under another key.
 //!
 //! Deltas: the body is an edge batch in any [`GraphFormat`] (same `format`
 //! parameter as uploads) and `op` (`insert` | `delete` | `reweight`,
 //! default `insert`) is applied to every edge in it through
 //! [`ugraph::delta::apply`], which alone decides whether the graph changed.
 //! A structural delta registers the compacted graph under the same id and
-//! evicts the id's cached artifacts, retained scenes and scalar fields —
-//! their ETags change because the bytes do. A no-op batch (all redundant)
+//! evicts the id's cached artifacts and retained state — their ETags
+//! change because the bytes do. A no-op batch (all redundant)
 //! leaves the graph, the cache, and every ETag untouched. `DELETE
 //! /graphs/{id}` likewise evicts everything held for the id, so a later
 //! upload under the same id cannot alias stale bytes.
@@ -61,9 +66,9 @@
 //! Render parameters: `measure` (kcore | degree | pagerank | closeness |
 //! betweenness | ktruss | edge-triangles), `samples` (betweenness, in
 //! `[1, 4096]`) and `seed`, `format` (exporter backend), `width`/`height`
-//! (SVG px, in `(0, 16384]`), `color` (height | degree), `budget` (`none`
-//! or a node count of at least 1: a hard cap on the rendered tree), `levels`
-//! (at least 1),
+//! (SVG px, in `(0, 16384]`), `color` (height | degree), `budget` (a node
+//! count in `[1, MAX_RENDER_NODES]`, a hard cap on the rendered tree, or
+//! `none`, served as [`MAX_RENDER_NODES`]), `levels` (at least 1),
 //! `threads` (`serial`, `auto` or a thread count in [1, 64] —
 //! deliberately *excluded* from the cache key: at the server's fixed chunk
 //! width the pipeline's determinism contract makes artifacts
@@ -86,7 +91,8 @@ use crate::cache::{etag_for_key, CachedArtifact, LruCache, Weighted};
 use crate::error::{json_f64, json_string, ApiError};
 use crate::flight::{SingleFlight, Source};
 use crate::http::{Method, Request, Response};
-use crate::state::{AppState, GraphEntry};
+use crate::state::{AppState, GraphEntry, Retained, RetainedKind, RetainedStats};
+use graph_terrain::scalarfield::SuperScalarTree;
 use graph_terrain::{
     FieldKind, LodConfig, Measure, Scene, SharedGraph, SimplificationConfig, SvgSize,
     TerrainPipeline, TileKey,
@@ -108,6 +114,15 @@ const MAX_SVG_PX: f64 = 16_384.0;
 
 /// Most betweenness source samples one request may ask for.
 const MAX_SAMPLES: usize = 4_096;
+
+/// Largest render tree one request may ask for, in nodes: a numeric
+/// `budget` above it is a 400 and `budget=none` is served as this cap. It
+/// lies above every super tree of the 1M R-MAT rung (131 072 vertices, so at
+/// most that many nodes for a vertex measure; PageRank's has 120 191), which
+/// therefore renders unsimplified under `none`, and above a 60 000-vertex
+/// graph's. On the 10M rung, where `none` used to render PageRank's 476k
+/// nodes, it bounds the render and every retained render tree.
+pub const MAX_RENDER_NODES: usize = 150_000;
 
 /// Dispatch a parsed request; never panics, never leaks a raw error. A
 /// panicking handler is caught here and answered with a typed 500, so it
@@ -335,15 +350,19 @@ fn parse_render_params(req: &Request) -> Result<RenderParams, ApiError> {
         return Err(ApiError::invalid_parameter("levels", "levels must be at least 1"));
     }
     let node_budget = match req.query_param("budget") {
-        None => SimplificationConfig::default().node_budget,
-        Some("none") => None,
-        Some(raw) => Some(numeric_param("budget", raw)?),
+        None => SimplificationConfig::default().node_budget.expect("the default is capped"),
+        Some("none") => MAX_RENDER_NODES,
+        Some(raw) => numeric_param("budget", raw)?,
     };
-    if node_budget == Some(0) {
-        // A non-empty render tree cannot fit in zero nodes.
-        return Err(ApiError::invalid_parameter("budget", "budget must be at least 1 or none"));
+    if !(1..=MAX_RENDER_NODES).contains(&node_budget) {
+        // A non-empty render tree cannot fit in zero nodes; the cap bounds
+        // every render and every retained render tree.
+        return Err(ApiError::invalid_parameter(
+            "budget",
+            format!("budget must lie in [1, {MAX_RENDER_NODES}] or be none, got {node_budget}"),
+        ));
     }
-    let simplification = SimplificationConfig { node_budget, levels };
+    let simplification = SimplificationConfig { node_budget: Some(node_budget), levels };
     let svg_size = SvgSize {
         width_px: svg_px_param(req, "width", SvgSize::default().width_px)?,
         height_px: svg_px_param(req, "height", SvgSize::default().height_px)?,
@@ -464,13 +483,9 @@ fn numeric_param<T: std::str::FromStr>(name: &'static str, raw: &str) -> Result<
 /// conditional requests, not answer them with `304` for vanished bytes.
 fn render_cache_key(entry: &GraphEntry, p: &RenderParams) -> String {
     format!(
-        "{graph_id}|terrain|gen={generation}|measure={}|budget={}|levels={}|layout=default|mesh=default|color={}|svg={}x{}|exporter={}",
+        "{graph_id}|terrain|gen={generation}|measure={}|{}|layout=default|mesh=default|color={}|svg={}x{}|exporter={}",
         measure_canonical(&p.measure),
-        match p.simplification.node_budget {
-            Some(n) => n.to_string(),
-            None => "none".to_string(),
-        },
-        p.simplification.levels,
+        simplification_key(p.simplification),
         match p.color {
             ColorChoice::Height => "height",
             ColorChoice::Degree => "degree",
@@ -481,6 +496,13 @@ fn render_cache_key(entry: &GraphEntry, p: &RenderParams) -> String {
         graph_id = entry.id,
         generation = entry.generation,
     )
+}
+
+/// The render tree's part of a key: `budget={b}|levels={l}` (a served
+/// budget is always a number: `none` is parsed as [`MAX_RENDER_NODES`]).
+fn simplification_key(simplification: SimplificationConfig) -> String {
+    let budget = simplification.node_budget.expect("served render trees are capped");
+    format!("budget={budget}|levels={}", simplification.levels)
 }
 
 fn measure_canonical(measure: &Measure) -> String {
@@ -506,8 +528,8 @@ fn terrain(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiErr
     let params = parse_render_params(req)?;
     let key = render_cache_key(&entry, &params);
     serve_cached(state, req, &entry, &key, || {
-        with_session(state, &entry, params.measure, params.parallelism, |session| {
-            session.set_simplification(params.simplification);
+        let (measure, simplification) = (params.measure.clone(), params.simplification);
+        with_session(state, &entry, measure, simplification, params.parallelism, |session, _| {
             if params.color == ColorChoice::Degree {
                 let degrees: Vec<f64> = measures::degrees(entry.graph.storage())
                     .into_iter()
@@ -545,12 +567,13 @@ fn peaks(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError
             None => format!("count={count}"),
         }
     );
+    let simplification = SimplificationConfig::default();
     serve_cached(state, req, &entry, &key, || {
-        with_session(state, &entry, measure, parallelism, |session| {
-            let stages = session.stages()?;
+        with_session(state, &entry, measure, simplification, parallelism, |session, tree| {
+            let layout = session.layout()?;
             let peaks = match alpha {
-                Some(a) => peaks_at_alpha(stages.render_tree, stages.layout, a),
-                None => highest_peaks(stages.render_tree, stages.layout, count),
+                Some(a) => peaks_at_alpha(tree, layout, a),
+                None => highest_peaks(tree, layout, count),
             };
             let body = peaks_json(id, &measure_name, alpha, &peaks);
             Ok((body.into_bytes(), "application/json"))
@@ -654,15 +677,29 @@ fn scene_document(state: &AppState, req: &Request, id: &str) -> Result<Response,
     })
 }
 
-/// The key of everything retained for `entry` under `measure` (its scene
-/// and its scalar field): `"{id}|gen={generation}|measure={canonical}"`.
-fn retained_key(entry: &GraphEntry, measure: &Measure) -> String {
-    format!("{}|gen={}|measure={}", entry.id, entry.generation, measure_canonical(measure))
+/// The retained value of `kind` for `entry` under `params`: a resident one
+/// when there is one, else built once however many requests race its key
+/// `"{id}|gen={generation}|{stage}|{params}"`. Counted per kind for
+/// `/stats`.
+fn retained(
+    state: &AppState,
+    entry: &Arc<GraphEntry>,
+    kind: RetainedKind,
+    params: &str,
+    build: impl FnOnce() -> Result<Retained, ApiError>,
+) -> Result<Retained, ApiError> {
+    let key = format!("{}|gen={}|{}|{params}", entry.id, entry.generation, kind.stage());
+    let (value, source) =
+        fetch_or_build(state, entry, &state.retained, &state.retained_flights, &key, || {
+            build().map(Arc::new)
+        })?;
+    debug_assert_eq!(value.kind(), kind, "{key}");
+    state.record_retained(kind, source, &value);
+    Ok(Retained::clone(&value))
 }
 
-/// The retained scene of `entry` under `measure`: a retained one when there
-/// is one, else built once however many requests race it. The build runs in
-/// a throwaway session over the retained scalar field that hands its scene
+/// The retained scene of `entry` under `measure`. The build runs in a
+/// throwaway session over the retained scalar field that hands its scene
 /// over and is dropped before this returns, so no tree outlives the
 /// request. The build's stage seconds reach `/stats` once, here, not once
 /// per tile.
@@ -672,38 +709,67 @@ fn retained_scene(
     measure: Measure,
     parallelism: Parallelism,
 ) -> Result<Arc<Scene>, ApiError> {
-    let key = retained_key(entry, &measure);
-    fetch_or_build(state, entry, &state.scenes, &state.scene_flights, &key, || {
+    let params = format!("measure={}", measure_canonical(&measure));
+    let value = retained(state, entry, RetainedKind::Scene, &params, || {
         let mut session = session_over_retained_scalar(state, entry, measure, parallelism)?;
         session.scene()?;
         let timings = session.timings();
         let scene = session.into_scene()?;
         state.stage_totals.lock().expect("stage totals lock").absorb(&timings);
-        Ok(Arc::new(scene))
-    })
-    .map(|(scene, _)| scene)
+        Ok(Retained::Scene(Arc::new(scene)))
+    })?;
+    let Retained::Scene(scene) = value else { unreachable!("a scene key holds a scene") };
+    Ok(scene)
 }
 
-/// The scalar field of `entry` under `measure`: a retained one when there
-/// is one, else computed once at `parallelism` however many requests race
-/// it (the field is the same at every thread count, so the first request's
-/// budget serves them all). The computation's seconds reach `/stats` once,
-/// here, not once per session that starts from the field.
+/// The retained render tree of `entry` under `measure` and
+/// `simplification`. The build runs the tree chain (scalar tree, super
+/// tree, snap and cap) in a throwaway session over the retained scalar
+/// field; only the render tree it hands out is kept. Its stage seconds
+/// reach `/stats` once, here, not once per artifact rendered from it.
+fn retained_render_tree(
+    state: &AppState,
+    entry: &Arc<GraphEntry>,
+    measure: &Measure,
+    simplification: SimplificationConfig,
+    parallelism: Parallelism,
+) -> Result<Arc<SuperScalarTree>, ApiError> {
+    let params =
+        format!("measure={}|{}", measure_canonical(measure), simplification_key(simplification));
+    let value = retained(state, entry, RetainedKind::RenderTree, &params, || {
+        let mut session = session_over_retained_scalar(state, entry, measure.clone(), parallelism)?;
+        session.set_simplification(simplification);
+        let tree = session.shared_render_tree()?;
+        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
+        Ok(Retained::RenderTree(tree))
+    })?;
+    let Retained::RenderTree(tree) = value else {
+        unreachable!("a render-tree key holds a render tree")
+    };
+    Ok(tree)
+}
+
+/// The scalar field of `entry` under `measure`, computed once at
+/// `parallelism` however many requests race it (the field is the same at
+/// every thread count, so the first request's budget serves them all). The
+/// computation's seconds reach `/stats` once, here, not once per session
+/// that starts from the field.
 fn retained_scalar(
     state: &AppState,
     entry: &Arc<GraphEntry>,
     measure: &Measure,
     parallelism: Parallelism,
 ) -> Result<Arc<[f64]>, ApiError> {
-    let key = retained_key(entry, measure);
-    fetch_or_build(state, entry, &state.scalars, &state.scalar_flights, &key, || {
+    let params = format!("measure={}", measure_canonical(measure));
+    let value = retained(state, entry, RetainedKind::Scalar, &params, || {
         let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure.clone());
         session.set_parallelism(parallelism);
         let scalar = session.shared_scalar()?;
         state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok(scalar)
-    })
-    .map(|(scalar, _)| scalar)
+        Ok(Retained::Scalar(scalar))
+    })?;
+    let Retained::Scalar(scalar) = value else { unreachable!("a scalar key holds a scalar") };
+    Ok(scalar)
 }
 
 /// A fresh session on the entry's shared graph that starts from the
@@ -786,8 +852,8 @@ fn serve_cached(
     Ok(artifact_response(&artifact, if source == Source::Found { "hit" } else { "miss" }))
 }
 
-/// The one fetch-or-build protocol behind every retained value — rendered
-/// artifacts, tile scenes and scalar fields alike: look `key` up in
+/// The one fetch-or-build protocol behind every cached value — rendered
+/// artifacts and the retained store alike: look `key` up in
 /// `store`; on a miss, `build` once however many requests race the key
 /// (`flights`), and publish the value to `store` only while `entry` is
 /// still the graph registered under its id. The check runs with the store's lock held: a delta or
@@ -815,18 +881,26 @@ fn fetch_or_build<V: Weighted + ?Sized>(
 }
 
 /// The render side of a terrain or peaks miss: run `render` over a fresh
-/// session that starts from the retained scalar field, then fold the
-/// session's stage timings into `/stats` (only for renders that succeed;
-/// the scalar field's seconds were counted when it was computed).
+/// session that starts from the retained render tree (also handed to
+/// `render`), then fold the session's stage timings — layout, mesh, export
+/// — into `/stats` (only for renders that succeed; the tree chain's seconds
+/// were counted when the render tree was built).
 fn with_session<T>(
     state: &AppState,
     entry: &Arc<GraphEntry>,
     measure: Measure,
+    simplification: SimplificationConfig,
     parallelism: Parallelism,
-    render: impl FnOnce(&mut TerrainPipeline<'static>) -> Result<T, ApiError>,
+    render: impl FnOnce(&mut TerrainPipeline<'static>, &SuperScalarTree) -> Result<T, ApiError>,
 ) -> Result<T, ApiError> {
-    let mut session = session_over_retained_scalar(state, entry, measure, parallelism)?;
-    let rendered = render(&mut session)?;
+    let tree = retained_render_tree(state, entry, &measure, simplification, parallelism)?;
+    let mut session = TerrainPipeline::from_shared_render_tree(
+        entry.graph.clone(),
+        measure,
+        simplification,
+        Arc::clone(&tree),
+    )?;
+    let rendered = render(&mut session, &tree)?;
     state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
     Ok(rendered)
 }
@@ -841,10 +915,11 @@ fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
 
 fn stats(state: &AppState) -> Response {
     let cache = state.cache.lock().expect("cache lock").stats();
-    let scenes = state.scenes.lock().expect("scenes lock").stats();
-    let scalars = state.scalars.lock().expect("scalars lock").stats();
-    let waits =
-        state.artifact_flights.waits() + state.scene_flights.waits() + state.scalar_flights.waits();
+    let retained = state.retained.lock().expect("retained lock").stats();
+    let scalars = state.retained_stats(RetainedKind::Scalar);
+    let scenes = state.retained_stats(RetainedKind::Scene);
+    let render_trees = state.retained_stats(RetainedKind::RenderTree);
+    let waits = state.artifact_flights.waits() + state.retained_flights.waits();
     let totals = state.stage_totals.lock().expect("stage totals lock").clone();
     let load = std::sync::atomic::Ordering::Relaxed;
     let body = format!(
@@ -855,9 +930,8 @@ fn stats(state: &AppState) -> Response {
             "\"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{},\"evictions\":{},",
             "\"insertions\":{},\"uncacheable\":{},\"entries\":{},\"bytes\":{},",
             "\"capacity\":{},\"max_bytes\":{}}},",
-            "\"scenes\":{{\"entries\":{},\"builds\":{},\"hits\":{}}},",
-            "\"scalars\":{{\"entries\":{},\"bytes\":{},\"max_bytes\":{},\"builds\":{},",
-            "\"hits\":{},\"uncacheable\":{}}},",
+            "\"retained\":{{\"entries\":{},\"bytes\":{},\"max_bytes\":{}}},",
+            "\"scalars\":{},\"render_trees\":{},\"scenes\":{},",
             "\"single_flight_waits\":{},",
             "\"stage_seconds\":{{\"renders\":{},\"scalar\":{},\"tree\":{},\"super_tree\":{},",
             "\"simplify\":{},\"layout\":{},\"mesh\":{},\"svg\":{},\"scene\":{}}}}}"
@@ -879,16 +953,12 @@ fn stats(state: &AppState) -> Response {
         cache.bytes,
         cache.capacity,
         cache.max_bytes,
-        scenes.entries,
-        scenes.insertions,
-        scenes.hits,
-        scalars.entries,
-        scalars.bytes,
-        scalars.max_bytes,
-        // A field refused as oversize was still built, once per refusal.
-        scalars.insertions + scalars.uncacheable,
-        scalars.hits,
-        scalars.uncacheable,
+        retained.entries,
+        retained.bytes,
+        retained.max_bytes,
+        retained_json(&scalars, retained.max_bytes),
+        retained_json(&render_trees, retained.max_bytes),
+        retained_json(&scenes, retained.max_bytes),
         waits,
         totals.renders,
         json_f64(totals.scalar_seconds),
@@ -901,6 +971,14 @@ fn stats(state: &AppState) -> Response {
         json_f64(totals.scene_seconds),
     );
     Response::json(200, body)
+}
+
+/// One kind's view of the retained store; `max_bytes` is the store's.
+fn retained_json(stats: &RetainedStats, max_bytes: usize) -> String {
+    format!(
+        "{{\"entries\":{},\"bytes\":{},\"max_bytes\":{max_bytes},\"builds\":{},\"hits\":{},\"uncacheable\":{}}}",
+        stats.entries, stats.bytes, stats.builds, stats.hits, stats.uncacheable
+    )
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Shared server state: the named-graph registry, the artifact cache, the
-//! retained scenes and scalar fields, the single-flight slots, and the
-//! counters behind `/stats`.
+//! retained store, the single-flight slots, and the counters behind
+//! `/stats`.
 //!
 //! One [`AppState`] is shared by every worker thread through an `Arc`. The
 //! registry maps graph ids to [`SharedGraph`]s — uploading a v3 snapshot
@@ -8,34 +8,122 @@
 //! concurrent sessions borrow (an upload is stored once no matter how many
 //! workers render from it); any other format parses into an owned graph
 //! behind the same `Arc`. Locking is coarse but short: the registry is a
-//! `RwLock` (reads vastly dominate), the artifact cache, the retained
-//! scenes and the retained scalar fields — three instances of one
-//! [`LruCache`] — a `Mutex` each, held only for lookup/insert; renders,
-//! scene builds and measure computations always run outside every lock.
+//! `RwLock` (reads vastly dominate), the artifact cache and the retained
+//! store — two instances of one [`LruCache`] — a `Mutex` each, held only
+//! for lookup/insert; renders, tree and scene builds and measure
+//! computations always run outside every lock.
+//!
+//! The retained store keeps what a render starts from, per graph
+//! generation: scalar fields, capped render trees and tile scenes, each a
+//! [`Retained`] variant. They share one entry bound
+//! ([`RETAINED_ENTRIES`]), one byte budget ([`RETAINED_BYTES`]), one flight
+//! table and one key scheme, `"{id}|gen={generation}|{stage}|{params}"`,
+//! so one `"{id}|"` prefix sweep evicts all of a graph's retained state.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use crate::cache::{CachedArtifact, LruCache};
+use crate::cache::{CachedArtifact, LruCache, Weighted};
 use crate::error::ApiError;
-use crate::flight::SingleFlight;
+use crate::flight::{SingleFlight, Source};
+use graph_terrain::scalarfield::SuperScalarTree;
 use graph_terrain::{Scene, SharedGraph, StageTimings};
 
-/// Scenes retained at once, a fixed bound beside the configurable artifact
-/// bounds. On the 1M R-MAT rung a scene holds a few dozen items, so these
-/// cost next to nothing; the scenes carry no byte bound.
-pub const RETAINED_SCENES: usize = 16;
+/// Values the retained store holds at once, of every kind together.
+pub const RETAINED_ENTRIES: usize = 64;
 
-/// Scalar fields retained at once. A field is one `f64` per vertex or per
-/// edge of one graph generation under one measure.
-pub const RETAINED_SCALARS: usize = 16;
+/// Byte bound of the retained store. A scalar field weighs 8 bytes per
+/// vertex or edge; a render tree 40 bytes per node and 8 per vertex or edge
+/// ([`SuperScalarTree::heap_bytes`]), so at the server's node cap of
+/// 150 000 a render tree over the 10M rung's ~10M edges (~87 MB) still
+/// fits, as do eight of its 1M-vertex fields (8 MiB each). A value alone
+/// above the budget is `uncacheable` and is rebuilt by every request that
+/// needs it.
+pub const RETAINED_BYTES: usize = 128 << 20;
 
-/// Byte bound of the retained scalar fields: eight fields of the 10M rung's
-/// 1M vertices (8 MiB each). A field alone above it is `uncacheable` and is
-/// recomputed by every session that needs it.
-pub const RETAINED_SCALAR_BYTES: usize = 64 << 20;
+/// One value of the retained store: a stage a render starts from, shared by
+/// every session that starts from it.
+#[derive(Clone, Debug)]
+pub enum Retained {
+    /// A measure's scalar field (one `f64` per vertex or edge).
+    Scalar(Arc<[f64]>),
+    /// A tile scene over the unsimplified super tree.
+    Scene(Arc<Scene>),
+    /// A render tree: the super tree snapped and capped at a node budget.
+    RenderTree(Arc<SuperScalarTree>),
+}
+
+impl Retained {
+    /// Which kind of value this is.
+    pub fn kind(&self) -> RetainedKind {
+        match self {
+            Retained::Scalar(_) => RetainedKind::Scalar,
+            Retained::Scene(_) => RetainedKind::Scene,
+            Retained::RenderTree(_) => RetainedKind::RenderTree,
+        }
+    }
+}
+
+impl Weighted for Retained {
+    /// The value's own arrays: a field's buffer, a scene's items and index,
+    /// a render tree's arena.
+    fn weight(&self) -> usize {
+        match self {
+            Retained::Scalar(field) => field.weight(),
+            Retained::Scene(scene) => scene.heap_bytes(),
+            Retained::RenderTree(tree) => tree.heap_bytes(),
+        }
+    }
+}
+
+/// The kinds of [`Retained`] values, each with its own `/stats` view.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum RetainedKind {
+    /// [`Retained::Scalar`].
+    Scalar,
+    /// [`Retained::Scene`].
+    Scene,
+    /// [`Retained::RenderTree`].
+    RenderTree,
+}
+
+impl RetainedKind {
+    /// The `{stage}` segment of the kind's store keys.
+    pub fn stage(self) -> &'static str {
+        match self {
+            RetainedKind::Scalar => "scalar",
+            RetainedKind::Scene => "scene",
+            RetainedKind::RenderTree => "render_tree",
+        }
+    }
+}
+
+/// Per-kind counters of the retained store (`/stats` `scalars`, `scenes`
+/// and `render_trees`).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct RetainedStats {
+    /// Values of the kind resident right now.
+    pub entries: usize,
+    /// Their summed weight.
+    pub bytes: usize,
+    /// Values built on a miss (single-flight waiters do not build).
+    pub builds: u64,
+    /// Lookups that found a resident value.
+    pub hits: u64,
+    /// Builds whose value alone outweighed the store's byte budget, so it
+    /// was not kept.
+    pub uncacheable: u64,
+}
+
+/// The atomic counters behind one kind's [`RetainedStats`].
+#[derive(Default)]
+struct KindCounters {
+    builds: AtomicU64,
+    hits: AtomicU64,
+    uncacheable: AtomicU64,
+}
 
 /// Tunables fixed at server start.
 #[derive(Clone, Debug)]
@@ -92,9 +180,10 @@ pub struct GraphEntry {
 
 /// Per-stage wall-clock totals accumulated across every session the server
 /// ran, reported by `/stats` (the served-traffic analog of the per-run
-/// [`StageTimings`]). A retained scene's stages are absorbed once, when it
-/// is built, however many tiles it later serves; a retained scalar field's
-/// seconds likewise once per field, however many sessions start from it.
+/// [`StageTimings`]). A retained value's stages are absorbed once, when it
+/// is built, however many sessions start from it: a scene's however many
+/// tiles it serves, a render tree's (tree, super tree, simplify) however
+/// many terrains and peaks lists are rendered from it.
 #[derive(Clone, Debug, Default)]
 pub struct StageTotals {
     /// Artifacts rendered on a cache miss (one per miss that built its
@@ -142,16 +231,14 @@ pub struct AppState {
     pub cache: Mutex<LruCache<CachedArtifact>>,
     /// One render per missed artifact key, however many requests race it.
     pub artifact_flights: SingleFlight<Arc<CachedArtifact>>,
-    /// The retained tile scenes, keyed
-    /// `"{graph id}|gen={generation}|measure={canonical measure}"`.
-    pub scenes: Mutex<LruCache<Scene>>,
-    /// One build per missed scene key.
-    pub scene_flights: SingleFlight<Arc<Scene>>,
-    /// The retained scalar fields, keyed like the scenes. Every terrain,
-    /// peaks and scene build starts from one of these.
-    pub scalars: Mutex<LruCache<[f64]>>,
-    /// One measure computation per missed scalar key.
-    pub scalar_flights: SingleFlight<Arc<[f64]>>,
+    /// The retained store: scalar fields, render trees and tile scenes,
+    /// keyed `"{graph id}|gen={generation}|{stage}|{params}"`.
+    pub retained: Mutex<LruCache<Retained>>,
+    /// One build per missed retained key, whatever its kind. A render-tree
+    /// build fetches its scalar field through the same table.
+    pub retained_flights: SingleFlight<Arc<Retained>>,
+    /// Builds, hits and refusals per [`RetainedKind`], in declaration order.
+    retained_counters: [KindCounters; 3],
     /// Stage-seconds accumulated across cache-miss renders.
     pub stage_totals: Mutex<StageTotals>,
     next_id: AtomicU64,
@@ -177,10 +264,9 @@ impl AppState {
             registry: RwLock::new(BTreeMap::new()),
             cache: Mutex::new(cache),
             artifact_flights: SingleFlight::default(),
-            scenes: Mutex::new(LruCache::new(RETAINED_SCENES, usize::MAX)),
-            scene_flights: SingleFlight::default(),
-            scalars: Mutex::new(LruCache::new(RETAINED_SCALARS, RETAINED_SCALAR_BYTES)),
-            scalar_flights: SingleFlight::default(),
+            retained: Mutex::new(LruCache::new(RETAINED_ENTRIES, RETAINED_BYTES)),
+            retained_flights: SingleFlight::default(),
+            retained_counters: Default::default(),
             stage_totals: Mutex::new(StageTotals::default()),
             next_id: AtomicU64::new(1),
             next_generation: AtomicU64::new(0),
@@ -263,14 +349,51 @@ impl AppState {
         Some(entry)
     }
 
-    /// Evict everything held for graph `id` — its cached artifacts, its
-    /// retained scenes and scalar fields, every key under the `"{id}|"`
-    /// prefix — returning how many artifacts went.
+    /// Evict everything held for graph `id` — its cached artifacts and its
+    /// retained state, every key under the `"{id}|"` prefix — returning how
+    /// many artifacts went.
     pub fn evict_graph(&self, id: &str) -> usize {
         let prefix = format!("{id}|");
-        self.scalars.lock().expect("scalars lock").evict_prefix(&prefix);
-        self.scenes.lock().expect("scenes lock").evict_prefix(&prefix);
+        self.retained.lock().expect("retained lock").evict_prefix(&prefix);
         self.cache.lock().expect("cache lock").evict_prefix(&prefix)
+    }
+
+    /// Count one retained-store lookup of `kind` that ended in `source`,
+    /// with the value it returned.
+    pub fn record_retained(&self, kind: RetainedKind, source: Source, value: &Retained) {
+        let counters = &self.retained_counters[kind as usize];
+        match source {
+            Source::Found => {
+                counters.hits.fetch_add(1, Ordering::Relaxed);
+            }
+            Source::Built => {
+                counters.builds.fetch_add(1, Ordering::Relaxed);
+                let max_bytes = self.retained.lock().expect("retained lock").stats().max_bytes;
+                if value.weight() > max_bytes {
+                    counters.uncacheable.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Source::Waited => {}
+        }
+    }
+
+    /// The `/stats` view of one kind of retained value.
+    pub fn retained_stats(&self, kind: RetainedKind) -> RetainedStats {
+        let (entries, bytes) = self
+            .retained
+            .lock()
+            .expect("retained lock")
+            .values()
+            .filter(|value| value.kind() == kind)
+            .fold((0, 0), |(entries, bytes), value| (entries + 1, bytes + value.weight()));
+        let counters = &self.retained_counters[kind as usize];
+        RetainedStats {
+            entries,
+            bytes,
+            builds: counters.builds.load(Ordering::Relaxed),
+            hits: counters.hits.load(Ordering::Relaxed),
+            uncacheable: counters.uncacheable.load(Ordering::Relaxed),
+        }
     }
 
     /// All registered graphs in id order.
@@ -328,6 +451,23 @@ mod tests {
         assert!(state.graph("g1").is_none());
         let reuploaded = state.insert_graph(Some("g1".into()), tiny_graph()).unwrap();
         assert_eq!(reuploaded.generation, 3, "a re-upload never reuses a generation");
+    }
+
+    #[test]
+    fn retained_values_weigh_their_arrays() {
+        let mut session = graph_terrain::TerrainPipeline::from_shared(
+            tiny_graph(),
+            graph_terrain::Measure::Degree,
+        );
+        let field = session.shared_scalar().unwrap();
+        let tree = session.shared_render_tree().unwrap();
+        let scene = Arc::new(session.scene().unwrap().clone());
+        assert_eq!(Retained::Scalar(field).weight(), 3 * 8);
+        assert_eq!(Retained::RenderTree(Arc::clone(&tree)).weight(), tree.heap_bytes());
+        // A scene is charged its quadtree index as well as its items.
+        let items = std::mem::size_of_val(scene.items());
+        assert!(scene.quadtree().heap_bytes() > 0);
+        assert_eq!(Retained::Scene(scene.clone()).weight(), items + scene.quadtree().heap_bytes());
     }
 
     #[test]

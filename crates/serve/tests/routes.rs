@@ -126,6 +126,8 @@ fn invalid_parameters_never_panic_and_name_the_param() {
         ("/graphs/g/terrain?measure=pagerank&levels=0", "levels"),
         ("/graphs/g/terrain?budget=0", "budget"),
         ("/graphs/g/terrain?measure=pagerank&budget=0", "budget"),
+        ("/graphs/g/terrain?budget=150001", "budget"),
+        ("/graphs/g/terrain?measure=pagerank&budget=99999999999", "budget"),
         ("/graphs/g/terrain?width=0", "width"),
         ("/graphs/g/terrain?width=-5", "width"),
         ("/graphs/g/terrain?width=16385", "width"),
@@ -159,6 +161,7 @@ fn invalid_parameters_never_panic_and_name_the_param() {
         "/graphs/g/terrain?width=16384&height=1",
         "/graphs/g/terrain?measure=betweenness&samples=1",
         "/graphs/g/terrain?measure=betweenness&samples=4096",
+        "/graphs/g/terrain?budget=150000",
     ] {
         assert_eq!(routes::handle(&state, &get(target)).status, 200, "{target}");
     }

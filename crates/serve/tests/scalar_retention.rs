@@ -10,7 +10,7 @@ use std::sync::{Arc, Barrier};
 use graph_terrain::{Measure, SharedGraph, TerrainPipeline};
 use serve::http::{Method, Request};
 use serve::routes;
-use serve::state::{AppState, ServerConfig, RETAINED_SCALARS};
+use serve::state::{AppState, ServerConfig, RETAINED_ENTRIES};
 use serve::LruCache;
 use ugraph::GraphStorage;
 
@@ -33,16 +33,25 @@ fn post(state: &AppState, target: &str, body: &[u8]) {
 }
 
 fn scalars(state: &AppState, counter: &str) -> u64 {
+    retained(state, "scalars", counter)
+}
+
+fn render_trees(state: &AppState, counter: &str) -> u64 {
+    retained(state, "render_trees", counter)
+}
+
+fn retained(state: &AppState, kind: &str, counter: &str) -> u64 {
     stats(state)
-        .get("scalars")
+        .get(kind)
         .and_then(|s| s.get(counter))
         .and_then(|v| v.as_u64())
-        .unwrap_or_else(|| panic!("/stats has no scalars.{counter}"))
+        .unwrap_or_else(|| panic!("/stats has no {kind}.{counter}"))
 }
 
 /// The retained fields' keys, most recently used first.
 fn scalar_keys(state: &AppState) -> Vec<String> {
-    state.scalars.lock().unwrap().keys_most_recent_first()
+    let keys = state.retained.lock().unwrap().keys_most_recent_first();
+    keys.into_iter().filter(|key| key.contains("|scalar|")).collect()
 }
 
 /// The default-size SVG terrain as a fresh in-process session renders it.
@@ -80,7 +89,11 @@ fn terrain_and_peaks_are_the_same_bytes_whichever_request_built_the_scalar() {
             assert_eq!(ok(&state, &terrain), reference, "{terrain} after {builder}");
             assert_eq!(ok(&state, &peaks), cold_peaks, "{peaks} after {builder}");
             assert_eq!(scalars(&state, "builds"), 1, "{builder}: one field per measure");
-            assert_eq!(scalars(&state, "hits"), 2, "{builder}: terrain and peaks reused it");
+            // Terrain and peaks each reused retained state once: the field,
+            // or the render tree built from it.
+            let reused = scalars(&state, "hits") + render_trees(&state, "hits");
+            assert_eq!(reused, 2, "{builder}: terrain and peaks reused it");
+            assert_eq!(render_trees(&state, "builds"), 1, "{builder}: one tree per budget");
         }
     }
 }
@@ -98,11 +111,14 @@ fn three_widths_peaks_and_a_tile_of_one_measure_compute_it_once() {
     let field = doc.get("scalars").unwrap();
     let count = |name: &str| field.get(name).and_then(|v| v.as_u64()).unwrap();
     assert_eq!(count("builds"), 1);
-    assert_eq!(count("hits"), 4);
+    // The first terrain's render tree and the tile's scene start from the
+    // field; the other widths and peaks start from the render tree.
+    assert_eq!(count("hits"), 1);
+    assert_eq!((render_trees(&state, "builds"), render_trees(&state, "hits")), (1, 3));
     assert_eq!(count("entries"), 1);
     assert_eq!(count("bytes"), 8 * graph.storage().vertex_count() as u64, "len * 8");
     assert_eq!(count("uncacheable"), 0);
-    assert_eq!(scalar_keys(&state), vec!["g|gen=0|measure=pagerank"]);
+    assert_eq!(scalar_keys(&state), vec!["g|gen=0|scalar|measure=pagerank"]);
     // Five artifacts rendered, one scene built; the field's seconds were
     // absorbed once, by its build.
     let renders = doc.get("stage_seconds").and_then(|s| s.get("renders")).unwrap();
@@ -136,7 +152,8 @@ fn concurrent_cold_terrains_and_tiles_of_one_measure_compute_it_once() {
         handles.into_iter().map(|h| h.join().expect("request thread")).collect()
     });
     assert_eq!(scalars(&state, "builds"), 1, "one PageRank for every cold request");
-    assert_eq!(state.scalar_flights.in_flight(), 0);
+    assert_eq!(render_trees(&state, "builds"), 1, "one render tree for the four widths");
+    assert_eq!(state.retained_flights.in_flight(), 0);
     // Every response is what a sequential server with a warm field serves.
     let sequential = state_with(&graph);
     for (target, body) in targets.iter().zip(&bodies) {
@@ -152,7 +169,10 @@ fn a_structural_delta_drops_the_old_generations_field() {
     for name in ["pagerank", "kcore"] {
         ok(&state, &format!("/graphs/g/terrain?measure={name}"));
     }
-    assert_eq!(scalar_keys(&state), vec!["g|gen=0|measure=k-core", "g|gen=0|measure=pagerank"]);
+    assert_eq!(
+        scalar_keys(&state),
+        vec!["g|gen=0|scalar|measure=k-core", "g|gen=0|scalar|measure=pagerank"]
+    );
 
     let batch = b"13 15\n15 16\n";
     post(&state, "/graphs/g/deltas", batch);
@@ -174,8 +194,8 @@ fn a_structural_delta_drops_the_old_generations_field() {
     assert_eq!(
         mutated_keys,
         vec![
-            format!("g|gen={generation}|measure=k-core"),
-            format!("g|gen={generation}|measure=pagerank"),
+            format!("g|gen={generation}|scalar|measure=k-core"),
+            format!("g|gen={generation}|scalar|measure=pagerank"),
         ]
     );
     assert_eq!(scalars(&state, "builds"), 6, "2 before, 2 after, 2 for the fresh upload");
@@ -201,7 +221,7 @@ fn delete_then_reupload_never_reuses_a_field() {
     );
     assert_eq!(scalars(&state, "builds"), 2);
     let generation = state.graph("g").unwrap().generation;
-    assert_eq!(scalar_keys(&state), vec![format!("g|gen={generation}|measure=pagerank")]);
+    assert_eq!(scalar_keys(&state), vec![format!("g|gen={generation}|scalar|measure=pagerank")]);
 }
 
 #[test]
@@ -214,7 +234,7 @@ fn a_field_computed_for_a_deleted_graph_serves_nothing_to_its_reupload() {
     let target = "/graphs/g/terrain?measure=pagerank";
     std::thread::scope(|s| {
         let cold = s.spawn(|| routes::handle(&state, &get(target)));
-        while state.scalar_flights.in_flight() == 0 && !cold.is_finished() {
+        while state.retained_flights.in_flight() == 0 && !cold.is_finished() {
             std::thread::yield_now();
         }
         let deleted =
@@ -227,16 +247,17 @@ fn a_field_computed_for_a_deleted_graph_serves_nothing_to_its_reupload() {
         assert_eq!(ok(&state, target), reference, "after the old computation ended");
     });
     let generation = state.graph("g").unwrap().generation;
-    assert_eq!(scalar_keys(&state), vec![format!("g|gen={generation}|measure=pagerank")]);
+    assert_eq!(scalar_keys(&state), vec![format!("g|gen={generation}|scalar|measure=pagerank")]);
 }
 
 #[test]
 fn a_field_over_the_byte_bound_is_refused_and_still_serves_exact_bytes() {
     let graph = SharedGraph::new(test_graph());
     let state = state_with(&graph);
-    // One entry short of the vertex field: the bound admits no vertex field.
+    // One entry short of the vertex field: the bound admits no vertex field
+    // (nor a render tree, which holds two `u32`s per vertex and its nodes).
     let max_bytes = 8 * (graph.storage().vertex_count() - 1);
-    *state.scalars.lock().unwrap() = LruCache::new(RETAINED_SCALARS, max_bytes);
+    *state.retained.lock().unwrap() = LruCache::new(RETAINED_ENTRIES, max_bytes);
     let reference = fresh_terrain(&graph, Measure::PageRank);
     assert_eq!(ok(&state, "/graphs/g/terrain?measure=pagerank"), reference);
     let resized = ok(&state, "/graphs/g/terrain?measure=pagerank&width=640");

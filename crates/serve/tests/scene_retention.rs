@@ -24,7 +24,8 @@ fn counter(doc: &serde_json::Value, path: &[&str]) -> u64 {
 
 /// The retained scenes' keys, most recently used first.
 fn scene_keys(state: &AppState) -> Vec<String> {
-    state.scenes.lock().unwrap().keys_most_recent_first()
+    let keys = state.retained.lock().unwrap().keys_most_recent_first();
+    keys.into_iter().filter(|key| key.contains("|scene|")).collect()
 }
 
 /// The tile as a fresh in-process session renders it.
@@ -74,7 +75,7 @@ fn structural_deltas_and_deletes_drop_the_old_graphs_scenes() {
     let state = state_with(&graph);
     let tile = "/graphs/g/tiles/1/0/1";
     let before = ok(&state, tile);
-    assert_eq!(scene_keys(&state), vec!["g|gen=0|measure=k-core"]);
+    assert_eq!(scene_keys(&state), vec!["g|gen=0|scene|measure=k-core"]);
 
     let delta = Request { method: Method::Post, body: b"13 15\n15 16\n".to_vec(), ..get("/") };
     let applied = routes::handle(&state, &Request { path: "/graphs/g/deltas".into(), ..delta });
@@ -85,7 +86,7 @@ fn structural_deltas_and_deletes_drop_the_old_graphs_scenes() {
     let after = ok(&state, tile);
     assert_eq!(after, fresh_tile(&mutated, Measure::KCore, KEY, 256));
     assert_ne!(after, before, "the delta changes the tile");
-    assert_eq!(scene_keys(&state), vec!["g|gen=1|measure=k-core"]);
+    assert_eq!(scene_keys(&state), vec!["g|gen=1|scene|measure=k-core"]);
 
     let deleted = routes::handle(&state, &Request { method: Method::Delete, ..get("/graphs/g") });
     assert_eq!(deleted.status, 200);
@@ -95,7 +96,7 @@ fn structural_deltas_and_deletes_drop_the_old_graphs_scenes() {
     // inherit anything built for the graph that was there before.
     state.insert_graph(Some("g".into()), graph.clone()).unwrap();
     assert_eq!(ok(&state, tile), before);
-    assert_eq!(scene_keys(&state), vec!["g|gen=2|measure=k-core"]);
+    assert_eq!(scene_keys(&state), vec!["g|gen=2|scene|measure=k-core"]);
     assert_eq!(counter(&stats(&state), &["scenes", "builds"]), 3);
 }
 
@@ -108,7 +109,7 @@ fn a_build_for_a_deleted_graph_serves_nothing_to_its_reupload() {
     let state = state_with(&old);
     std::thread::scope(|s| {
         let cold = s.spawn(|| routes::handle(&state, &get("/graphs/g/tiles/1/0/1")));
-        while state.scene_flights.in_flight() == 0 && !cold.is_finished() {
+        while state.retained_flights.in_flight() == 0 && !cold.is_finished() {
             std::thread::yield_now();
         }
         let deleted =
@@ -121,7 +122,7 @@ fn a_build_for_a_deleted_graph_serves_nothing_to_its_reupload() {
         assert_eq!(ok(&state, "/graphs/g/tiles/1/0/1"), reference, "after the old build ended");
     });
     let generation = state.graph("g").unwrap().generation;
-    let current = format!("g|gen={generation}|measure=k-core");
+    let current = format!("g|gen={generation}|scene|measure=k-core");
     assert_eq!(scene_keys(&state), vec![current], "nothing of the old graph");
 }
 
@@ -160,6 +161,6 @@ fn concurrent_cold_requests_for_one_tile_build_and_render_once() {
     assert_eq!(counter(&doc, &["stage_seconds", "renders"]), 1);
     let lookups = counter(&doc, &["cache", "hits"]) + counter(&doc, &["cache", "misses"]);
     assert_eq!(lookups, CLIENTS as u64, "one cache lookup per request");
-    assert_eq!(state.artifact_flights.in_flight() + state.scene_flights.in_flight(), 0);
+    assert_eq!(state.artifact_flights.in_flight() + state.retained_flights.in_flight(), 0);
     server.shutdown();
 }

@@ -97,6 +97,12 @@ impl Scene {
         self.items.len()
     }
 
+    /// Bytes held by the scene: its item array plus its spatial index
+    /// ([`Quadtree::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.items.as_slice()) + self.index.heap_bytes()
+    }
+
     /// The layout domain (the zoom-0 tile).
     pub fn domain(&self) -> Rect {
         self.domain

@@ -142,6 +142,16 @@ impl Quadtree {
         self.rects.len()
     }
 
+    /// Bytes held by the index: the summed byte length of its node arena,
+    /// item-id CSR, rectangle and depth copies (not spare capacity).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.nodes.as_slice())
+            + size_of_val(self.item_ids.as_slice())
+            + size_of_val(self.rects.as_slice())
+            + size_of_val(self.depths.as_slice())
+    }
+
     /// All item ids whose rectangle overlaps `viewport` with positive
     /// area (the [`Rect::intersects`] predicate), ascending.
     pub fn query(&self, viewport: &Rect) -> Vec<u32> {

@@ -536,15 +536,17 @@ pub struct TerrainPipeline<'g> {
     mesh_config: MeshConfig,
     svg_size: SvgSize,
     lod_config: LodConfig,
-    // Stage caches, upstream to downstream. `render_tree` distinguishes
-    // "not computed" (outer None) from "within budget, render the super tree
-    // itself" (Some(None)) to avoid cloning unsimplified trees. The scalar
-    // field is shared: `from_shared_scalar` sessions start from a field
-    // someone else computed, and `shared_scalar` hands it back out.
+    // Stage caches, upstream to downstream. The scalar field and the render
+    // tree are shared: `from_shared_scalar` and `from_shared_render_tree`
+    // sessions start from a stage someone else computed, and
+    // `shared_scalar` / `shared_render_tree` hand them back out. Within
+    // budget the render tree is the super tree's own `Arc`, never a clone.
+    // A session started from a render tree has no super tree until a stage
+    // upstream of the render tree is asked for.
     scalar: Option<Arc<[f64]>>,
     scalar_tree: Option<ScalarTree>,
-    super_tree: Option<SuperScalarTree>,
-    render_tree: Option<Option<SuperScalarTree>>,
+    super_tree: Option<Arc<SuperScalarTree>>,
+    render_tree: Option<Arc<SuperScalarTree>>,
     layout: Option<TerrainLayout>,
     mesh: Option<TerrainMesh>,
     svg: Option<String>,
@@ -662,6 +664,52 @@ impl<'g> TerrainPipeline<'g> {
         let mut p = Self::from_shared(graph, measure);
         p.validate_scalar(&scalar)?;
         p.scalar = Some(scalar);
+        Ok(p)
+    }
+
+    /// [`from_shared`](Self::from_shared) with the render tree already built
+    /// under `simplification` — typically handed out earlier by
+    /// [`shared_render_tree`](Self::shared_render_tree) of a session over
+    /// the same graph and measure, so a cache of render trees can skip the
+    /// scalar tree, the super tree and the simplification: the layout, mesh
+    /// and artifact are built straight from `render_tree`. The tree is
+    /// checked against the graph (one member per vertex or edge, by the
+    /// measure's field kind) and against the budget, but not rebuilt: the
+    /// caller vouches that it *is* the render tree of `measure` on `graph`
+    /// under `simplification`. A stage upstream of the render tree
+    /// ([`scalar`](Self::scalar), [`super_tree`](Self::super_tree),
+    /// [`scene`](Self::scene), [`stages`](Self::stages)) or a new
+    /// simplification computes the chain from the measure on demand. The
+    /// tree, super tree and simplify timings stay `None`.
+    pub fn from_shared_render_tree(
+        graph: SharedGraph,
+        measure: Measure,
+        simplification: SimplificationConfig,
+        render_tree: Arc<SuperScalarTree>,
+    ) -> TerrainResult<TerrainPipeline<'static>> {
+        let mut p = Self::from_shared(graph, measure);
+        let elements = match p.field {
+            FieldKind::Vertex => p.graph.get().vertex_count(),
+            FieldKind::Edge => p.graph.get().edge_count(),
+        };
+        if render_tree.element_count() != elements {
+            return Err(TerrainError::Config {
+                what: "render tree",
+                message: format!(
+                    "the render tree covers {} elements but the graph has {elements}",
+                    render_tree.element_count()
+                ),
+            });
+        }
+        let nodes = render_tree.node_count();
+        if let Some(budget) = simplification.node_budget.filter(|&budget| nodes > budget) {
+            return Err(TerrainError::Config {
+                what: "render tree",
+                message: format!("the render tree has {nodes} nodes, over the budget of {budget}"),
+            });
+        }
+        p.simplification = simplification;
+        p.render_tree = Some(render_tree);
         Ok(p)
     }
 
@@ -1018,7 +1066,7 @@ impl<'g> TerrainPipeline<'g> {
     /// The super scalar tree (Algorithm 2), before any simplification.
     pub fn super_tree(&mut self) -> TerrainResult<&SuperScalarTree> {
         self.ensure_super_tree()?;
-        Ok(self.super_tree.as_ref().expect("ensured"))
+        Ok(self.super_tree.as_deref().expect("ensured"))
     }
 
     /// The tree the terrain is rendered from: the super tree itself when it
@@ -1029,6 +1077,17 @@ impl<'g> TerrainPipeline<'g> {
     pub fn render_tree(&mut self) -> TerrainResult<&SuperScalarTree> {
         self.ensure_render_tree()?;
         Ok(self.render_tree_ref())
+    }
+
+    /// The render tree as a shared handle, building it on first demand like
+    /// [`render_tree`](Self::render_tree). The handle is the session's own
+    /// tree, not a copy (within budget, the super tree itself): hand it to
+    /// [`from_shared_render_tree`](Self::from_shared_render_tree) to start
+    /// another session over the same graph, measure and simplification
+    /// without rebuilding the tree chain.
+    pub fn shared_render_tree(&mut self) -> TerrainResult<Arc<SuperScalarTree>> {
+        self.ensure_render_tree()?;
+        Ok(Arc::clone(self.render_tree.as_ref().expect("ensured")))
     }
 
     /// The nested 2D boundary layout of the render tree.
@@ -1083,8 +1142,9 @@ impl<'g> TerrainPipeline<'g> {
     /// the layout together.
     pub fn stages(&mut self) -> TerrainResult<TerrainStages<'_>> {
         self.ensure_mesh()?;
+        self.ensure_super_tree()?;
         Ok(TerrainStages {
-            super_tree: self.super_tree.as_ref().expect("ensured"),
+            super_tree: self.super_tree.as_deref().expect("ensured"),
             render_tree: self.render_tree_ref(),
             layout: self.layout.as_ref().expect("ensured"),
             mesh: self.mesh.as_ref().expect("ensured"),
@@ -1186,10 +1246,7 @@ impl<'g> TerrainPipeline<'g> {
     // ------------------------------------------------------------------
 
     fn render_tree_ref(&self) -> &SuperScalarTree {
-        match self.render_tree.as_ref().expect("render tree ensured") {
-            Some(simplified) => simplified,
-            None => self.super_tree.as_ref().expect("super tree ensured"),
-        }
+        self.render_tree.as_deref().expect("render tree ensured")
     }
 
     fn ensure_scalar(&mut self) -> TerrainResult<()> {
@@ -1231,28 +1288,28 @@ impl<'g> TerrainPipeline<'g> {
         let started = Instant::now();
         let super_tree = build_super_tree(self.scalar_tree.as_ref().expect("ensured"));
         self.timings.super_tree_seconds = Some(started.elapsed().as_secs_f64());
-        self.super_tree = Some(super_tree);
+        self.super_tree = Some(Arc::new(super_tree));
         Ok(())
     }
 
     fn ensure_render_tree(&mut self) -> TerrainResult<()> {
-        self.ensure_super_tree()?;
         if self.render_tree.is_some() {
             return Ok(());
         }
+        self.ensure_super_tree()?;
         let super_tree = self.super_tree.as_ref().expect("ensured");
         let started = Instant::now();
         // One pass snaps and caps; it refuses a zero budget or level count at
         // every tree size.
         let SimplificationConfig { node_budget, levels } = self.simplification;
-        let simplified = match node_budget {
+        let render_tree = match node_budget {
             Some(budget) if budget == 0 || levels == 0 || super_tree.node_count() > budget => {
-                Some(simplify_super_tree(super_tree, levels, budget)?)
+                Arc::new(simplify_super_tree(super_tree, levels, budget)?)
             }
-            _ => None,
+            _ => Arc::clone(super_tree),
         };
         self.timings.simplify_seconds = Some(started.elapsed().as_secs_f64());
-        self.render_tree = Some(simplified);
+        self.render_tree = Some(render_tree);
         Ok(())
     }
 
@@ -1291,7 +1348,7 @@ impl<'g> TerrainPipeline<'g> {
         }
         let started = Instant::now();
         let scene = Scene::build(
-            self.super_tree.as_ref().expect("ensured"),
+            self.super_tree.as_deref().expect("ensured"),
             &self.layout_config,
             &self.lod_config,
         )?;
@@ -1539,6 +1596,60 @@ mod tests {
         let mut bad = vertex_field.to_vec();
         bad[0] = f64::NAN;
         assert!(TerrainPipeline::from_shared_scalar(shared, Measure::KCore, bad.into()).is_err());
+    }
+
+    #[test]
+    fn from_shared_render_tree_skips_the_tree_chain_and_matches_a_computing_session() {
+        let shared = SharedGraph::new(ugraph::generators::barabasi_albert(600, 3, 5));
+        let capped = SimplificationConfig { node_budget: Some(10), levels: 4 };
+        for (measure, simplification) in [
+            (Measure::PageRank, capped),
+            (Measure::Degree, SimplificationConfig::default()),
+            (Measure::KTruss, capped),
+        ] {
+            let name = measure.name();
+            let mut computing = TerrainPipeline::from_shared(shared.clone(), measure.clone());
+            computing.set_simplification(simplification);
+            let tree = computing.shared_render_tree().unwrap();
+            let mut reusing = TerrainPipeline::from_shared_render_tree(
+                shared.clone(),
+                measure.clone(),
+                simplification,
+                Arc::clone(&tree),
+            )
+            .unwrap();
+            assert_eq!(reusing.svg().unwrap(), computing.svg().unwrap(), "{name}");
+            assert_eq!(reusing.simplification(), simplification);
+            let t = reusing.timings();
+            assert_eq!(
+                (t.scalar_seconds, t.tree_seconds, t.super_tree_seconds, t.simplify_seconds),
+                (None, None, None, None),
+                "{name}: nothing upstream of the layout ran"
+            );
+            assert!(t.layout_seconds.is_some() && t.svg_seconds.is_some());
+            assert!(Arc::ptr_eq(&reusing.shared_render_tree().unwrap(), &tree), "{name}");
+            // Upstream stages are still there on demand, and a new budget
+            // rebuilds from them.
+            assert_eq!(reusing.stages().unwrap().super_tree, computing.super_tree().unwrap());
+            reusing.set_simplification(SimplificationConfig::disabled());
+            assert_eq!(reusing.render_tree().unwrap(), computing.super_tree().unwrap());
+        }
+        // Within budget the render tree is the super tree's own `Arc`.
+        let mut fitting = TerrainPipeline::from_shared(shared.clone(), Measure::Degree);
+        fitting.set_simplification(SimplificationConfig::disabled());
+        let tree = fitting.shared_render_tree().unwrap();
+        assert!(std::ptr::eq(tree.as_ref(), fitting.super_tree().unwrap()), "never cloned");
+        // Checked against the graph's element count and the budget.
+        for (measure, budget) in [(Measure::KTruss, None), (Measure::Degree, Some(10))] {
+            let err = TerrainPipeline::from_shared_render_tree(
+                shared.clone(),
+                measure,
+                SimplificationConfig { node_budget: budget, levels: 64 },
+                Arc::clone(&tree),
+            )
+            .unwrap_err();
+            assert!(matches!(err, TerrainError::Config { what: "render tree", .. }), "{err:?}");
+        }
     }
 
     #[test]

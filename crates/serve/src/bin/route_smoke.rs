@@ -14,9 +14,14 @@
 //! and stream a `GTSC` scene document (saved as `tile_1_0_0.svg` /
 //! `scene.gtsc` so CI can byte-diff a re-requested tile). A second tile of
 //! the same graph and measure must render from the retained scene: `/stats`
-//! `scenes.builds` may not grow. Two terrain widths of a measure not used
-//! before must compute its scalar field once and build its render tree
-//! once: `scalars.builds` and `render_trees.builds` each grow by 1.
+//! `scenes.builds` may not grow, and the first k-core tile, served after a
+//! k-core terrain, must start from the super tree that terrain retained:
+//! `super_trees.builds` may not grow either. Two terrain widths of a
+//! measure not used before must compute its scalar field once and build
+//! its render tree once: `scalars.builds` and `render_trees.builds` each
+//! grow by 1. A terrain at a new `budget` then builds one more render tree
+//! from the retained super tree: `render_trees.builds` grows by 1 and
+//! `super_trees.builds` by 0.
 //!
 //! ```text
 //! route_smoke --addr <host:port> --graph <path> [--out-dir <dir>]
@@ -158,6 +163,15 @@ fn main() {
     // 10. Tiles: a pan/zoom tile misses, hits byte-identically, honors
     // If-None-Match, and out-of-grid keys are 404s decided before any
     // render. The whole-scene GTSC stream must carry its magic.
+    let builds = |object: &str| {
+        let stats = client::get(addr, "/stats").unwrap_or_else(|e| fail("build stats", e));
+        expect_status("build stats", &stats, 200);
+        serde_json::from_str(&stats.body_utf8())
+            .ok()
+            .and_then(|doc| doc.get(object)?.get("builds")?.as_u64())
+            .unwrap_or_else(|| fail("build stats", format!("no {object}.builds in /stats")))
+    };
+    let super_trees_before = builds("super_trees");
     let tile_target = "/graphs/smoke/tiles/1/0/0?measure=kcore";
     let tile_miss = client::get(addr, tile_target).unwrap_or_else(|e| fail("tile miss", e));
     expect_status("tile miss", &tile_miss, 200);
@@ -166,6 +180,17 @@ fn main() {
     }
     if !tile_miss.body_utf8().starts_with("<svg") {
         fail("tile miss", "tile body is not an SVG document");
+    }
+    // The k-core terrain of step 3 retained the super tree the scene needs.
+    let super_trees_after = builds("super_trees");
+    if super_trees_after != super_trees_before {
+        fail(
+            "tile miss",
+            format!(
+                "super_trees.builds went {super_trees_before} -> {super_trees_after}; \
+                 the tile rebuilt the k-core super tree"
+            ),
+        );
     }
     let tile_etag =
         tile_miss.header("etag").unwrap_or_else(|| fail("tile miss", "no ETag")).to_string();
@@ -186,14 +211,6 @@ fn main() {
     }
     // A second tile of the same graph and measure renders from the scene the
     // first tile retained: `/stats` must show no new scene build.
-    let builds = |object: &str| {
-        let stats = client::get(addr, "/stats").unwrap_or_else(|e| fail("build stats", e));
-        expect_status("build stats", &stats, 200);
-        serde_json::from_str(&stats.body_utf8())
-            .ok()
-            .and_then(|doc| doc.get(object)?.get("builds")?.as_u64())
-            .unwrap_or_else(|| fail("build stats", format!("no {object}.builds in /stats")))
-    };
     let scene_builds = || builds("scenes");
     let builds_before = scene_builds();
     let second_tile = client::get(addr, "/graphs/smoke/tiles/1/1/0?measure=kcore")
@@ -227,6 +244,21 @@ fn main() {
             fail(
                 "retained state",
                 format!("two terrain widths made {made} {kind} builds, expected 1"),
+            );
+        }
+    }
+    // A new budget is one snap-and-cap pass over the retained super tree.
+    let kinds = ["render_trees", "super_trees"];
+    let builds_before = kinds.map(builds);
+    let budget = client::get(addr, "/graphs/smoke/terrain?measure=pagerank&budget=64")
+        .unwrap_or_else(|e| fail("terrain budget", e));
+    expect_status("terrain budget", &budget, 200);
+    for ((kind, before), expected) in kinds.into_iter().zip(builds_before).zip([1, 0]) {
+        let made = builds(kind) - before;
+        if made != expected {
+            fail(
+                "retained state",
+                format!("a new budget made {made} {kind} builds, expected {expected}"),
             );
         }
     }

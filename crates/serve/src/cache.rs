@@ -1,7 +1,8 @@
 //! A bounded LRU cache of shared values, keyed by a canonical string — the
 //! server keeps two: rendered artifacts keyed by their render parameters,
-//! and the retained store of scalar fields, render trees and tile scenes,
-//! keyed by graph id, generation, stage and the stage's parameters.
+//! and the retained store of scalar fields, super trees, render trees and
+//! tile scenes, keyed by graph id, generation, stage and the stage's
+//! parameters.
 //!
 //! Because the pipeline is deterministic — the same graph and settings
 //! produce bit-identical artifacts at every thread count — a cache hit is

@@ -32,16 +32,22 @@
 //! `"{id}|gen={generation}|{stage}|{params}"`:
 //!
 //! - `scalar|measure={m}`: the measure's scalar field, an `Arc<[f64]>`.
-//!   Every render tree and scene build starts from it.
+//!   The super-tree build starts from it.
+//! - `super_tree|measure={m}`: the unsimplified super tree (Algorithm 2),
+//!   an `Arc<SuperScalarTree>`, built once in a throwaway session over the
+//!   retained scalar field. Scenes and render trees start from it, so the
+//!   scalar tree and the super tree run once per (generation, measure),
+//!   and `/stats` `stage_seconds.tree` and `stage_seconds.super_tree` count
+//!   each such build once.
 //! - `render_tree|measure={m}|budget={b}|levels={l}`: the super tree snapped
 //!   and capped at the budget, an `Arc<SuperScalarTree>` (within budget, the
 //!   super tree itself). Terrains and peaks lay out and render from it, so a
 //!   terrain miss that changes only the width, height, color or exporter
-//!   runs layout, mesh and export, not the tree chain. The unsimplified
-//!   super tree behind it is dropped once the render tree is built.
-//! - `scene|measure={m}`: the tile scene, an `Arc<Scene>`, built once in a
-//!   throwaway session over the retained scalar field; every later tile of
-//!   that graph and measure is just a tile write.
+//!   runs layout, mesh and export, and one at a new `budget` or `levels`
+//!   adds one snap-and-cap pass, not the tree chain.
+//! - `scene|measure={m}`: the tile scene, an `Arc<Scene>`: one LOD pass
+//!   over the retained super tree; every later tile of that graph and
+//!   measure is just a tile write.
 //!
 //! `threads` is in no key: every measure is thread-count invariant.
 //!
@@ -49,8 +55,9 @@
 //! `fetch_or_build`. It looks the key up in its LRU; on a miss, concurrent
 //! requests for one key build once ([`crate::flight`]) and waiters answer
 //! with the builder's value; the value is published only while its graph is
-//! still the one registered under its id. A render-tree build fetches its
-//! scalar field through the same flight table, under another key.
+//! still the one registered under its id. A scene or render-tree build
+//! fetches its super tree, and a super-tree build its scalar field, through
+//! the same flight table, under another key.
 //!
 //! Deltas: the body is an edge batch in any [`GraphFormat`] (same `format`
 //! parameter as uploads) and `op` (`insert` | `delete` | `reweight`,
@@ -698,11 +705,10 @@ fn retained(
     Ok(Retained::clone(&value))
 }
 
-/// The retained scene of `entry` under `measure`. The build runs in a
-/// throwaway session over the retained scalar field that hands its scene
-/// over and is dropped before this returns, so no tree outlives the
-/// request. The build's stage seconds reach `/stats` once, here, not once
-/// per tile.
+/// The retained scene of `entry` under `measure`. The build runs the LOD
+/// pass in a throwaway session over the retained super tree that hands its
+/// scene over and is dropped before this returns. The build's stage seconds
+/// reach `/stats` once, here, not once per tile.
 fn retained_scene(
     state: &AppState,
     entry: &Arc<GraphEntry>,
@@ -711,7 +717,9 @@ fn retained_scene(
 ) -> Result<Arc<Scene>, ApiError> {
     let params = format!("measure={}", measure_canonical(&measure));
     let value = retained(state, entry, RetainedKind::Scene, &params, || {
-        let mut session = session_over_retained_scalar(state, entry, measure, parallelism)?;
+        let tree = retained_super_tree(state, entry, &measure, parallelism)?;
+        let mut session =
+            TerrainPipeline::from_shared_super_tree(entry.graph.clone(), measure, tree)?;
         session.scene()?;
         let timings = session.timings();
         let scene = session.into_scene()?;
@@ -723,10 +731,10 @@ fn retained_scene(
 }
 
 /// The retained render tree of `entry` under `measure` and
-/// `simplification`. The build runs the tree chain (scalar tree, super
-/// tree, snap and cap) in a throwaway session over the retained scalar
-/// field; only the render tree it hands out is kept. Its stage seconds
-/// reach `/stats` once, here, not once per artifact rendered from it.
+/// `simplification`. The build snaps and caps in a throwaway session over
+/// the retained super tree; only the render tree it hands out is kept. Its
+/// stage seconds reach `/stats` once, here, not once per artifact rendered
+/// from it.
 fn retained_render_tree(
     state: &AppState,
     entry: &Arc<GraphEntry>,
@@ -737,7 +745,9 @@ fn retained_render_tree(
     let params =
         format!("measure={}|{}", measure_canonical(measure), simplification_key(simplification));
     let value = retained(state, entry, RetainedKind::RenderTree, &params, || {
-        let mut session = session_over_retained_scalar(state, entry, measure.clone(), parallelism)?;
+        let tree = retained_super_tree(state, entry, measure, parallelism)?;
+        let mut session =
+            TerrainPipeline::from_shared_super_tree(entry.graph.clone(), measure.clone(), tree)?;
         session.set_simplification(simplification);
         let tree = session.shared_render_tree()?;
         state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
@@ -772,16 +782,30 @@ fn retained_scalar(
     Ok(scalar)
 }
 
-/// A fresh session on the entry's shared graph that starts from the
-/// retained scalar field of `measure`.
-fn session_over_retained_scalar(
+/// The retained super tree of `entry` under `measure`, which scenes and
+/// render trees start from. The build runs Algorithms 1 and 2 in a
+/// throwaway session over the retained scalar field; only the super tree
+/// it hands out is kept. Its stage seconds reach `/stats` once per
+/// (generation, measure), here.
+fn retained_super_tree(
     state: &AppState,
     entry: &Arc<GraphEntry>,
-    measure: Measure,
+    measure: &Measure,
     parallelism: Parallelism,
-) -> Result<TerrainPipeline<'static>, ApiError> {
-    let scalar = retained_scalar(state, entry, &measure, parallelism)?;
-    Ok(TerrainPipeline::from_shared_scalar(entry.graph.clone(), measure, scalar)?)
+) -> Result<Arc<SuperScalarTree>, ApiError> {
+    let params = format!("measure={}", measure_canonical(measure));
+    let value = retained(state, entry, RetainedKind::SuperTree, &params, || {
+        let scalar = retained_scalar(state, entry, measure, parallelism)?;
+        let mut session =
+            TerrainPipeline::from_shared_scalar(entry.graph.clone(), measure.clone(), scalar)?;
+        let tree = session.shared_super_tree()?;
+        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
+        Ok(Retained::SuperTree(tree))
+    })?;
+    let Retained::SuperTree(tree) = value else {
+        unreachable!("a super-tree key holds a super tree")
+    };
+    Ok(tree)
 }
 
 fn peaks_json(graph_id: &str, measure: &str, alpha: Option<f64>, peaks: &[Peak]) -> String {
@@ -884,7 +908,7 @@ fn fetch_or_build<V: Weighted + ?Sized>(
 /// session that starts from the retained render tree (also handed to
 /// `render`), then fold the session's stage timings — layout, mesh, export
 /// — into `/stats` (only for renders that succeed; the tree chain's seconds
-/// were counted when the render tree was built).
+/// were counted when the super tree and the render tree were built).
 fn with_session<T>(
     state: &AppState,
     entry: &Arc<GraphEntry>,
@@ -918,6 +942,7 @@ fn stats(state: &AppState) -> Response {
     let retained = state.retained.lock().expect("retained lock").stats();
     let scalars = state.retained_stats(RetainedKind::Scalar);
     let scenes = state.retained_stats(RetainedKind::Scene);
+    let super_trees = state.retained_stats(RetainedKind::SuperTree);
     let render_trees = state.retained_stats(RetainedKind::RenderTree);
     let waits = state.artifact_flights.waits() + state.retained_flights.waits();
     let totals = state.stage_totals.lock().expect("stage totals lock").clone();
@@ -931,7 +956,7 @@ fn stats(state: &AppState) -> Response {
             "\"insertions\":{},\"uncacheable\":{},\"entries\":{},\"bytes\":{},",
             "\"capacity\":{},\"max_bytes\":{}}},",
             "\"retained\":{{\"entries\":{},\"bytes\":{},\"max_bytes\":{}}},",
-            "\"scalars\":{},\"render_trees\":{},\"scenes\":{},",
+            "\"scalars\":{},\"super_trees\":{},\"render_trees\":{},\"scenes\":{},",
             "\"single_flight_waits\":{},",
             "\"stage_seconds\":{{\"renders\":{},\"scalar\":{},\"tree\":{},\"super_tree\":{},",
             "\"simplify\":{},\"layout\":{},\"mesh\":{},\"svg\":{},\"scene\":{}}}}}"
@@ -957,6 +982,7 @@ fn stats(state: &AppState) -> Response {
         retained.bytes,
         retained.max_bytes,
         retained_json(&scalars, retained.max_bytes),
+        retained_json(&super_trees, retained.max_bytes),
         retained_json(&render_trees, retained.max_bytes),
         retained_json(&scenes, retained.max_bytes),
         waits,

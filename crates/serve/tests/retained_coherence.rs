@@ -1,10 +1,12 @@
 //! Retained coherence through the HTTP routes: terrains, peaks and tiles
-//! served from retained state — scalar fields, render trees and scenes
-//! kept per graph generation — must be the bytes a fresh upload of the
-//! final edge list serves, however many deltas came before. A render tree
-//! is built once per (graph, generation, measure, budget, levels), so a
-//! terrain miss that changes only the width does not rebuild it, and
-//! concurrent cold requests build each retained value once.
+//! served from retained state — scalar fields, super trees, render trees
+//! and scenes kept per graph generation — must be the bytes a fresh upload
+//! of the final edge list serves, however many deltas came before. A super
+//! tree is built once per (graph, generation, measure) and serves the
+//! scene and every render tree; a render tree is built once per (graph,
+//! generation, measure, budget, levels), so a terrain miss that changes
+//! only the width does not rebuild it, and concurrent cold requests build
+//! each retained value once.
 
 use std::collections::BTreeSet;
 use std::sync::Barrier;
@@ -85,10 +87,20 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
     let noop_body = edge_list(&edges.iter().copied().take(20).collect());
 
     let state = state_with(&SharedGraph::new(base));
+    let builds = |state: &AppState| {
+        ["scalars", "super_trees", "render_trees", "scenes"]
+            .map(|kind| counter(state, kind, "builds"))
+    };
     let warm = |state: &AppState| {
+        let before = builds(state);
         for target in targets() {
             ok(state, &target);
         }
+        let built = builds(state);
+        // Per measure: one field and one super tree, which serves the scene
+        // and the six (budget, levels) pairs' render trees.
+        let per_generation = [3, 3, 18, 3];
+        assert_eq!(std::array::from_fn(|i| built[i] - before[i]), per_generation);
     };
     warm(&state);
     // Three structural deltas, each served warm before the next.
@@ -101,9 +113,6 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
 
     // A no-op batch keeps the generation and everything retained for it.
     let generation = state.graph("g").unwrap().generation;
-    let builds = |state: &AppState| {
-        ["scalars", "render_trees", "scenes"].map(|kind| counter(state, kind, "builds"))
-    };
     let builds_before = builds(&state);
     let report = post(&state, "/graphs/g/deltas?op=insert", &noop_body);
     assert_eq!(report.get("structural").and_then(|s| s.as_bool()), Some(false));
@@ -135,9 +144,54 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
         })
     })
     .collect();
-    let served: Vec<Vec<u8>> = resized.iter().map(|(_, target, _)| ok(&state, target)).collect();
+    let mut served: Vec<Vec<u8>> =
+        resized.iter().map(|(_, target, _)| ok(&state, target)).collect();
     assert_eq!(builds(&state), builds_before, "nothing was rebuilt after the no-op batch");
     assert_eq!(counter(&state, "render_trees", "hits"), hits_before + resized.len() as u64);
+
+    // New budgets and level counts: render-tree misses, each one
+    // snap-and-cap pass over the generation's retained super tree.
+    let super_hits_before = counter(&state, "super_trees", "hits");
+    let resimplified: Vec<(Measure, String, SimplificationConfig)> = [
+        (Measure::KCore, "kcore"),
+        (Measure::PageRank, "pagerank"),
+        (Measure::EdgeTriangles, "edge-triangles"),
+    ]
+    .into_iter()
+    .flat_map(|(measure, name)| {
+        [
+            ("budget=6", SimplificationConfig { node_budget: Some(6), levels: 64 }),
+            ("levels=3", SimplificationConfig { node_budget: Some(4000), levels: 3 }),
+            ("budget=10&levels=5", SimplificationConfig { node_budget: Some(10), levels: 5 }),
+        ]
+        .map(|(query, simplification)| {
+            (
+                measure.clone(),
+                format!("/graphs/g/terrain?measure={name}&width=1000&{query}"),
+                simplification,
+            )
+        })
+    })
+    .collect();
+    served.extend(resimplified.iter().map(|(_, target, _)| ok(&state, target)));
+    let [scalars, super_trees, render_trees, scenes] = builds_before;
+    let new_trees = resimplified.len() as u64;
+    assert_eq!(builds(&state), [scalars, super_trees, render_trees + new_trees, scenes]);
+    assert_eq!(counter(&state, "super_trees", "hits"), super_hits_before + new_trees);
+    // New tile keys: artifact misses cut from the retained scene.
+    let scene_hits_before = counter(&state, "scenes", "hits");
+    let new_tiles: Vec<String> = ["kcore", "pagerank", "edge-triangles"]
+        .into_iter()
+        .flat_map(|name| {
+            [
+                format!("/graphs/g/tiles/2/3/1?measure={name}"),
+                format!("/graphs/g/tiles/2/0/2?measure={name}&format=scene"),
+            ]
+        })
+        .collect();
+    let tiles: Vec<Vec<u8>> = new_tiles.iter().map(|target| ok(&state, target)).collect();
+    assert_eq!(counter(&state, "scenes", "hits"), scene_hits_before + new_tiles.len() as u64);
+    assert_eq!(builds(&state)[3], scenes, "no scene was rebuilt");
 
     // The final edge list, uploaded from scratch to a fresh server under
     // the same id (peaks echo it), and rendered by the library.
@@ -145,7 +199,9 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
     let fresh = AppState::new(ServerConfig::default());
     post(&fresh, "/graphs?id=g", &final_list);
     let final_graph = SharedGraph::new(GraphSource::reader(&final_list[..]).load().unwrap().graph);
-    for ((measure, target, simplification), bytes) in resized.iter().zip(&served) {
+    for ((measure, target, simplification), bytes) in
+        resized.iter().chain(&resimplified).zip(&served)
+    {
         assert!(ok(&fresh, target) == *bytes, "{target}");
         let mut session = TerrainPipeline::from_shared(final_graph.clone(), measure.clone());
         session.set_simplification(*simplification);
@@ -153,6 +209,9 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
         let mut library = Vec::new();
         session.render_deterministic_to(exporter.as_ref(), &mut library).unwrap();
         assert!(library == *bytes, "{target} against the library render");
+    }
+    for (target, bytes) in new_tiles.iter().zip(&tiles) {
+        assert!(ok(&fresh, target) == *bytes, "{target}");
     }
     for target in targets() {
         assert!(ok(&state, &target) == ok(&fresh, &target), "{target}");
@@ -181,14 +240,21 @@ fn a_render_tree_is_built_once_per_measure_budget_and_levels() {
     terrain("budget=4000&levels=64&width=1000");
     assert_eq!(render_trees(), 3);
     assert_eq!(counter(&state, "scalars", "builds"), 1, "every tree starts from one field");
+    assert_eq!(counter(&state, "super_trees", "builds"), 1, "and from one super tree");
+    assert_eq!(counter(&state, "super_trees", "hits"), 2, "the new budget and level count");
     assert_eq!(counter(&state, "render_trees", "entries"), 3);
     assert_eq!(counter(&state, "render_trees", "uncacheable"), 0);
-    // Each render tree is charged its arena, which the totals include.
+    // Each tree is charged its arena, which the totals include; the default
+    // render tree fits its budget, so it is the super tree, charged twice.
     let tree_bytes = counter(&state, "render_trees", "bytes");
     assert!(tree_bytes >= 3 * 8 * graph.storage().vertex_count() as u64, "{tree_bytes}");
+    let super_tree_bytes = counter(&state, "super_trees", "bytes");
+    assert!(super_tree_bytes >= 8 * graph.storage().vertex_count() as u64);
+    assert!(tree_bytes > super_tree_bytes, "the default render tree is the super tree");
     let retained = counter(&state, "retained", "bytes");
-    assert_eq!(retained, tree_bytes + counter(&state, "scalars", "bytes"));
-    assert_eq!(counter(&state, "retained", "entries"), 4);
+    let scalar_bytes = counter(&state, "scalars", "bytes");
+    assert_eq!(retained, tree_bytes + super_tree_bytes + scalar_bytes);
+    assert_eq!(counter(&state, "retained", "entries"), 5);
 }
 
 #[test]
@@ -238,6 +304,7 @@ fn concurrent_cold_terrains_at_distinct_widths_build_one_field_and_one_tree() {
     // The render-tree build fetched its field through the same flight
     // table without deadlock, and once.
     assert_eq!(counter(&state, "scalars", "builds"), 1);
+    assert_eq!(counter(&state, "super_trees", "builds"), 1);
     assert_eq!(counter(&state, "render_trees", "builds"), 1);
     let renders = stats(&state).get("stage_seconds").and_then(|s| s.get("renders")).cloned();
     assert_eq!(renders.and_then(|r| r.as_u64()), Some(CLIENTS as u64));

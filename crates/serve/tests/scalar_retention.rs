@@ -36,6 +36,10 @@ fn scalars(state: &AppState, counter: &str) -> u64 {
     retained(state, "scalars", counter)
 }
 
+fn super_trees(state: &AppState, counter: &str) -> u64 {
+    retained(state, "super_trees", counter)
+}
+
 fn render_trees(state: &AppState, counter: &str) -> u64 {
     retained(state, "render_trees", counter)
 }
@@ -89,9 +93,12 @@ fn terrain_and_peaks_are_the_same_bytes_whichever_request_built_the_scalar() {
             assert_eq!(ok(&state, &terrain), reference, "{terrain} after {builder}");
             assert_eq!(ok(&state, &peaks), cold_peaks, "{peaks} after {builder}");
             assert_eq!(scalars(&state, "builds"), 1, "{builder}: one field per measure");
-            // Terrain and peaks each reused retained state once: the field,
-            // or the render tree built from it.
-            let reused = scalars(&state, "hits") + render_trees(&state, "hits");
+            assert_eq!(super_trees(&state, "builds"), 1, "{builder}: one super tree");
+            // Only the super-tree build reads the field. Terrain and peaks
+            // each reused retained state once: the super tree a tile or
+            // scene built, or the render tree built from it.
+            assert_eq!(scalars(&state, "hits"), 0, "{builder}");
+            let reused = super_trees(&state, "hits") + render_trees(&state, "hits");
             assert_eq!(reused, 2, "{builder}: terrain and peaks reused it");
             assert_eq!(render_trees(&state, "builds"), 1, "{builder}: one tree per budget");
         }
@@ -111,9 +118,11 @@ fn three_widths_peaks_and_a_tile_of_one_measure_compute_it_once() {
     let field = doc.get("scalars").unwrap();
     let count = |name: &str| field.get(name).and_then(|v| v.as_u64()).unwrap();
     assert_eq!(count("builds"), 1);
-    // The first terrain's render tree and the tile's scene start from the
-    // field; the other widths and peaks start from the render tree.
-    assert_eq!(count("hits"), 1);
+    // Only the super tree starts from the field. The first terrain's render
+    // tree and the tile's scene start from the super tree; the other widths
+    // and peaks start from the render tree.
+    assert_eq!(count("hits"), 0);
+    assert_eq!((super_trees(&state, "builds"), super_trees(&state, "hits")), (1, 1));
     assert_eq!((render_trees(&state, "builds"), render_trees(&state, "hits")), (1, 3));
     assert_eq!(count("entries"), 1);
     assert_eq!(count("bytes"), 8 * graph.storage().vertex_count() as u64, "len * 8");
@@ -152,6 +161,7 @@ fn concurrent_cold_terrains_and_tiles_of_one_measure_compute_it_once() {
         handles.into_iter().map(|h| h.join().expect("request thread")).collect()
     });
     assert_eq!(scalars(&state, "builds"), 1, "one PageRank for every cold request");
+    assert_eq!(super_trees(&state, "builds"), 1, "one super tree for the tree and the scene");
     assert_eq!(render_trees(&state, "builds"), 1, "one render tree for the four widths");
     assert_eq!(state.retained_flights.in_flight(), 0);
     // Every response is what a sequential server with a warm field serves.

@@ -536,13 +536,15 @@ pub struct TerrainPipeline<'g> {
     mesh_config: MeshConfig,
     svg_size: SvgSize,
     lod_config: LodConfig,
-    // Stage caches, upstream to downstream. The scalar field and the render
-    // tree are shared: `from_shared_scalar` and `from_shared_render_tree`
-    // sessions start from a stage someone else computed, and
-    // `shared_scalar` / `shared_render_tree` hand them back out. Within
+    // Stage caches, upstream to downstream. The scalar field, the super tree
+    // and the render tree are shared: `from_shared_scalar`,
+    // `from_shared_super_tree` and `from_shared_render_tree` sessions start
+    // from a stage someone else computed, and `shared_scalar` /
+    // `shared_super_tree` / `shared_render_tree` hand them back out. Within
     // budget the render tree is the super tree's own `Arc`, never a clone.
-    // A session started from a render tree has no super tree until a stage
-    // upstream of the render tree is asked for.
+    // A session started from a tree has nothing upstream of it (no scalar
+    // tree, and no super tree under a render tree) until such a stage is
+    // asked for.
     scalar: Option<Arc<[f64]>>,
     scalar_tree: Option<ScalarTree>,
     super_tree: Option<Arc<SuperScalarTree>>,
@@ -688,19 +690,7 @@ impl<'g> TerrainPipeline<'g> {
         render_tree: Arc<SuperScalarTree>,
     ) -> TerrainResult<TerrainPipeline<'static>> {
         let mut p = Self::from_shared(graph, measure);
-        let elements = match p.field {
-            FieldKind::Vertex => p.graph.get().vertex_count(),
-            FieldKind::Edge => p.graph.get().edge_count(),
-        };
-        if render_tree.element_count() != elements {
-            return Err(TerrainError::Config {
-                what: "render tree",
-                message: format!(
-                    "the render tree covers {} elements but the graph has {elements}",
-                    render_tree.element_count()
-                ),
-            });
-        }
+        p.check_tree_elements("render tree", &render_tree)?;
         let nodes = render_tree.node_count();
         if let Some(budget) = simplification.node_budget.filter(|&budget| nodes > budget) {
             return Err(TerrainError::Config {
@@ -710,6 +700,28 @@ impl<'g> TerrainPipeline<'g> {
         }
         p.simplification = simplification;
         p.render_tree = Some(render_tree);
+        Ok(p)
+    }
+
+    /// [`from_shared`](Self::from_shared) with the unsimplified super tree
+    /// already built — typically handed out earlier by
+    /// [`shared_super_tree`](Self::shared_super_tree) of a session over the
+    /// same graph and measure, so a cache of super trees can skip the scalar
+    /// field and Algorithms 1 and 2: the [`scene`](Self::scene) and the
+    /// render tree at any simplification start from `super_tree`. The tree
+    /// is checked against the graph (one member per vertex or edge, by the
+    /// measure's field kind) but not rebuilt: the caller vouches that it
+    /// *is* the super tree of `measure` on `graph`. [`scalar`](Self::scalar)
+    /// and [`scalar_tree`](Self::scalar_tree) compute from the measure on
+    /// demand. The tree and super tree timings stay `None`.
+    pub fn from_shared_super_tree(
+        graph: SharedGraph,
+        measure: Measure,
+        super_tree: Arc<SuperScalarTree>,
+    ) -> TerrainResult<TerrainPipeline<'static>> {
+        let mut p = Self::from_shared(graph, measure);
+        p.check_tree_elements("super tree", &super_tree)?;
+        p.super_tree = Some(super_tree);
         Ok(p)
     }
 
@@ -959,6 +971,25 @@ impl<'g> TerrainPipeline<'g> {
         Ok(())
     }
 
+    /// A handed-in tree must have one member per vertex or edge, by the
+    /// session's field kind.
+    fn check_tree_elements(&self, what: &'static str, tree: &SuperScalarTree) -> TerrainResult<()> {
+        let elements = match self.field {
+            FieldKind::Vertex => self.graph.get().vertex_count(),
+            FieldKind::Edge => self.graph.get().edge_count(),
+        };
+        if tree.element_count() != elements {
+            return Err(TerrainError::Config {
+                what,
+                message: format!(
+                    "the {what} covers {} elements but the graph has {elements}",
+                    tree.element_count()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     fn invalidate_from_tree(&mut self) {
         self.scalar_tree = None;
         self.super_tree = None;
@@ -1067,6 +1098,17 @@ impl<'g> TerrainPipeline<'g> {
     pub fn super_tree(&mut self) -> TerrainResult<&SuperScalarTree> {
         self.ensure_super_tree()?;
         Ok(self.super_tree.as_deref().expect("ensured"))
+    }
+
+    /// The super tree as a shared handle, building it on first demand like
+    /// [`super_tree`](Self::super_tree). The handle is the session's own
+    /// tree, not a copy: hand it to
+    /// [`from_shared_super_tree`](Self::from_shared_super_tree) to start
+    /// another session over the same graph and measure without running
+    /// Algorithms 1 and 2 again.
+    pub fn shared_super_tree(&mut self) -> TerrainResult<Arc<SuperScalarTree>> {
+        self.ensure_super_tree()?;
+        Ok(Arc::clone(self.super_tree.as_ref().expect("ensured")))
     }
 
     /// The tree the terrain is rendered from: the super tree itself when it
@@ -1281,10 +1323,11 @@ impl<'g> TerrainPipeline<'g> {
     }
 
     fn ensure_super_tree(&mut self) -> TerrainResult<()> {
-        self.ensure_scalar_tree()?;
+        // A handed-in super tree needs no scalar tree beneath it.
         if self.super_tree.is_some() {
             return Ok(());
         }
+        self.ensure_scalar_tree()?;
         let started = Instant::now();
         let super_tree = build_super_tree(self.scalar_tree.as_ref().expect("ensured"));
         self.timings.super_tree_seconds = Some(started.elapsed().as_secs_f64());
@@ -1650,6 +1693,59 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, TerrainError::Config { what: "render tree", .. }), "{err:?}");
         }
+    }
+
+    #[test]
+    fn from_shared_super_tree_skips_the_scalar_tree_and_matches_a_computing_session() {
+        let shared = SharedGraph::new(ugraph::generators::barabasi_albert(600, 3, 5));
+        let key = terrain::TileKey { zoom: 1, tx: 1, ty: 0 };
+        let scene_bytes = |session: &mut TerrainPipeline<'_>| {
+            let scene = session.scene().unwrap();
+            let (mut document, mut tile) = (Vec::new(), Vec::new());
+            scene.write_scene_gtsc(&mut document).unwrap();
+            scene.write_tile_svg(&key, 256, &mut tile).unwrap();
+            (document, tile)
+        };
+        for measure in [Measure::PageRank, Measure::KTruss] {
+            let name = measure.name();
+            let mut computing = TerrainPipeline::from_shared(shared.clone(), measure.clone());
+            let tree = computing.shared_super_tree().unwrap();
+            let mut reusing = TerrainPipeline::from_shared_super_tree(
+                shared.clone(),
+                measure.clone(),
+                Arc::clone(&tree),
+            )
+            .unwrap();
+            assert!(scene_bytes(&mut reusing) == scene_bytes(&mut computing), "{name}");
+            let nodes = tree.node_count();
+            assert!(nodes > 1, "{name}: a tree that can be capped");
+            let fits = SimplificationConfig { node_budget: Some(nodes), levels: 64 };
+            let caps = SimplificationConfig { node_budget: Some(nodes / 2), levels: 4 };
+            for simplification in [fits, caps] {
+                reusing.set_simplification(simplification);
+                computing.set_simplification(simplification);
+                assert_eq!(reusing.render_tree().unwrap(), computing.render_tree().unwrap());
+                assert_eq!(reusing.svg().unwrap(), computing.svg().unwrap(), "{name}");
+                let handed_out = reusing.shared_render_tree().unwrap();
+                assert_eq!(Arc::ptr_eq(&handed_out, &tree), simplification == fits, "{name}");
+            }
+            let t = reusing.timings();
+            assert_eq!(
+                (t.scalar_seconds, t.tree_seconds, t.super_tree_seconds),
+                (None, None, None),
+                "{name}: neither Algorithm 1 nor 2 ran"
+            );
+            assert!(t.scene_seconds.is_some() && t.simplify_seconds.is_some(), "{name}");
+            assert!(Arc::ptr_eq(&reusing.shared_super_tree().unwrap(), &tree), "never cloned");
+        }
+        // Checked against the graph's element count: an edge measure's tree
+        // does not cover the vertices.
+        let edge_tree =
+            TerrainPipeline::from_shared(shared.clone(), Measure::KTruss).shared_super_tree();
+        let err =
+            TerrainPipeline::from_shared_super_tree(shared, Measure::Degree, edge_tree.unwrap())
+                .unwrap_err();
+        assert!(matches!(err, TerrainError::Config { what: "super tree", .. }), "{err:?}");
     }
 
     #[test]

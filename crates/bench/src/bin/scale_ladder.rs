@@ -43,10 +43,12 @@
 //! list (the same re-upload CI's delta smoke performs), build the graph,
 //! and render a fresh session (`storage: "delta-rebuild"`). Timings are
 //! best-of-3; a byte-equality guard on the two SVGs backs every recorded
-//! pair. Both run at `degree` (local incremental tier), `kcore`
-//! (dirty-region tier), and `pagerank` (full-recompute fallback), so the
-//! recorded baseline documents where incremental recomputation pays and
-//! where it degenerates to a rebuild.
+//! pair. Both run at `degree` (local incremental tier), and at `kcore` and
+//! `pagerank` (full tier: the apply drops the field and the re-render
+//! recomputes it on the new graph), so the recorded baseline documents
+//! where incremental recomputation pays and what a full recompute costs.
+//! K-core `delta-apply` rows recorded before 0.18.0 timed a re-peel of the
+//! touched components instead, which on R-MAT is a full peel.
 //!
 //! Finally each rung runs the tile bench over the retained scene: `storage:
 //! "tile-query"` records the *mean* quadtree viewport query over a fixed

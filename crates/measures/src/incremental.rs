@@ -14,26 +14,16 @@
 //!   triangle count is `|N(u) ∩ N(v)|`, which changes only when `u` or `v`
 //!   gains or loses a neighbor — i.e. when an endpoint is dirty. Everything
 //!   else is copied through the edge remap.
-//! - **DirtyRegion** — k-core and k-truss. Peeling is connected-component
-//!   local: a component of the *new* graph containing no dirty vertex
-//!   consists entirely of vertices whose incident edge sets are unchanged,
-//!   so its old values still hold; only components touching dirty vertices
-//!   are re-peeled (on their induced subgraph, or directly on the new graph
-//!   when the dirty region is the majority of it — extracting an induced
-//!   copy of most of the graph costs more than it saves). On a single
-//!   connected component this degrades to a full re-peel — the honest
-//!   worst case.
-//! - **Full** — betweenness, closeness, PageRank. One edge can reroute
-//!   shortest paths (or shift the stationary distribution) across the whole
-//!   graph, so these fall back to full recomputation; the caller reports
-//!   them as such.
+//! - **Full** — betweenness, closeness, PageRank, k-core and k-truss. One
+//!   edge can reroute shortest paths (or shift the stationary distribution)
+//!   across the whole graph. Peeling is only connected-component local, and
+//!   on R-MAT graphs a batch lands in the giant component, so re-peeling the
+//!   touched components is a full peel and did not beat one (PERFORMANCE.md,
+//!   "Delta tiers"). All of these fall back to full recomputation.
 
 use ugraph::delta::CompactedDelta;
 use ugraph::par::Parallelism;
-use ugraph::{connected_components, EdgeId, GraphStorage, VertexId};
-
-use crate::kcore::{core_numbers, KCoreDecomposition};
-use crate::ktruss::{truss_numbers_with, KTrussDecomposition};
+use ugraph::{EdgeId, GraphStorage, VertexId};
 
 /// How much of a measure survives a delta: the per-measure entry of the
 /// delta report.
@@ -41,20 +31,16 @@ use crate::ktruss::{truss_numbers_with, KTrussDecomposition};
 pub enum DeltaCost {
     /// Recomputed only around dirty endpoints (degree, triangle counts).
     Local,
-    /// Re-peeled only on connected components containing dirty vertices
-    /// (k-core, k-truss).
-    DirtyRegion,
-    /// Recomputed from scratch — the measure is global (betweenness,
-    /// closeness, PageRank).
+    /// Recomputed from scratch (betweenness, closeness, PageRank, k-core,
+    /// k-truss).
     Full,
 }
 
 impl DeltaCost {
-    /// Stable lower-case name (`local` / `dirty-region` / `full`).
+    /// Stable lower-case name (`local` / `full`).
     pub fn name(self) -> &'static str {
         match self {
             DeltaCost::Local => "local",
-            DeltaCost::DirtyRegion => "dirty-region",
             DeltaCost::Full => "full",
         }
     }
@@ -136,107 +122,6 @@ pub fn vertex_triangle_counts_from_edges<G: GraphStorage + ?Sized>(
     })
 }
 
-/// K-core decomposition after a delta: components of the new graph that
-/// contain a dirty vertex are re-peeled on their induced subgraph; every
-/// other vertex keeps its old core number.
-///
-/// Exact because peeling is component-local and a component with no dirty
-/// vertex has an identical edge set (and thus identical peel) in both
-/// graphs. A new vertex in a clean component is necessarily isolated
-/// (anything that gave it an edge would have flagged it dirty): core 0.
-pub fn incremental_core_numbers<G: GraphStorage + ?Sized>(
-    new_graph: &G,
-    old: &KCoreDecomposition,
-    dirty: &[bool],
-) -> KCoreDecomposition {
-    assert_eq!(dirty.len(), new_graph.vertex_count(), "dirty mask length mismatch");
-    let components = connected_components(new_graph);
-    let keep = dirty_component_mask(&components.label, components.count, dirty);
-    if keep.iter().all(|&k| !k) {
-        // No component touched: copy, extending with isolated new vertices.
-        let mut core = old.core.clone();
-        core.resize(new_graph.vertex_count(), 0);
-        return KCoreDecomposition { core, degeneracy: old.degeneracy };
-    }
-    let in_region: Vec<bool> = components.label.iter().map(|&c| keep[c]).collect();
-    // When the dirty region is most of the graph, extracting the induced
-    // subgraph costs more than it saves — peel the new graph directly
-    // (still exact; this is the documented single-component worst case).
-    if in_region.iter().filter(|&&r| r).count() * 2 > new_graph.vertex_count() {
-        return core_numbers(new_graph);
-    }
-    let (sub, back) = new_graph.induced_subgraph(&in_region);
-    let sub_cores = core_numbers(&sub);
-    let mut core = vec![0usize; new_graph.vertex_count()];
-    for v in 0..new_graph.vertex_count() {
-        if !in_region[v] {
-            core[v] = if v < old.core.len() {
-                old.core[v]
-            } else {
-                debug_assert_eq!(new_graph.degree(VertexId::from_index(v)), 0);
-                0
-            };
-        }
-    }
-    for (sub_v, &orig) in back.iter().enumerate() {
-        core[orig.index()] = sub_cores.core[sub_v];
-    }
-    let degeneracy = core.iter().copied().max().unwrap_or(0);
-    KCoreDecomposition { core, degeneracy }
-}
-
-/// K-truss decomposition after a delta: same dirty-component strategy as
-/// [`incremental_core_numbers`], but per edge. Edges in clean components
-/// copy their old truss number through the `base_edge` remap; edges in
-/// touched components get the re-peeled value of the induced subgraph.
-pub fn incremental_truss_numbers<G: GraphStorage + ?Sized>(
-    new_graph: &G,
-    old: &KTrussDecomposition,
-    compacted: &CompactedDelta,
-    parallelism: Parallelism,
-) -> KTrussDecomposition {
-    assert_eq!(compacted.base_edge.len(), new_graph.edge_count(), "edge remap length mismatch");
-    let components = connected_components(new_graph);
-    let keep = dirty_component_mask(&components.label, components.count, &compacted.dirty);
-    let in_region: Vec<bool> = components.label.iter().map(|&c| keep[c]).collect();
-    // Same bail-out as the k-core path: a majority-dirty graph re-peels
-    // directly rather than through an induced copy of itself.
-    if in_region.iter().filter(|&&r| r).count() * 2 > new_graph.vertex_count() {
-        return truss_numbers_with(new_graph, parallelism);
-    }
-    let mut truss = vec![0usize; new_graph.edge_count()];
-    for e in new_graph.edges() {
-        if !in_region[e.u.index()] {
-            let old_e = compacted.base_edge[e.id.index()]
-                .expect("an edge in a clean component must survive from the base");
-            truss[e.id.index()] = old.truss[old_e.index()];
-        }
-    }
-    if keep.iter().any(|&k| k) {
-        let (sub, back) = new_graph.induced_subgraph(&in_region);
-        let sub_truss = truss_numbers_with(&sub, parallelism);
-        for e in sub.edges() {
-            let (u, v) = (back[e.u.index()], back[e.v.index()]);
-            let orig =
-                new_graph.find_edge(u, v).expect("induced subgraph edges exist in the full graph");
-            truss[orig.index()] = sub_truss.truss[e.id.index()];
-        }
-    }
-    let max_truss = truss.iter().copied().max().unwrap_or(0);
-    KTrussDecomposition { truss, max_truss }
-}
-
-/// Per-component flags: `true` for components containing a dirty vertex.
-fn dirty_component_mask(label: &[usize], count: usize, dirty: &[bool]) -> Vec<bool> {
-    let mut keep = vec![false; count];
-    for (v, &c) in label.iter().enumerate() {
-        if dirty[v] {
-            keep[c] = true;
-        }
-    }
-    keep
-}
-
 fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     let mut i = 0;
     let mut j = 0;
@@ -297,22 +182,6 @@ mod tests {
 
             let vt = vertex_triangle_counts_from_edges(new_graph, &inc_tri, par);
             assert_eq!(vt, vertex_triangle_counts_with(new_graph, par));
-
-            let inc_core =
-                incremental_core_numbers(new_graph, &core_numbers(base), &compacted.dirty);
-            let full_core = core_numbers(new_graph);
-            assert_eq!(inc_core.core, full_core.core);
-            assert_eq!(inc_core.degeneracy, full_core.degeneracy);
-
-            let inc_truss = incremental_truss_numbers(
-                new_graph,
-                &truss_numbers_with(base, par),
-                compacted,
-                par,
-            );
-            let full_truss = truss_numbers_with(new_graph, par);
-            assert_eq!(inc_truss.truss, full_truss.truss);
-            assert_eq!(inc_truss.max_truss, full_truss.max_truss);
         }
     }
 
@@ -364,7 +233,6 @@ mod tests {
     #[test]
     fn delta_cost_names_are_stable() {
         assert_eq!(DeltaCost::Local.name(), "local");
-        assert_eq!(DeltaCost::DirtyRegion.name(), "dirty-region");
         assert_eq!(DeltaCost::Full.name(), "full");
     }
 }

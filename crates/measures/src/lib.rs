@@ -57,8 +57,8 @@ pub use closeness::{closeness_centrality, closeness_centrality_with, harmonic_ce
 pub use community::{label_propagation, overlapping_community_scores, CommunityScores};
 pub use degree::{degree_centrality, degrees};
 pub use incremental::{
-    incremental_core_numbers, incremental_degrees, incremental_edge_triangle_counts,
-    incremental_truss_numbers, vertex_triangle_counts_from_edges, DeltaCost,
+    incremental_degrees, incremental_edge_triangle_counts, vertex_triangle_counts_from_edges,
+    DeltaCost,
 };
 pub use kcore::{core_numbers, KCoreDecomposition};
 pub use ktruss::{truss_numbers, truss_numbers_with, KTrussDecomposition};

@@ -17,11 +17,13 @@
 //! `scenes.builds` may not grow, and the first k-core tile, served after a
 //! k-core terrain, must start from the super tree that terrain retained:
 //! `super_trees.builds` may not grow either. Two terrain widths of a
-//! measure not used before must compute its scalar field once and build
-//! its render tree once: `scalars.builds` and `render_trees.builds` each
-//! grow by 1. A terrain at a new `budget` then builds one more render tree
-//! from the retained super tree: `render_trees.builds` grows by 1 and
-//! `super_trees.builds` by 0.
+//! measure not used before must compute its scalar field once, inside its
+//! one super-tree build, and build its render tree once:
+//! `super_trees.builds` and `render_trees.builds` each grow by 1. A terrain
+//! at a new `budget` then builds one more render tree from the retained
+//! super tree: `render_trees.builds` grows by 1 and `super_trees.builds` by
+//! 0. `/stats` must time the scalar stage (`stage_seconds.scalar > 0`) and
+//! have no `scalars` view: the server retains no scalar field.
 //!
 //! ```text
 //! route_smoke --addr <host:port> --graph <path> [--out-dir <dir>]
@@ -159,6 +161,13 @@ fn main() {
     if hits < 1 || misses < 1 {
         fail("stats", format!("expected hits >= 1 and misses >= 1, got {hits}/{misses}"));
     }
+    let scalar_seconds = stats_doc.get("stage_seconds").and_then(|s| s.get("scalar")?.as_f64());
+    if !scalar_seconds.is_some_and(|seconds| seconds > 0.0) {
+        fail("stats", format!("stage_seconds.scalar = {scalar_seconds:?}, expected > 0"));
+    }
+    if stats_doc.get("scalars").is_some() {
+        fail("stats", "a scalars view, but no scalar field is retained");
+    }
 
     // 10. Tiles: a pan/zoom tile misses, hits byte-identically, honors
     // If-None-Match, and out-of-grid keys are 404s decided before any
@@ -229,9 +238,9 @@ fn main() {
             format!("scenes.builds went {builds_before} -> {builds_after}; the scene was rebuilt"),
         );
     }
-    // Two terrain widths of one measure share its retained scalar field and
-    // its retained render tree.
-    let kinds = ["scalars", "render_trees"];
+    // Two terrain widths of one measure share its retained super tree (the
+    // one computation of its field) and its retained render tree.
+    let kinds = ["super_trees", "render_trees"];
     let builds_before = kinds.map(builds);
     for width in [640, 800] {
         let target = format!("/graphs/smoke/terrain?measure=pagerank&width={width}");

@@ -1,8 +1,7 @@
 //! A bounded LRU cache of shared values, keyed by a canonical string — the
 //! server keeps two: rendered artifacts keyed by their render parameters,
-//! and the retained store of scalar fields, super trees, render trees and
-//! tile scenes, keyed by graph id, generation, stage and the stage's
-//! parameters.
+//! and the retained store of super trees, render trees and tile scenes,
+//! keyed by graph id, generation, stage and the stage's parameters.
 //!
 //! Because the pipeline is deterministic — the same graph and settings
 //! produce bit-identical artifacts at every thread count — a cache hit is
@@ -52,14 +51,6 @@ impl Weighted for CachedArtifact {
     }
 }
 
-impl Weighted for [f64] {
-    /// Eight bytes per entry: a retained scalar field is charged exactly its
-    /// buffer.
-    fn weight(&self) -> usize {
-        std::mem::size_of_val(self)
-    }
-}
-
 /// The strong ETag for a canonical cache key: a quoted FNV-1a/64 hex digest.
 pub fn etag_for_key(key: &str) -> String {
     format!("\"{:016x}\"", fnv1a64(key.as_bytes()))
@@ -102,7 +93,7 @@ impl CacheStats {
 
 const NIL: usize = usize::MAX;
 
-struct Slot<V: ?Sized> {
+struct Slot<V> {
     key: String,
     /// `None` once evicted, so a free slot pins no value.
     value: Option<Arc<V>>,
@@ -113,7 +104,7 @@ struct Slot<V: ?Sized> {
 
 /// The cache proper. Not internally synchronized — the server wraps it in a
 /// `Mutex` and keeps renders outside the critical section.
-pub struct LruCache<V: ?Sized> {
+pub struct LruCache<V> {
     capacity: usize,
     max_bytes: usize,
     map: HashMap<String, usize>,
@@ -129,7 +120,7 @@ pub struct LruCache<V: ?Sized> {
     uncacheable: u64,
 }
 
-impl<V: Weighted + ?Sized> LruCache<V> {
+impl<V: Weighted> LruCache<V> {
     /// A cache bounded to `capacity` entries and `max_bytes` total weight.
     /// A zero `capacity` is raised to 1 (a cache that can hold nothing
     /// would make every `insert` an immediate eviction of itself).
@@ -319,7 +310,7 @@ impl<V: Weighted + ?Sized> LruCache<V> {
     }
 }
 
-impl<V: ?Sized> std::fmt::Debug for LruCache<V> {
+impl<V> std::fmt::Debug for LruCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LruCache")
             .field("entries", &self.map.len())
@@ -401,31 +392,6 @@ mod tests {
         cache.insert("g3|terrain|kcore".into(), artifact(1));
         assert!(cache.get("g2|terrain|kcore").is_some());
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn scalar_fields_are_charged_eight_bytes_per_entry_against_the_byte_bound() {
-        let field = |n: usize| -> Arc<[f64]> { (0..n).map(|i| i as f64).collect() };
-        // Room for 300 entries' worth of fields, whatever the entry count.
-        let mut cache: LruCache<[f64]> = LruCache::new(16, 300 * 8);
-        cache.insert("g|gen=0|measure=pagerank".into(), field(100));
-        assert_eq!(cache.bytes(), 100 * 8, "a field weighs len * 8");
-        cache.insert("g|gen=0|measure=k-core".into(), field(150));
-        assert_eq!(cache.bytes(), 250 * 8);
-        // A third field overflows the bytes: the least recent one goes.
-        cache.insert("g|gen=0|measure=degree".into(), field(120));
-        assert_eq!(
-            cache.keys_most_recent_first(),
-            vec!["g|gen=0|measure=degree", "g|gen=0|measure=k-core"]
-        );
-        assert_eq!(cache.bytes(), 270 * 8);
-        assert!(cache.bytes() <= cache.stats().max_bytes, "eviction restored the bound");
-        // A field larger than the whole bound is refused, residents untouched.
-        cache.insert("g|gen=0|measure=closeness".into(), field(301));
-        assert!(cache.peek("g|gen=0|measure=closeness").is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.uncacheable, stats.entries, stats.bytes), (1, 2, 270 * 8));
-        assert_eq!(stats.evictions, 1);
     }
 
     #[test]

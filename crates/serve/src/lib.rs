@@ -18,7 +18,7 @@
 //! Module map: [`http`] (hand-rolled request/response layer with typed
 //! errors), [`error`] (structured JSON API errors), [`cache`] (the bounded
 //! LRU, one instance for rendered artifacts and one for the retained store
-//! of scalar fields, super trees, render trees and tile scenes), [`flight`]
+//! of super trees, render trees and tile scenes), [`flight`]
 //! (single-flight builds for both), [`state`] (graph registry, retained
 //! store + shared counters), [`routes`] (the
 //! handlers and their one fetch-or-build helper), [`server`] (accept loop

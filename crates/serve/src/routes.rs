@@ -31,14 +31,13 @@
 //! together and [`RETAINED_BYTES`](crate::state::RETAINED_BYTES)), keyed
 //! `"{id}|gen={generation}|{stage}|{params}"`:
 //!
-//! - `scalar|measure={m}`: the measure's scalar field, an `Arc<[f64]>`.
-//!   The super-tree build starts from it.
 //! - `super_tree|measure={m}`: the unsimplified super tree (Algorithm 2),
-//!   an `Arc<SuperScalarTree>`, built once in a throwaway session over the
-//!   retained scalar field. Scenes and render trees start from it, so the
-//!   scalar tree and the super tree run once per (generation, measure),
-//!   and `/stats` `stage_seconds.tree` and `stage_seconds.super_tree` count
-//!   each such build once.
+//!   an `Arc<SuperScalarTree>`, built once in a throwaway session that
+//!   computes the measure's scalar field and drops it with the session.
+//!   Scenes and render trees start from it, so the scalar field, the scalar
+//!   tree and the super tree are computed once per (generation, measure),
+//!   and `/stats` `stage_seconds.scalar`, `stage_seconds.tree` and
+//!   `stage_seconds.super_tree` count each such build once.
 //! - `render_tree|measure={m}|budget={b}|levels={l}`: the super tree snapped
 //!   and capped at the budget, an `Arc<SuperScalarTree>` (within budget, the
 //!   super tree itself). Terrains and peaks lay out and render from it, so a
@@ -56,8 +55,7 @@
 //! requests for one key build once ([`crate::flight`]) and waiters answer
 //! with the builder's value; the value is published only while its graph is
 //! still the one registered under its id. A scene or render-tree build
-//! fetches its super tree, and a super-tree build its scalar field, through
-//! the same flight table, under another key.
+//! fetches its super tree through the same flight table, under another key.
 //!
 //! Deltas: the body is an edge batch in any [`GraphFormat`] (same `format`
 //! parameter as uploads) and `op` (`insert` | `delete` | `reweight`,
@@ -75,13 +73,13 @@
 //! `[1, 4096]`) and `seed`, `format` (exporter backend), `width`/`height`
 //! (SVG px, in `(0, 16384]`), `color` (height | degree), `budget` (a node
 //! count in `[1, MAX_RENDER_NODES]`, a hard cap on the rendered tree, or
-//! `none`, served as [`MAX_RENDER_NODES`]), `levels` (at least 1),
-//! `threads` (`serial`, `auto` or a thread count in [1, 64] —
-//! deliberately *excluded* from the cache key: at the server's fixed chunk
-//! width the pipeline's determinism contract makes artifacts
-//! byte-identical at every thread count, so a serial render and a threaded
-//! render share one cache entry; `NxW` widths are rejected because a width
-//! does change the bytes).
+//! `none`, served as [`MAX_RENDER_NODES`]), `levels` (at least 1), `alpha`
+//! (peaks, a finite number), `threads` (`serial`, `auto` or a thread count
+//! in [1, 64] — deliberately *excluded* from the cache key: at the
+//! server's fixed chunk width the pipeline's determinism contract makes
+//! artifacts byte-identical at every thread count, so a serial render and
+//! a threaded render share one cache entry; `NxW` widths are rejected
+//! because a width does change the bytes).
 //!
 //! A v3 binary snapshot upload (`GTSB` magic) registers as a *mapped*
 //! graph — the CSR arrays are served zero-copy out of the uploaded buffer,
@@ -247,28 +245,21 @@ fn post_delta(state: &AppState, req: &Request, id: &str) -> Result<Response, Api
     Ok(Response::json(200, delta_json(&entry, &stats, true, evicted)))
 }
 
-/// The delta response: the apply statistics, the resulting graph facts, and
-/// the per-measure recompute cost table (what a client should expect a
-/// re-render after this delta to pay).
+/// The delta response: the apply statistics and the resulting graph facts.
+/// A structural delta evicts every retained value of the id, so the next
+/// render of any measure recomputes it from scratch.
 fn delta_json(
     entry: &GraphEntry,
     stats: &DeltaApplyStats,
     structural: bool,
     evicted: usize,
 ) -> String {
-    let costs: Vec<String> = Measure::known_names()
-        .iter()
-        .map(|&name| {
-            let cost = Measure::from_name(name).expect("a known name parses").delta_cost();
-            format!("{}:{}", json_string(name), json_string(cost.name()))
-        })
-        .collect();
     format!(
         concat!(
             "{{\"graph\":{},\"structural\":{structural},\"evicted_artifacts\":{evicted},",
             "\"inserted\":{},\"deleted\":{},\"redundant_inserts\":{},",
             "\"absent_deletes\":{},\"reweights\":{},\"dropped_self_loops\":{},",
-            "\"superseded\":{},\"measure_costs\":{{{costs}}}}}"
+            "\"superseded\":{}}}"
         ),
         graph_json(entry),
         stats.inserted,
@@ -280,7 +271,6 @@ fn delta_json(
         stats.superseded,
         structural = structural,
         evicted = evicted,
-        costs = costs.join(","),
     )
 }
 
@@ -558,7 +548,18 @@ fn peaks(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError
     let measure = parse_measure(req)?;
     let parallelism = parse_parallelism(req)?;
     let alpha: Option<f64> = match req.query_param("alpha") {
-        Some(raw) => Some(numeric_param("alpha", raw)?),
+        Some(raw) => {
+            let alpha: f64 = numeric_param("alpha", raw)?;
+            if !alpha.is_finite() {
+                // `NaN` and `inf` parse as numbers, but a non-finite cut
+                // height makes every root a peak and echoes as `null`.
+                return Err(ApiError::invalid_parameter(
+                    "alpha",
+                    format!("alpha must be a finite number, got {raw:?}"),
+                ));
+            }
+            Some(alpha)
+        }
         None => None,
     };
     let count: usize = match req.query_param("count") {
@@ -759,33 +760,12 @@ fn retained_render_tree(
     Ok(tree)
 }
 
-/// The scalar field of `entry` under `measure`, computed once at
-/// `parallelism` however many requests race it (the field is the same at
-/// every thread count, so the first request's budget serves them all). The
-/// computation's seconds reach `/stats` once, here, not once per session
-/// that starts from the field.
-fn retained_scalar(
-    state: &AppState,
-    entry: &Arc<GraphEntry>,
-    measure: &Measure,
-    parallelism: Parallelism,
-) -> Result<Arc<[f64]>, ApiError> {
-    let params = format!("measure={}", measure_canonical(measure));
-    let value = retained(state, entry, RetainedKind::Scalar, &params, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure.clone());
-        session.set_parallelism(parallelism);
-        let scalar = session.shared_scalar()?;
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok(Retained::Scalar(scalar))
-    })?;
-    let Retained::Scalar(scalar) = value else { unreachable!("a scalar key holds a scalar") };
-    Ok(scalar)
-}
-
 /// The retained super tree of `entry` under `measure`, which scenes and
-/// render trees start from. The build runs Algorithms 1 and 2 in a
-/// throwaway session over the retained scalar field; only the super tree
-/// it hands out is kept. Its stage seconds reach `/stats` once per
+/// render trees start from. The build computes the scalar field at
+/// `parallelism` and runs Algorithms 1 and 2 in a throwaway session; only
+/// the super tree it hands out is kept (it is the same at every thread
+/// count, so the first request's budget serves them all). Its stage
+/// seconds — scalar, tree, super tree — reach `/stats` once per
 /// (generation, measure), here.
 fn retained_super_tree(
     state: &AppState,
@@ -795,9 +775,8 @@ fn retained_super_tree(
 ) -> Result<Arc<SuperScalarTree>, ApiError> {
     let params = format!("measure={}", measure_canonical(measure));
     let value = retained(state, entry, RetainedKind::SuperTree, &params, || {
-        let scalar = retained_scalar(state, entry, measure, parallelism)?;
-        let mut session =
-            TerrainPipeline::from_shared_scalar(entry.graph.clone(), measure.clone(), scalar)?;
+        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure.clone());
+        session.set_parallelism(parallelism);
         let tree = session.shared_super_tree()?;
         state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
         Ok(Retained::SuperTree(tree))
@@ -883,7 +862,7 @@ fn serve_cached(
 /// still the graph registered under its id. The check runs with the store's lock held: a delta or
 /// `DELETE` replaces the entry before it evicts, so a build that finishes
 /// after the eviction stores nothing for the graph that is gone.
-fn fetch_or_build<V: Weighted + ?Sized>(
+fn fetch_or_build<V: Weighted>(
     state: &AppState,
     entry: &Arc<GraphEntry>,
     store: &Mutex<LruCache<V>>,
@@ -940,7 +919,6 @@ fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
 fn stats(state: &AppState) -> Response {
     let cache = state.cache.lock().expect("cache lock").stats();
     let retained = state.retained.lock().expect("retained lock").stats();
-    let scalars = state.retained_stats(RetainedKind::Scalar);
     let scenes = state.retained_stats(RetainedKind::Scene);
     let super_trees = state.retained_stats(RetainedKind::SuperTree);
     let render_trees = state.retained_stats(RetainedKind::RenderTree);
@@ -956,7 +934,7 @@ fn stats(state: &AppState) -> Response {
             "\"insertions\":{},\"uncacheable\":{},\"entries\":{},\"bytes\":{},",
             "\"capacity\":{},\"max_bytes\":{}}},",
             "\"retained\":{{\"entries\":{},\"bytes\":{},\"max_bytes\":{}}},",
-            "\"scalars\":{},\"super_trees\":{},\"render_trees\":{},\"scenes\":{},",
+            "\"super_trees\":{},\"render_trees\":{},\"scenes\":{},",
             "\"single_flight_waits\":{},",
             "\"stage_seconds\":{{\"renders\":{},\"scalar\":{},\"tree\":{},\"super_tree\":{},",
             "\"simplify\":{},\"layout\":{},\"mesh\":{},\"svg\":{},\"scene\":{}}}}}"
@@ -981,7 +959,6 @@ fn stats(state: &AppState) -> Response {
         retained.entries,
         retained.bytes,
         retained.max_bytes,
-        retained_json(&scalars, retained.max_bytes),
         retained_json(&super_trees, retained.max_bytes),
         retained_json(&render_trees, retained.max_bytes),
         retained_json(&scenes, retained.max_bytes),

@@ -14,8 +14,8 @@
 //! computations always run outside every lock.
 //!
 //! The retained store keeps what a render starts from, per graph
-//! generation: scalar fields, unsimplified super trees, capped render
-//! trees and tile scenes, each a [`Retained`] variant. They share one entry
+//! generation: unsimplified super trees, capped render trees and tile
+//! scenes, each a [`Retained`] variant. They share one entry
 //! bound ([`RETAINED_ENTRIES`]), one byte budget ([`RETAINED_BYTES`]), one
 //! flight table and one key scheme,
 //! `"{id}|gen={generation}|{stage}|{params}"`, so one `"{id}|"` prefix
@@ -38,22 +38,19 @@ use graph_terrain::{Scene, SharedGraph, StageTimings};
 /// Values the retained store holds at once, of every kind together.
 pub const RETAINED_ENTRIES: usize = 64;
 
-/// Byte bound of the retained store. A scalar field weighs 8 bytes per
-/// vertex or edge; a super tree or a render tree 40 bytes per node and 8 per
-/// vertex or edge ([`SuperScalarTree::heap_bytes`]), so at the server's node
-/// cap of 150 000 a render tree over the 10M rung's ~10M edges (~87 MB)
-/// still fits, as do eight of its 1M-vertex fields (8 MiB each). A render
-/// tree that fits its budget is the super tree itself and is charged twice
-/// (once per key). A value alone above the budget is `uncacheable` and is
-/// rebuilt by every request that needs it.
+/// Byte bound of the retained store. A super tree or a render tree weighs
+/// 40 bytes per node and 8 per vertex or edge
+/// ([`SuperScalarTree::heap_bytes`]), so at the server's node cap of
+/// 150 000 a render tree over the 10M rung's ~10M edges (~87 MB) still
+/// fits. A render tree that fits its budget is the super tree itself and is
+/// charged twice (once per key). A value alone above the budget is
+/// `uncacheable` and is rebuilt by every request that needs it.
 pub const RETAINED_BYTES: usize = 128 << 20;
 
 /// One value of the retained store: a stage a render starts from, shared by
 /// every session that starts from it.
 #[derive(Clone, Debug)]
 pub enum Retained {
-    /// A measure's scalar field (one `f64` per vertex or edge).
-    Scalar(Arc<[f64]>),
     /// A tile scene over the unsimplified super tree.
     Scene(Arc<Scene>),
     /// The unsimplified super tree (Algorithm 2), which scenes and render
@@ -67,7 +64,6 @@ impl Retained {
     /// Which kind of value this is.
     pub fn kind(&self) -> RetainedKind {
         match self {
-            Retained::Scalar(_) => RetainedKind::Scalar,
             Retained::Scene(_) => RetainedKind::Scene,
             Retained::SuperTree(_) => RetainedKind::SuperTree,
             Retained::RenderTree(_) => RetainedKind::RenderTree,
@@ -76,11 +72,9 @@ impl Retained {
 }
 
 impl Weighted for Retained {
-    /// The value's own arrays: a field's buffer, a scene's items and index,
-    /// a tree's arena.
+    /// The value's own arrays: a scene's items and index, a tree's arena.
     fn weight(&self) -> usize {
         match self {
-            Retained::Scalar(field) => field.weight(),
             Retained::Scene(scene) => scene.heap_bytes(),
             Retained::SuperTree(tree) | Retained::RenderTree(tree) => tree.heap_bytes(),
         }
@@ -90,8 +84,6 @@ impl Weighted for Retained {
 /// The kinds of [`Retained`] values, each with its own `/stats` view.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RetainedKind {
-    /// [`Retained::Scalar`].
-    Scalar,
     /// [`Retained::Scene`].
     Scene,
     /// [`Retained::SuperTree`].
@@ -104,7 +96,6 @@ impl RetainedKind {
     /// The `{stage}` segment of the kind's store keys.
     pub fn stage(self) -> &'static str {
         match self {
-            RetainedKind::Scalar => "scalar",
             RetainedKind::Scene => "scene",
             RetainedKind::SuperTree => "super_tree",
             RetainedKind::RenderTree => "render_tree",
@@ -112,7 +103,7 @@ impl RetainedKind {
     }
 }
 
-/// Per-kind counters of the retained store (`/stats` `scalars`, `scenes`,
+/// Per-kind counters of the retained store (`/stats` `scenes`,
 /// `super_trees` and `render_trees`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RetainedStats {
@@ -193,8 +184,8 @@ pub struct GraphEntry {
 /// Per-stage wall-clock totals accumulated across every session the server
 /// ran, reported by `/stats` (the served-traffic analog of the per-run
 /// [`StageTimings`]). A retained value's stages are absorbed once, when it
-/// is built, however many sessions start from it: a super tree's (tree,
-/// super tree) however many scenes and render trees start from it, a
+/// is built, however many sessions start from it: a super tree's (scalar,
+/// tree, super tree) however many scenes and render trees start from it, a
 /// scene's however many tiles it serves, a render tree's (simplify) however
 /// many terrains and peaks lists are rendered from it.
 #[derive(Clone, Debug, Default)]
@@ -244,15 +235,13 @@ pub struct AppState {
     pub cache: Mutex<LruCache<CachedArtifact>>,
     /// One render per missed artifact key, however many requests race it.
     pub artifact_flights: SingleFlight<Arc<CachedArtifact>>,
-    /// The retained store: scalar fields, super trees, render trees and tile
-    /// scenes, keyed `"{graph id}|gen={generation}|{stage}|{params}"`.
+    /// The retained store: super trees, render trees and tile scenes, keyed `"{graph id}|gen={generation}|{stage}|{params}"`.
     pub retained: Mutex<LruCache<Retained>>,
     /// One build per missed retained key, whatever its kind. A render-tree
-    /// or scene build fetches its super tree, and a super-tree build its
-    /// scalar field, through the same table.
+    /// or scene build fetches its super tree through the same table.
     pub retained_flights: SingleFlight<Arc<Retained>>,
     /// Builds, hits and refusals per [`RetainedKind`], in declaration order.
-    retained_counters: [KindCounters; 4],
+    retained_counters: [KindCounters; 3],
     /// Stage-seconds accumulated across cache-miss renders.
     pub stage_totals: Mutex<StageTotals>,
     next_id: AtomicU64,
@@ -473,11 +462,9 @@ mod tests {
             tiny_graph(),
             graph_terrain::Measure::Degree,
         );
-        let field = session.shared_scalar().unwrap();
         let super_tree = session.shared_super_tree().unwrap();
         let tree = session.shared_render_tree().unwrap();
         let scene = Arc::new(session.scene().unwrap().clone());
-        assert_eq!(Retained::Scalar(field).weight(), 3 * 8);
         // A triangle's degree field is flat: one node holding all three.
         assert_eq!(super_tree.node_count(), 1);
         assert_eq!(Retained::SuperTree(Arc::clone(&super_tree)).weight(), 40 + 3 * 8 + 8);

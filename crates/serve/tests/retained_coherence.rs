@@ -1,6 +1,6 @@
 //! Retained coherence through the HTTP routes: terrains, peaks and tiles
-//! served from retained state — scalar fields, super trees, render trees
-//! and scenes kept per graph generation — must be the bytes a fresh upload
+//! served from retained state — super trees, render trees and scenes kept
+//! per graph generation — must be the bytes a fresh upload
 //! of the final edge list serves, however many deltas came before. A super
 //! tree is built once per (graph, generation, measure) and serves the
 //! scene and every render tree; a render tree is built once per (graph,
@@ -88,8 +88,7 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
 
     let state = state_with(&SharedGraph::new(base));
     let builds = |state: &AppState| {
-        ["scalars", "super_trees", "render_trees", "scenes"]
-            .map(|kind| counter(state, kind, "builds"))
+        ["super_trees", "render_trees", "scenes"].map(|kind| counter(state, kind, "builds"))
     };
     let warm = |state: &AppState| {
         let before = builds(state);
@@ -97,9 +96,10 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
             ok(state, &target);
         }
         let built = builds(state);
-        // Per measure: one field and one super tree, which serves the scene
-        // and the six (budget, levels) pairs' render trees.
-        let per_generation = [3, 3, 18, 3];
+        // Per measure: one super tree (the one computation of its field),
+        // which serves the scene and the six (budget, levels) pairs' render
+        // trees.
+        let per_generation = [3, 18, 3];
         assert_eq!(std::array::from_fn(|i| built[i] - before[i]), per_generation);
     };
     warm(&state);
@@ -174,9 +174,9 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
     })
     .collect();
     served.extend(resimplified.iter().map(|(_, target, _)| ok(&state, target)));
-    let [scalars, super_trees, render_trees, scenes] = builds_before;
+    let [super_trees, render_trees, scenes] = builds_before;
     let new_trees = resimplified.len() as u64;
-    assert_eq!(builds(&state), [scalars, super_trees, render_trees + new_trees, scenes]);
+    assert_eq!(builds(&state), [super_trees, render_trees + new_trees, scenes]);
     assert_eq!(counter(&state, "super_trees", "hits"), super_hits_before + new_trees);
     // New tile keys: artifact misses cut from the retained scene.
     let scene_hits_before = counter(&state, "scenes", "hits");
@@ -191,7 +191,7 @@ fn artifacts_served_from_retained_state_after_deltas_equal_a_fresh_upload() {
         .collect();
     let tiles: Vec<Vec<u8>> = new_tiles.iter().map(|target| ok(&state, target)).collect();
     assert_eq!(counter(&state, "scenes", "hits"), scene_hits_before + new_tiles.len() as u64);
-    assert_eq!(builds(&state)[3], scenes, "no scene was rebuilt");
+    assert_eq!(builds(&state)[2], scenes, "no scene was rebuilt");
 
     // The final edge list, uploaded from scratch to a fresh server under
     // the same id (peaks echo it), and rendered by the library.
@@ -239,8 +239,7 @@ fn a_render_tree_is_built_once_per_measure_budget_and_levels() {
     terrain("levels=4&width=1000");
     terrain("budget=4000&levels=64&width=1000");
     assert_eq!(render_trees(), 3);
-    assert_eq!(counter(&state, "scalars", "builds"), 1, "every tree starts from one field");
-    assert_eq!(counter(&state, "super_trees", "builds"), 1, "and from one super tree");
+    assert_eq!(counter(&state, "super_trees", "builds"), 1, "every tree starts from one");
     assert_eq!(counter(&state, "super_trees", "hits"), 2, "the new budget and level count");
     assert_eq!(counter(&state, "render_trees", "entries"), 3);
     assert_eq!(counter(&state, "render_trees", "uncacheable"), 0);
@@ -251,9 +250,13 @@ fn a_render_tree_is_built_once_per_measure_budget_and_levels() {
     let super_tree_bytes = counter(&state, "super_trees", "bytes");
     assert!(super_tree_bytes >= 8 * graph.storage().vertex_count() as u64);
     assert!(tree_bytes > super_tree_bytes, "the default render tree is the super tree");
+    // A tile adds the scene, cut from the same super tree.
+    ok(&state, "/graphs/g/tiles/0/0/0?measure=pagerank");
+    assert_eq!(counter(&state, "super_trees", "builds"), 1);
+    let scene_bytes = counter(&state, "scenes", "bytes");
+    assert!(scene_bytes > 0);
     let retained = counter(&state, "retained", "bytes");
-    let scalar_bytes = counter(&state, "scalars", "bytes");
-    assert_eq!(retained, tree_bytes + super_tree_bytes + scalar_bytes);
+    assert_eq!(retained, tree_bytes + super_tree_bytes + scene_bytes);
     assert_eq!(counter(&state, "retained", "entries"), 5);
 }
 
@@ -301,9 +304,8 @@ fn concurrent_cold_terrains_at_distinct_widths_build_one_field_and_one_tree() {
             .collect();
         handles.into_iter().map(|h| h.join().expect("request thread")).collect()
     });
-    // The render-tree build fetched its field through the same flight
-    // table without deadlock, and once.
-    assert_eq!(counter(&state, "scalars", "builds"), 1);
+    // The render-tree build fetched its super tree through the same flight
+    // table without deadlock, and the super tree computed the field once.
     assert_eq!(counter(&state, "super_trees", "builds"), 1);
     assert_eq!(counter(&state, "render_trees", "builds"), 1);
     let renders = stats(&state).get("stage_seconds").and_then(|s| s.get("renders")).cloned();

@@ -201,9 +201,9 @@ fn every_spelling_of_a_request_is_one_artifact_and_one_scalar_per_measure() {
         let counter = |object: &str, name: &str| stats.get(object)?.get(name)?.as_u64();
         assert_eq!(counter("cache", "misses"), Some(seen.len() as u64), "seed {seed}");
         assert_eq!(
-            counter("scalars", "builds"),
+            counter("super_trees", "builds"),
             Some(measures_used.len() as u64),
-            "seed {seed}: one scalar field per measure"
+            "seed {seed}: one super tree, so one scalar field, per measure"
         );
     }
 }

@@ -1,9 +1,12 @@
-//! Retained scalar fields: a terrain's or a peaks list's bytes must not
-//! depend on which request computed the measure — that terrain, an earlier
-//! tile, `/scene`, peaks, or a request at another thread count — nor on
-//! whether the field fit the retention budget at all, and a field must not
-//! survive the graph generation it was computed on. Concurrent cold
-//! requests of one measure compute it once.
+//! One scalar computation per measure and generation: the server computes
+//! a measure's scalar field only inside the build of its retained super
+//! tree, so `super_trees.builds` counts the computations and
+//! `stage_seconds.scalar` grows only when one runs. A terrain's or a peaks
+//! list's bytes must not depend on which request computed the measure —
+//! that terrain, an earlier tile, `/scene`, peaks, or a request at another
+//! thread count — nor on whether the super tree fit the retention budget at
+//! all, and a super tree must not survive the graph generation it was
+//! computed on. Concurrent cold requests of one measure compute it once.
 
 use std::sync::{Arc, Barrier};
 
@@ -32,10 +35,6 @@ fn post(state: &AppState, target: &str, body: &[u8]) {
     );
 }
 
-fn scalars(state: &AppState, counter: &str) -> u64 {
-    retained(state, "scalars", counter)
-}
-
 fn super_trees(state: &AppState, counter: &str) -> u64 {
     retained(state, "super_trees", counter)
 }
@@ -52,10 +51,22 @@ fn retained(state: &AppState, kind: &str, counter: &str) -> u64 {
         .unwrap_or_else(|| panic!("/stats has no {kind}.{counter}"))
 }
 
-/// The retained fields' keys, most recently used first.
-fn scalar_keys(state: &AppState) -> Vec<String> {
+/// `/stats` `stage_seconds.scalar`: the seconds spent computing measures.
+fn scalar_seconds(state: &AppState) -> f64 {
+    stats(state)
+        .get("stage_seconds")
+        .and_then(|s| s.get("scalar"))
+        .and_then(|v| v.as_f64())
+        .expect("/stats has stage_seconds.scalar")
+}
+
+/// The retained super trees' keys, most recently used first. No retained
+/// key names a scalar field: the field is dropped with the session that
+/// built the super tree.
+fn super_tree_keys(state: &AppState) -> Vec<String> {
     let keys = state.retained.lock().unwrap().keys_most_recent_first();
-    keys.into_iter().filter(|key| key.contains("|scalar|")).collect()
+    assert!(keys.iter().all(|key| !key.contains("|scalar|")), "{keys:?}");
+    keys.into_iter().filter(|key| key.contains("|super_tree|")).collect()
 }
 
 /// The default-size SVG terrain as a fresh in-process session renders it.
@@ -92,12 +103,11 @@ fn terrain_and_peaks_are_the_same_bytes_whichever_request_built_the_scalar() {
             ok(&state, builder);
             assert_eq!(ok(&state, &terrain), reference, "{terrain} after {builder}");
             assert_eq!(ok(&state, &peaks), cold_peaks, "{peaks} after {builder}");
-            assert_eq!(scalars(&state, "builds"), 1, "{builder}: one field per measure");
+            // One super tree, so one computation of the field.
             assert_eq!(super_trees(&state, "builds"), 1, "{builder}: one super tree");
-            // Only the super-tree build reads the field. Terrain and peaks
-            // each reused retained state once: the super tree a tile or
-            // scene built, or the render tree built from it.
-            assert_eq!(scalars(&state, "hits"), 0, "{builder}");
+            assert!(scalar_seconds(&state) > 0.0, "{builder}: the field was computed");
+            // Terrain and peaks each reused retained state once: the super
+            // tree a tile or scene built, or the render tree built from it.
             let reused = super_trees(&state, "hits") + render_trees(&state, "hits");
             assert_eq!(reused, 2, "{builder}: terrain and peaks reused it");
             assert_eq!(render_trees(&state, "builds"), 1, "{builder}: one tree per budget");
@@ -109,29 +119,28 @@ fn terrain_and_peaks_are_the_same_bytes_whichever_request_built_the_scalar() {
 fn three_widths_peaks_and_a_tile_of_one_measure_compute_it_once() {
     let graph = SharedGraph::new(test_graph());
     let state = state_with(&graph);
-    for width in [600, 700, 800] {
+    ok(&state, "/graphs/g/terrain?measure=pagerank&width=600");
+    let computed = scalar_seconds(&state);
+    assert!(computed > 0.0, "the first terrain computed the field");
+    for width in [700, 800] {
         ok(&state, &format!("/graphs/g/terrain?measure=pagerank&width={width}"));
     }
     ok(&state, "/graphs/g/peaks?measure=pagerank");
     ok(&state, "/graphs/g/tiles/1/1/0?measure=pagerank");
-    let doc = stats(&state);
-    let field = doc.get("scalars").unwrap();
-    let count = |name: &str| field.get(name).and_then(|v| v.as_u64()).unwrap();
-    assert_eq!(count("builds"), 1);
-    // Only the super tree starts from the field. The first terrain's render
-    // tree and the tile's scene start from the super tree; the other widths
-    // and peaks start from the render tree.
-    assert_eq!(count("hits"), 0);
+    assert_eq!(scalar_seconds(&state), computed, "no later request computed it again");
+    // The first terrain's render tree and the tile's scene start from the
+    // super tree; the other widths and peaks start from the render tree.
     assert_eq!((super_trees(&state, "builds"), super_trees(&state, "hits")), (1, 1));
     assert_eq!((render_trees(&state, "builds"), render_trees(&state, "hits")), (1, 3));
-    assert_eq!(count("entries"), 1);
-    assert_eq!(count("bytes"), 8 * graph.storage().vertex_count() as u64, "len * 8");
-    assert_eq!(count("uncacheable"), 0);
-    assert_eq!(scalar_keys(&state), vec!["g|gen=0|scalar|measure=pagerank"]);
-    // Five artifacts rendered, one scene built; the field's seconds were
-    // absorbed once, by its build.
-    let renders = doc.get("stage_seconds").and_then(|s| s.get("renders")).unwrap();
-    assert_eq!(renders.as_u64(), Some(5));
+    assert_eq!(super_trees(&state, "entries"), 1);
+    let mut library = TerrainPipeline::from_shared(graph.clone(), Measure::PageRank);
+    let heap_bytes = library.super_tree().unwrap().heap_bytes() as u64;
+    assert_eq!(super_trees(&state, "bytes"), heap_bytes, "charged its arena");
+    assert_eq!(super_trees(&state, "uncacheable"), 0);
+    assert_eq!(super_tree_keys(&state), vec!["g|gen=0|super_tree|measure=pagerank"]);
+    // Five artifacts rendered, one scene built.
+    let renders = stats(&state).get("stage_seconds").and_then(|s| s.get("renders")).cloned();
+    assert_eq!(renders.and_then(|r| r.as_u64()), Some(5));
 }
 
 #[test]
@@ -160,8 +169,8 @@ fn concurrent_cold_terrains_and_tiles_of_one_measure_compute_it_once() {
             .collect();
         handles.into_iter().map(|h| h.join().expect("request thread")).collect()
     });
-    assert_eq!(scalars(&state, "builds"), 1, "one PageRank for every cold request");
-    assert_eq!(super_trees(&state, "builds"), 1, "one super tree for the tree and the scene");
+    assert_eq!(super_trees(&state, "builds"), 1, "one PageRank for every cold request");
+    assert!(scalar_seconds(&state) > 0.0, "timed once, by the super-tree build");
     assert_eq!(render_trees(&state, "builds"), 1, "one render tree for the four widths");
     assert_eq!(state.retained_flights.in_flight(), 0);
     // Every response is what a sequential server with a warm field serves.
@@ -180,13 +189,13 @@ fn a_structural_delta_drops_the_old_generations_field() {
         ok(&state, &format!("/graphs/g/terrain?measure={name}"));
     }
     assert_eq!(
-        scalar_keys(&state),
-        vec!["g|gen=0|scalar|measure=k-core", "g|gen=0|scalar|measure=pagerank"]
+        super_tree_keys(&state),
+        vec!["g|gen=0|super_tree|measure=k-core", "g|gen=0|super_tree|measure=pagerank"]
     );
 
     let batch = b"13 15\n15 16\n";
     post(&state, "/graphs/g/deltas", batch);
-    assert_eq!(scalars(&state, "entries"), 0, "gen 0's fields are gone");
+    assert_eq!(super_trees(&state, "entries"), 0, "gen 0's super trees are gone");
 
     // The final edge list, uploaded from scratch under another id.
     let mut final_list = edge_list(&graph);
@@ -199,16 +208,16 @@ fn a_structural_delta_drops_the_old_generations_field() {
     }
     let generation = state.graph("g").unwrap().generation;
     let mut mutated_keys: Vec<String> =
-        scalar_keys(&state).into_iter().filter(|k| k.starts_with("g|")).collect();
+        super_tree_keys(&state).into_iter().filter(|k| k.starts_with("g|")).collect();
     mutated_keys.sort();
     assert_eq!(
         mutated_keys,
         vec![
-            format!("g|gen={generation}|scalar|measure=k-core"),
-            format!("g|gen={generation}|scalar|measure=pagerank"),
+            format!("g|gen={generation}|super_tree|measure=k-core"),
+            format!("g|gen={generation}|super_tree|measure=pagerank"),
         ]
     );
-    assert_eq!(scalars(&state, "builds"), 6, "2 before, 2 after, 2 for the fresh upload");
+    assert_eq!(super_trees(&state, "builds"), 6, "2 before, 2 after, 2 for the fresh upload");
 }
 
 #[test]
@@ -222,16 +231,19 @@ fn delete_then_reupload_never_reuses_a_field() {
     );
     let deleted = routes::handle(&state, &Request { method: Method::Delete, ..get("/graphs/g") });
     assert_eq!(deleted.status, 200);
-    assert_eq!(scalars(&state, "entries"), 0, "DELETE drops the fields");
+    assert_eq!(super_trees(&state, "entries"), 0, "DELETE drops the super trees");
 
     state.insert_graph(Some("g".into()), new.clone()).unwrap();
     assert_eq!(
         ok(&state, "/graphs/g/terrain?measure=pagerank"),
         fresh_terrain(&new, Measure::PageRank)
     );
-    assert_eq!(scalars(&state, "builds"), 2);
+    assert_eq!(super_trees(&state, "builds"), 2);
     let generation = state.graph("g").unwrap().generation;
-    assert_eq!(scalar_keys(&state), vec![format!("g|gen={generation}|scalar|measure=pagerank")]);
+    assert_eq!(
+        super_tree_keys(&state),
+        vec![format!("g|gen={generation}|super_tree|measure=pagerank")]
+    );
 }
 
 #[test]
@@ -257,30 +269,36 @@ fn a_field_computed_for_a_deleted_graph_serves_nothing_to_its_reupload() {
         assert_eq!(ok(&state, target), reference, "after the old computation ended");
     });
     let generation = state.graph("g").unwrap().generation;
-    assert_eq!(scalar_keys(&state), vec![format!("g|gen={generation}|scalar|measure=pagerank")]);
+    assert_eq!(
+        super_tree_keys(&state),
+        vec![format!("g|gen={generation}|super_tree|measure=pagerank")]
+    );
 }
 
 #[test]
-fn a_field_over_the_byte_bound_is_refused_and_still_serves_exact_bytes() {
+fn a_super_tree_over_the_byte_bound_is_refused_and_still_serves_exact_bytes() {
     let graph = SharedGraph::new(test_graph());
     let state = state_with(&graph);
-    // One entry short of the vertex field: the bound admits no vertex field
-    // (nor a render tree, which holds two `u32`s per vertex and its nodes).
-    let max_bytes = 8 * (graph.storage().vertex_count() - 1);
+    // One byte short of the super tree: the bound admits no super tree (nor
+    // the default render tree, which fits its budget and is the super tree).
+    let mut library = TerrainPipeline::from_shared(graph.clone(), Measure::PageRank);
+    let max_bytes = library.super_tree().unwrap().heap_bytes() - 1;
     *state.retained.lock().unwrap() = LruCache::new(RETAINED_ENTRIES, max_bytes);
     let reference = fresh_terrain(&graph, Measure::PageRank);
     assert_eq!(ok(&state, "/graphs/g/terrain?measure=pagerank"), reference);
     let resized = ok(&state, "/graphs/g/terrain?measure=pagerank&width=640");
     let doc = stats(&state);
-    let field = doc.get("scalars").unwrap();
-    let count = |name: &str| field.get(name).and_then(|v| v.as_u64()).unwrap();
+    let trees = doc.get("super_trees").unwrap();
+    let count = |name: &str| trees.get(name).and_then(|v| v.as_u64()).unwrap();
     assert_eq!(count("uncacheable"), 2, "refused at each build");
-    assert_eq!(count("builds"), 2, "so each terrain recomputes it");
+    assert_eq!(count("builds"), 2, "so each terrain recomputes the field and the trees");
     assert_eq!((count("entries"), count("bytes")), (0, 0));
     assert_eq!(count("max_bytes"), max_bytes as u64);
+    assert_eq!(render_trees(&state, "uncacheable"), 2);
+    assert!(super_tree_keys(&state).is_empty());
 
-    // The refused field renders exactly what a retained one does.
+    // The refused super tree renders exactly what a retained one does.
     let retained = state_with(&graph);
     assert_eq!(ok(&retained, "/graphs/g/terrain?measure=pagerank&width=640"), resized);
-    assert_eq!(scalars(&retained, "builds"), 1);
+    assert_eq!(super_trees(&retained, "builds"), 1);
 }

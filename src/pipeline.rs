@@ -62,7 +62,7 @@
 //! assert!(session.timings().tree_construction_seconds().is_some());
 //! ```
 
-use measures::{DeltaCost, KCoreDecomposition, KTrussDecomposition};
+use measures::DeltaCost;
 use scalarfield::{
     build_super_tree, edge_scalar_tree, simplify_super_tree, vertex_scalar_tree, EdgeScalarGraph,
     ScalarTree, SuperScalarTree, VertexScalarGraph,
@@ -164,16 +164,18 @@ impl Measure {
 
     /// How much of this measure survives a graph delta (see
     /// [`TerrainPipeline::apply_delta`]): `Local` measures update only
-    /// around dirty endpoints, `DirtyRegion` measures re-peel only the
-    /// connected components a change touched, `Full` measures recompute
-    /// from scratch.
+    /// around dirty endpoints, `Full` measures recompute from scratch.
+    /// K-core and k-truss are `Full`: an R-MAT batch lands in the giant
+    /// component, where re-peeling only the touched components is a full
+    /// peel (PERFORMANCE.md, "Delta tiers").
     pub fn delta_cost(&self) -> DeltaCost {
         match self {
             Measure::Degree | Measure::EdgeTriangles => DeltaCost::Local,
-            Measure::KCore | Measure::KTruss => DeltaCost::DirtyRegion,
-            Measure::PageRank | Measure::Closeness | Measure::BetweennessSampled { .. } => {
-                DeltaCost::Full
-            }
+            Measure::KCore
+            | Measure::KTruss
+            | Measure::PageRank
+            | Measure::Closeness
+            | Measure::BetweennessSampled { .. } => DeltaCost::Full,
         }
     }
 
@@ -375,7 +377,7 @@ pub struct DeltaReport {
 pub enum ScalarPath {
     /// The batch changed nothing; the scalar and every stage were kept.
     Unchanged,
-    /// A Local / DirtyRegion measure was updated around the dirty vertices.
+    /// A Local measure was updated around the dirty vertices.
     Incremental,
     /// A Full measure was dropped, to be recomputed lazily.
     Recompute,
@@ -536,16 +538,15 @@ pub struct TerrainPipeline<'g> {
     mesh_config: MeshConfig,
     svg_size: SvgSize,
     lod_config: LodConfig,
-    // Stage caches, upstream to downstream. The scalar field, the super tree
-    // and the render tree are shared: `from_shared_scalar`,
-    // `from_shared_super_tree` and `from_shared_render_tree` sessions start
-    // from a stage someone else computed, and `shared_scalar` /
+    // Stage caches, upstream to downstream. The super tree and the render
+    // tree are shared: `from_shared_super_tree` and `from_shared_render_tree`
+    // sessions start from a stage someone else computed, and
     // `shared_super_tree` / `shared_render_tree` hand them back out. Within
     // budget the render tree is the super tree's own `Arc`, never a clone.
     // A session started from a tree has nothing upstream of it (no scalar
-    // tree, and no super tree under a render tree) until such a stage is
-    // asked for.
-    scalar: Option<Arc<[f64]>>,
+    // field or scalar tree, and no super tree under a render tree) until
+    // such a stage is asked for.
+    scalar: Option<Vec<f64>>,
     scalar_tree: Option<ScalarTree>,
     super_tree: Option<Arc<SuperScalarTree>>,
     render_tree: Option<Arc<SuperScalarTree>>,
@@ -588,7 +589,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn vertex(graph: &'g dyn GraphStorage, scalar: Vec<f64>) -> TerrainResult<Self> {
         VertexScalarGraph::new(graph, &scalar)?;
         let mut p = Self::new(GraphStore::Borrowed(graph), FieldKind::Vertex);
-        p.scalar = Some(scalar.into());
+        p.scalar = Some(scalar);
         Ok(p)
     }
 
@@ -597,7 +598,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn edge(graph: &'g dyn GraphStorage, scalar: Vec<f64>) -> TerrainResult<Self> {
         EdgeScalarGraph::new(graph, &scalar)?;
         let mut p = Self::new(GraphStore::Borrowed(graph), FieldKind::Edge);
-        p.scalar = Some(scalar.into());
+        p.scalar = Some(scalar);
         Ok(p)
     }
 
@@ -647,26 +648,6 @@ impl<'g> TerrainPipeline<'g> {
         let mut p = TerrainPipeline::new(GraphStore::Shared(graph), measure.field_kind());
         p.measure = Some(measure);
         p
-    }
-
-    /// [`from_shared`](Self::from_shared) with the measure's scalar field
-    /// already computed — typically handed out earlier by
-    /// [`shared_scalar`](Self::shared_scalar) of a session over the same
-    /// graph, so a cache of fields can skip the measure. The field is
-    /// validated against the measure's field kind (one finite entry per
-    /// vertex or edge) but not recomputed: the caller vouches that it *is*
-    /// `measure` on `graph`. The session stays a measure session
-    /// ([`apply_delta`](Self::apply_delta) carries the field like a computed
-    /// one), and its [`StageTimings::scalar_seconds`] stays `None`.
-    pub fn from_shared_scalar(
-        graph: SharedGraph,
-        measure: Measure,
-        scalar: Arc<[f64]>,
-    ) -> TerrainResult<TerrainPipeline<'static>> {
-        let mut p = Self::from_shared(graph, measure);
-        p.validate_scalar(&scalar)?;
-        p.scalar = Some(scalar);
-        Ok(p)
     }
 
     /// [`from_shared`](Self::from_shared) with the render tree already built
@@ -769,7 +750,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn set_scalar(&mut self, scalar: Vec<f64>) -> TerrainResult<&mut Self> {
         self.validate_scalar(&scalar)?;
         self.measure = None;
-        self.scalar = Some(scalar.into());
+        self.scalar = Some(scalar);
         self.timings.scalar_seconds = None;
         self.invalidate_from_tree();
         Ok(self)
@@ -841,7 +822,7 @@ impl<'g> TerrainPipeline<'g> {
     ///
     /// | session scalar                              | carried across as                        |
     /// |---------------------------------------------|------------------------------------------|
-    /// | `Local` / `DirtyRegion` measure, computed   | incremental update around dirty vertices |
+    /// | `Local` measure, computed                   | incremental update around dirty vertices |
     /// | `Full` measure, computed                    | dropped; recomputed lazily               |
     /// | measure, not yet computed                   | nothing to carry                         |
     /// | explicit vertex scalar                      | kept (error if the vertex set grew)      |
@@ -879,7 +860,7 @@ impl<'g> TerrainPipeline<'g> {
         }
         let (update, scalar_path) = match (&self.measure, &self.scalar) {
             (Some(measure), Some(old_scalar)) => match measure.delta_cost() {
-                DeltaCost::Local | DeltaCost::DirtyRegion => {
+                DeltaCost::Local => {
                     let started = Instant::now();
                     let updated = incremental_measure_scalar(
                         measure,
@@ -950,7 +931,7 @@ impl<'g> TerrainPipeline<'g> {
                 self.timings.scalar_seconds = None;
             }
             ScalarUpdate::Set(scalar, seconds) => {
-                self.scalar = Some(scalar.into());
+                self.scalar = Some(scalar);
                 self.timings.scalar_seconds = seconds;
             }
         }
@@ -1075,16 +1056,6 @@ impl<'g> TerrainPipeline<'g> {
     pub fn scalar(&mut self) -> TerrainResult<&[f64]> {
         self.ensure_scalar()?;
         Ok(self.scalar.as_deref().expect("ensured"))
-    }
-
-    /// The scalar field as a shared handle, computing it on first demand
-    /// like [`scalar`](Self::scalar). The handle is the session's own
-    /// buffer, not a copy: hand it to
-    /// [`from_shared_scalar`](Self::from_shared_scalar) to start another
-    /// session over the same graph and measure without recomputing it.
-    pub fn shared_scalar(&mut self) -> TerrainResult<Arc<[f64]>> {
-        self.ensure_scalar()?;
-        Ok(Arc::clone(self.scalar.as_ref().expect("ensured")))
     }
 
     /// The scalar tree (Algorithm 1 for vertex fields, Algorithm 3 for edge
@@ -1300,7 +1271,7 @@ impl<'g> TerrainPipeline<'g> {
         let started = Instant::now();
         let scalar = measure.compute(self.graph.get(), self.parallelism);
         self.timings.scalar_seconds = Some(started.elapsed().as_secs_f64());
-        self.scalar = Some(scalar.into());
+        self.scalar = Some(scalar);
         Ok(())
     }
 
@@ -1424,9 +1395,9 @@ impl<'g> TerrainPipeline<'g> {
 }
 
 /// Exact incremental update of a computed measure scalar across a delta.
-/// Every Local / DirtyRegion measure is an integer count (degree, triangle
-/// count, core / truss number) stored as `f64`, so the `usize` round-trip
-/// is lossless and the result matches a from-scratch recompute bit for bit.
+/// Every Local measure is an integer count (degree, triangle count) stored
+/// as `f64`, so the `usize` round-trip is lossless and the result matches a
+/// from-scratch recompute bit for bit.
 fn incremental_measure_scalar(
     measure: &Measure,
     compacted: &CompactedDelta,
@@ -1446,25 +1417,11 @@ fn incremental_measure_scalar(
                 .map(|t| t as f64)
                 .collect()
         }
-        Measure::KCore => {
-            let degeneracy = old_counts.iter().copied().max().unwrap_or(0);
-            let old = KCoreDecomposition { core: old_counts, degeneracy };
-            measures::incremental_core_numbers(graph, &old, &compacted.dirty)
-                .core
-                .into_iter()
-                .map(|c| c as f64)
-                .collect()
-        }
-        Measure::KTruss => {
-            let max_truss = old_counts.iter().copied().max().unwrap_or(0);
-            let old = KTrussDecomposition { truss: old_counts, max_truss };
-            measures::incremental_truss_numbers(graph, &old, compacted, parallelism)
-                .truss
-                .into_iter()
-                .map(|t| t as f64)
-                .collect()
-        }
-        Measure::PageRank | Measure::Closeness | Measure::BetweennessSampled { .. } => {
+        Measure::KCore
+        | Measure::KTruss
+        | Measure::PageRank
+        | Measure::Closeness
+        | Measure::BetweennessSampled { .. } => {
             unreachable!("Full-cost measures recompute from scratch, not incrementally")
         }
     }
@@ -1616,32 +1573,6 @@ mod tests {
     }
 
     #[test]
-    fn from_shared_scalar_reuses_the_field_and_matches_a_computing_session() {
-        let shared = SharedGraph::new(toy_graph());
-        for measure in [Measure::PageRank, Measure::KTruss] {
-            let mut computing = TerrainPipeline::from_shared(shared.clone(), measure.clone());
-            let field = computing.shared_scalar().unwrap();
-            assert!(computing.timings().scalar_seconds.is_some());
-            let mut reusing =
-                TerrainPipeline::from_shared_scalar(shared.clone(), measure.clone(), field.clone())
-                    .unwrap();
-            assert_eq!(reusing.svg().unwrap(), computing.svg().unwrap(), "{}", measure.name());
-            assert!(reusing.timings().scalar_seconds.is_none(), "the field was not recomputed");
-            let handed_back = reusing.shared_scalar().unwrap();
-            assert!(Arc::ptr_eq(&handed_back, &field), "one buffer, never copied");
-        }
-        // Validated against the measure's field kind: one entry per vertex
-        // here, each finite.
-        let vertex_field =
-            TerrainPipeline::from_shared(shared.clone(), Measure::KCore).shared_scalar().unwrap();
-        let short: Arc<[f64]> = vertex_field[1..].into();
-        assert!(TerrainPipeline::from_shared_scalar(shared.clone(), Measure::KCore, short).is_err());
-        let mut bad = vertex_field.to_vec();
-        bad[0] = f64::NAN;
-        assert!(TerrainPipeline::from_shared_scalar(shared, Measure::KCore, bad.into()).is_err());
-    }
-
-    #[test]
     fn from_shared_render_tree_skips_the_tree_chain_and_matches_a_computing_session() {
         let shared = SharedGraph::new(ugraph::generators::barabasi_albert(600, 3, 5));
         let capped = SimplificationConfig { node_budget: Some(10), levels: 4 };
@@ -1779,7 +1710,7 @@ mod tests {
             assert_eq!(report.measure, Some(measure.name()));
             assert_eq!(report.delta_cost, Some(measure.delta_cost()));
             let expected_path = match measure.delta_cost() {
-                DeltaCost::Local | DeltaCost::DirtyRegion => ScalarPath::Incremental,
+                DeltaCost::Local => ScalarPath::Incremental,
                 DeltaCost::Full => ScalarPath::Recompute,
             };
             assert_eq!(report.scalar_path, expected_path, "{}", measure.name());

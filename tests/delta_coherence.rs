@@ -5,8 +5,8 @@
 //! stage between batches, must leave the session bit-identical to a
 //! from-scratch build over the final edge list — exact `==` on the SVG
 //! bytes — for every incremental-cost tier (local: degree and
-//! edge-triangles; dirty-region: k-core and k-truss; full recompute:
-//! PageRank), over both the owned and the memory-mapped zero-copy backend,
+//! edge-triangles; full recompute: k-core, k-truss and PageRank), over
+//! both the owned and the memory-mapped zero-copy backend,
 //! across [`Parallelism::Serial`] and `Threads(2)`.
 //!
 //! The from-scratch oracle never touches the delta code: it replays the
@@ -35,9 +35,9 @@ fn op_of(code: u8) -> DeltaOp {
     }
 }
 
-/// The measures under test — one per incremental-cost tier plus the edge
-/// field variants, so the local, dirty-region, and full-recompute paths all
-/// run under every generated sequence.
+/// The measures under test — both incremental-cost tiers with vertex and
+/// edge fields, so the local and full-recompute paths run under every
+/// generated sequence.
 fn measures() -> [Measure; 5] {
     [Measure::Degree, Measure::EdgeTriangles, Measure::KCore, Measure::KTruss, Measure::PageRank]
 }

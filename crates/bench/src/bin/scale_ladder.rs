@@ -35,20 +35,23 @@
 //! `generate_seconds`.
 //!
 //! Each rung also runs the delta bench: a fixed ≤1k-edge batch (half
-//! deletes of existing edges, half fresh inserts) applied to a warm session
-//! via [`TerrainPipeline::apply_delta`] and re-rendered (`storage:
-//! "delta-apply"`, timing covers the one-pass apply and compaction, the
-//! scalar splice and the downstream re-render), against the from-scratch
-//! path a client without the delta subsystem pays: re-parse the final edge
-//! list (the same re-upload CI's delta smoke performs), build the graph,
-//! and render a fresh session (`storage: "delta-rebuild"`). Timings are
-//! best-of-3; a byte-equality guard on the two SVGs backs every recorded
-//! pair. Both run at `degree` (local incremental tier), and at `kcore` and
-//! `pagerank` (full tier: the apply drops the field and the re-render
-//! recomputes it on the new graph), so the recorded baseline documents
-//! where incremental recomputation pays and what a full recompute costs.
-//! K-core `delta-apply` rows recorded before 0.18.0 timed a re-peel of the
-//! touched components instead, which on R-MAT is a full peel.
+//! deletes of existing edges, half fresh inserts) crosses the graph the way
+//! the terrain server's delta route crosses it (`storage: "delta-apply"`):
+//! [`SharedGraph::apply_delta`] (the one-pass apply and compaction) plus a
+//! fresh session's SVG over the new graph. The copy of the base graph the
+//! apply consumes is made outside the timer, and no session is warmed
+//! first. The row is compared against the from-scratch path a client
+//! without the delta subsystem pays: re-parse the final edge list (the same
+//! re-upload CI's delta smoke performs), build the graph, and render a
+//! fresh session (`storage: "delta-rebuild"`). Timings are best-of-3; a
+//! byte-equality guard on the two SVGs backs every recorded pair. Both run
+//! at `degree`, `kcore` and `pagerank`; the printed summary line names each
+//! measure's [`Measure::delta_cost`] tier. `delta-apply` rows recorded before
+//! 0.19.0 timed a warm session's own delta apply and re-render instead, and
+//! k-core rows recorded before 0.18.0 a re-peel of the touched components.
+//!
+//! [`SharedGraph::apply_delta`]: graph_terrain::SharedGraph::apply_delta
+//! [`Measure::delta_cost`]: graph_terrain::Measure::delta_cost
 //!
 //! Finally each rung runs the tile bench over the retained scene: `storage:
 //! "tile-query"` records the *mean* quadtree viewport query over a fixed
@@ -66,7 +69,7 @@ use bench::report::{
     StageSeconds, SCHEMA_VERSION,
 };
 use bench::{format_table_for, parallelism_list_from};
-use graph_terrain::{Measure, TerrainPipeline};
+use graph_terrain::{Measure, SharedGraph, TerrainPipeline};
 use ugraph::delta::{DeltaOp, GraphDelta};
 use ugraph::generators::rmat;
 use ugraph::io::{write_binary_v3_file, GraphFormat, GraphSource};
@@ -279,10 +282,11 @@ fn main() {
         let _ = std::fs::remove_file(&v3_path);
         println!("  open: v3-mapped {open_seconds:.3}s (mmap: {v3_mapped})");
 
-        // Delta bench: apply the fixed ≤1k-edge batch to a warm session and
-        // re-render, vs the from-scratch path — rebuild the final graph
-        // from its edge list, then build and render a fresh session. One
-        // pair of rows per incremental-cost tier.
+        // Delta bench: cross the fixed ≤1k-edge batch the way the server
+        // does (copy-on-write apply, then a fresh session's SVG), vs the
+        // from-scratch path — rebuild the final graph from its edge list,
+        // then build and render a fresh session. One pair of rows per
+        // measure.
         let delta = ladder_delta(&graph);
         let final_graph =
             ugraph::delta::apply(&graph, &delta).1.map_or_else(|| graph.clone(), |c| c.graph);
@@ -301,9 +305,8 @@ fn main() {
             let _ = writeln!(text, "{last} {last}");
             text
         };
-        // Best-of-N timing: each iteration re-warms a session on the base
-        // graph, so apply timings always start from a fully cached pipeline.
-        // The minimum is the least-noise estimate on a shared container.
+        // Best-of-N timing: the minimum is the least-noise estimate on a
+        // shared container.
         const DELTA_ITERS: usize = 3;
         for delta_measure in [Measure::Degree, Measure::KCore, Measure::PageRank] {
             let tier = delta_measure.delta_cost().name();
@@ -311,14 +314,13 @@ fn main() {
             let mut apply_seconds = f64::INFINITY;
             let mut rebuild_seconds = f64::INFINITY;
             for _ in 0..DELTA_ITERS {
-                let mut warm = TerrainPipeline::from_measure(&graph, delta_measure.clone());
-                if let Err(e) = warm.svg() {
-                    eprintln!("[error] {rung_name} delta warm-up ({delta_measure_name}): {e}");
-                    std::process::exit(1);
-                }
+                // The server holds its graph already; the copy the apply
+                // consumes is made outside the timer.
+                let mut shared = SharedGraph::new(graph.clone());
                 let apply_started = std::time::Instant::now();
-                warm.apply_delta(&delta).expect("ladder delta applies");
-                let warm_svg_ok = warm.svg().is_ok();
+                shared.apply_delta(&delta);
+                let mut crossed = TerrainPipeline::from_shared(shared, delta_measure.clone());
+                let crossed_svg_ok = crossed.svg().is_ok();
                 apply_seconds = apply_seconds.min(apply_started.elapsed().as_secs_f64());
 
                 // The owned copy is made outside the timer: a rebuilding
@@ -333,16 +335,16 @@ fn main() {
                 let mut fresh = TerrainPipeline::from_measure(&rebuilt, delta_measure.clone());
                 let fresh_svg_ok = fresh.svg().is_ok();
                 rebuild_seconds = rebuild_seconds.min(rebuild_started.elapsed().as_secs_f64());
-                if !warm_svg_ok || !fresh_svg_ok {
+                if !crossed_svg_ok || !fresh_svg_ok {
                     eprintln!(
                         "[error] {rung_name} delta bench render failed ({delta_measure_name})"
                     );
                     std::process::exit(1);
                 }
-                // The byte-exactness guard the timings ride on: incremental
+                // The byte-exactness guard the timings ride on: the crossed
                 // and from-scratch renders must agree or the numbers mean
                 // nothing.
-                if warm.svg().expect("cached") != fresh.svg().expect("cached") {
+                if crossed.svg().expect("cached") != fresh.svg().expect("cached") {
                     eprintln!("[error] {rung_name} delta bench incoherent ({delta_measure_name})");
                     std::process::exit(1);
                 }

@@ -2,37 +2,39 @@
 //!
 //! Inputs come from `ugraph::delta`: the compacted new graph, the
 //! new-edge-id → base-edge-id remap, and the per-vertex *dirty* flags
-//! (endpoints of every effective structural change). Each function here
+//! (endpoints of every effective structural change). The update here
 //! reuses as much of the old result as its measure's locality allows, and
-//! each is **exact** — the output is identical to recomputing from scratch
+//! it is **exact** — the output is identical to recomputing from scratch
 //! on the new graph, which the unit tests assert directly.
 //!
 //! Locality tiers (see [`DeltaCost`]):
 //!
-//! - **Local** — degree and triangle counts. A vertex's degree changes only
-//!   when an incident edge changes (its endpoint is dirty); an edge's
-//!   triangle count is `|N(u) ∩ N(v)|`, which changes only when `u` or `v`
-//!   gains or loses a neighbor — i.e. when an endpoint is dirty. Everything
-//!   else is copied through the edge remap.
-//! - **Full** — betweenness, closeness, PageRank, k-core and k-truss. One
-//!   edge can reroute shortest paths (or shift the stationary distribution)
-//!   across the whole graph. Peeling is only connected-component local, and
-//!   on R-MAT graphs a batch lands in the giant component, so re-peeling the
-//!   touched components is a full peel and did not beat one (PERFORMANCE.md,
-//!   "Delta tiers"). All of these fall back to full recomputation.
+//! - **Local** — per-edge triangle counts. An edge's count is
+//!   `|N(u) ∩ N(v)|`, which changes only when `u` or `v` gains or loses a
+//!   neighbor — i.e. when an endpoint is dirty. Everything else is copied
+//!   through the edge remap.
+//! - **Full** — degree, betweenness, closeness, PageRank, k-core and
+//!   k-truss. A full degree count is one pass over the offsets, and
+//!   recounting only the dirty vertices did not beat it on the ladder's
+//!   batch. One edge can reroute shortest paths (or shift the stationary
+//!   distribution) across the whole graph. Peeling is only
+//!   connected-component local, and on R-MAT graphs a batch lands in the
+//!   giant component, so re-peeling the touched components is a full peel
+//!   and did not beat one. (PERFORMANCE.md, "Delta tiers", has both
+//!   measurements.) All of these fall back to full recomputation.
 
 use ugraph::delta::CompactedDelta;
 use ugraph::par::Parallelism;
 use ugraph::{EdgeId, GraphStorage, VertexId};
 
-/// How much of a measure survives a delta: the per-measure entry of the
-/// delta report.
+/// How much of a measure survives a delta: whether an update around the
+/// dirty endpoints exists for it or it recomputes from scratch.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DeltaCost {
-    /// Recomputed only around dirty endpoints (degree, triangle counts).
+    /// Recomputed only around dirty endpoints (edge triangle counts).
     Local,
-    /// Recomputed from scratch (betweenness, closeness, PageRank, k-core,
-    /// k-truss).
+    /// Recomputed from scratch (degree, betweenness, closeness, PageRank,
+    /// k-core, k-truss).
     Full,
 }
 
@@ -44,28 +46,6 @@ impl DeltaCost {
             DeltaCost::Full => "full",
         }
     }
-}
-
-/// Degrees after a delta: dirty (and new) vertices are recounted, the rest
-/// copied from `old_degrees` (indexed by the unchanged vertex ids).
-///
-/// Exact because a vertex's degree can only change when one of its incident
-/// edges changes, which flags it dirty.
-pub fn incremental_degrees<G: GraphStorage + ?Sized>(
-    new_graph: &G,
-    old_degrees: &[usize],
-    dirty: &[bool],
-) -> Vec<usize> {
-    assert_eq!(dirty.len(), new_graph.vertex_count(), "dirty mask length mismatch");
-    (0..new_graph.vertex_count())
-        .map(|v| {
-            if v < old_degrees.len() && !dirty[v] {
-                old_degrees[v]
-            } else {
-                new_graph.degree(VertexId::from_index(v))
-            }
-        })
-        .collect()
 }
 
 /// Per-edge triangle counts after a delta: edges with a dirty endpoint are
@@ -104,24 +84,6 @@ pub fn incremental_edge_triangle_counts<G: GraphStorage + ?Sized>(
     counts
 }
 
-/// Per-vertex triangle counts derived from (incrementally maintained)
-/// per-edge counts: each triangle through `v` uses two incident edges.
-pub fn vertex_triangle_counts_from_edges<G: GraphStorage + ?Sized>(
-    graph: &G,
-    edge_counts: &[usize],
-    parallelism: Parallelism,
-) -> Vec<usize> {
-    assert_eq!(edge_counts.len(), graph.edge_count(), "edge counts length mismatch");
-    ugraph::par::map_collect(parallelism, graph.vertex_count(), |v| {
-        let sum: usize = graph
-            .incident_edge_slice(VertexId::from_index(v))
-            .iter()
-            .map(|e| edge_counts[e.index()])
-            .sum();
-        sum / 2
-    })
-}
-
 fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     let mut i = 0;
     let mut j = 0;
@@ -143,9 +105,8 @@ fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degree::degrees;
-    use crate::triangles::{edge_triangle_counts_with, vertex_triangle_counts_with};
-    use ugraph::delta::{apply, DeltaApplyStats, DeltaOp, GraphDelta};
+    use crate::triangles::edge_triangle_counts_with;
+    use ugraph::delta::{apply, DeltaOp, GraphDelta};
     use ugraph::generators::rmat;
     use ugraph::CsrGraph;
 
@@ -170,18 +131,12 @@ mod tests {
         apply(base, &delta).1.expect("a random batch changes the graph")
     }
 
-    fn check_all_measures(base: &CsrGraph, compacted: &CompactedDelta) {
+    fn check_triangle_counts(base: &CsrGraph, compacted: &CompactedDelta) {
         let new_graph = &compacted.graph;
         for par in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let inc_deg = incremental_degrees(new_graph, &degrees(base), &compacted.dirty);
-            assert_eq!(inc_deg, degrees(new_graph));
-
             let old_tri = edge_triangle_counts_with(base, par);
             let inc_tri = incremental_edge_triangle_counts(new_graph, &old_tri, compacted, par);
             assert_eq!(inc_tri, edge_triangle_counts_with(new_graph, par));
-
-            let vt = vertex_triangle_counts_from_edges(new_graph, &inc_tri, par);
-            assert_eq!(vt, vertex_triangle_counts_with(new_graph, par));
         }
     }
 
@@ -190,7 +145,7 @@ mod tests {
         for seed in [3u64, 17, 99] {
             let base = rmat(6, 150, seed);
             let compacted = random_compaction(&base, seed.wrapping_mul(0x9e37), 40);
-            check_all_measures(&base, &compacted);
+            check_triangle_counts(&base, &compacted);
         }
     }
 
@@ -204,9 +159,8 @@ mod tests {
             graph: base.clone(),
             base_edge: (0..base.edge_count()).map(|e| Some(EdgeId::from_index(e))).collect(),
             dirty: vec![false; base.vertex_count()],
-            stats: DeltaApplyStats::default(),
         };
-        check_all_measures(&base, &compacted);
+        check_triangle_counts(&base, &compacted);
         // With no dirty vertices the triangle pass recomputes nothing.
         let old_tri = edge_triangle_counts_with(&base, Parallelism::Serial);
         let inc = incremental_edge_triangle_counts(
@@ -227,7 +181,7 @@ mod tests {
         delta.push(DeltaOp::Insert, far + 2, far + 2); // isolated mention
         let compacted = apply(&base, &delta).1.expect("the batch grows the graph");
         assert_eq!(compacted.graph.vertex_count(), far as usize + 3);
-        check_all_measures(&base, &compacted);
+        check_triangle_counts(&base, &compacted);
     }
 
     #[test]

@@ -251,7 +251,26 @@ impl CsrGraph {
     /// Returns the induced graph together with the mapping from new vertex ids
     /// to original vertex ids.
     pub fn induced_subgraph(&self, keep: &[bool]) -> (CsrGraph, Vec<VertexId>) {
-        GraphStorage::induced_subgraph(self, keep)
+        assert_eq!(keep.len(), self.vertex_count(), "mask length mismatch");
+        let mut new_id = vec![u32::MAX; self.vertex_count()];
+        let mut back = Vec::new();
+        for v in 0..self.vertex_count() {
+            if keep[v] {
+                new_id[v] = back.len() as u32;
+                back.push(VertexId::from_index(v));
+            }
+        }
+        let mut edges = Vec::new();
+        for e in self.edges() {
+            if keep[e.u.index()] && keep[e.v.index()] {
+                let a = VertexId(new_id[e.u.index()]);
+                let b = VertexId(new_id[e.v.index()]);
+                let (a, b) = if a < b { (a, b) } else { (b, a) };
+                edges.push((a, b));
+            }
+        }
+        edges.sort_unstable();
+        (CsrGraph::from_canonical_edges(back.len(), edges), back)
     }
 
     /// Verify every structural invariant of the CSR representation.

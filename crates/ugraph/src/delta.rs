@@ -24,7 +24,7 @@
 //! canonical edge list **without a re-sort**. The result is bit-identical
 //! to building the final edge list from scratch with
 //! [`crate::GraphBuilder`], and comes with a new-edge-id → base-edge-id
-//! remap so per-edge results (triangle counts, truss numbers) can be copied
+//! remap so per-edge results (triangle counts) can be copied
 //! instead of recomputed for untouched edges.
 //!
 //! Vertices are never removed: like the builder's `ensure_vertex`, every
@@ -249,8 +249,6 @@ pub struct CompactedDelta {
     /// Per-vertex dirty flags: `true` for endpoints of every effective
     /// structural change. Length `graph.vertex_count()`.
     pub dirty: Vec<bool>,
-    /// What the batch did.
-    pub stats: DeltaApplyStats,
 }
 
 /// Apply one batch to `base` and compact it. Returns what the batch did
@@ -365,7 +363,7 @@ pub fn apply<G: GraphStorage + ?Sized>(
         base_edge.push(None);
     }
     let graph = CsrGraph::from_canonical_edges(vertex_count, edges);
-    (stats, Some(CompactedDelta { graph, base_edge, dirty, stats }))
+    (stats, Some(CompactedDelta { graph, base_edge, dirty }))
 }
 
 /// The base edge between `u` and `v`, if the base has one. Vertices beyond
@@ -468,7 +466,6 @@ mod tests {
         assert_eq!(dirty(&compacted), vec![0, 1, 3, 5, 6]);
         assert_eq!((stats.inserted, stats.deleted), (2, 1));
         assert_eq!(stats.structural_changes(), 3);
-        assert_eq!(compacted.stats, stats);
     }
 
     #[test]
@@ -522,7 +519,7 @@ mod tests {
         let compacted = compacted.expect("new vertices change the graph");
         assert_eq!(compacted.graph.vertex_count(), 10);
         assert_eq!(compacted.graph.edge_count(), base.edge_count());
-        assert_eq!(compacted.stats.dropped_self_loops, 1);
+        assert_eq!(stats.dropped_self_loops, 1);
     }
 
     #[test]

@@ -167,32 +167,6 @@ pub trait GraphStorage: Sync {
         )
     }
 
-    /// Extract the subgraph induced by `keep` (vertices with
-    /// `keep[v] == true`), as an owned graph plus the mapping from new vertex
-    /// ids back to original ones.
-    fn induced_subgraph(&self, keep: &[bool]) -> (CsrGraph, Vec<VertexId>) {
-        assert_eq!(keep.len(), self.vertex_count(), "mask length mismatch");
-        let mut new_id = vec![u32::MAX; self.vertex_count()];
-        let mut back = Vec::new();
-        for v in 0..self.vertex_count() {
-            if keep[v] {
-                new_id[v] = back.len() as u32;
-                back.push(VertexId::from_index(v));
-            }
-        }
-        let mut edges = Vec::new();
-        for e in self.edges() {
-            if keep[e.u.index()] && keep[e.v.index()] {
-                let a = VertexId(new_id[e.u.index()]);
-                let b = VertexId(new_id[e.v.index()]);
-                let (a, b) = if a < b { (a, b) } else { (b, a) };
-                edges.push((a, b));
-            }
-        }
-        edges.sort_unstable();
-        (CsrGraph::from_canonical_edges(back.len(), edges), back)
-    }
-
     /// Verify every structural invariant of the CSR representation.
     ///
     /// Safe construction through [`crate::GraphBuilder`] guarantees all of
@@ -436,16 +410,5 @@ mod tests {
         assert_eq!(fwd, vec![0, 1, 2, 3]);
         assert_eq!(back, vec![3, 2, 1, 0]);
         assert_eq!(GraphStorage::vertices(&g).len(), 4);
-    }
-
-    #[test]
-    fn induced_subgraph_via_dyn_matches_owned() {
-        let g = triangle_plus_tail();
-        let keep = vec![true, true, true, false];
-        let dynamic: &dyn GraphStorage = &g;
-        let (sub_dyn, back_dyn) = dynamic.induced_subgraph(&keep);
-        let (sub_owned, back_owned) = g.induced_subgraph(&keep);
-        assert_eq!(sub_dyn, sub_owned);
-        assert_eq!(back_dyn, back_owned);
     }
 }

@@ -48,8 +48,8 @@ pub use ugraph;
 mod pipeline;
 
 pub use pipeline::{
-    DeltaReport, FieldKind, Measure, ScalarPath, SharedGraph, SimplificationConfig, StageTimings,
-    SvgSize, TerrainPipeline, TerrainStages,
+    FieldKind, Measure, SharedGraph, SimplificationConfig, StageTimings, SvgSize, TerrainPipeline,
+    TerrainStages,
 };
 pub use terrain::{
     decode_gtsc, GtscDocument, GtscHeader, GtscItem, LodConfig, Rect, Scene, SceneItem,
@@ -59,8 +59,8 @@ pub use terrain::{
 /// Convenience prelude for downstream users and the examples.
 pub mod prelude {
     pub use crate::{
-        DeltaReport, FieldKind, Measure, ScalarPath, SharedGraph, SimplificationConfig,
-        StageTimings, SvgSize, TerrainError, TerrainPipeline, TerrainResult, TerrainStages,
+        FieldKind, Measure, SharedGraph, SimplificationConfig, StageTimings, SvgSize, TerrainError,
+        TerrainPipeline, TerrainResult, TerrainStages,
     };
     pub use baselines;
     pub use measures;

@@ -24,14 +24,12 @@
 //! | [`set_svg_size`]        | SVG                                         |
 //! | [`set_lod`]             | retained scene (tiles)                      |
 //! | [`set_parallelism`]     | nothing (results are thread-count invariant)|
-//! | [`apply_delta`]         | scalar (incrementally where the measure allows) and everything downstream; nothing for no-op batches |
 //!
 //! The retained [`scene`] stage (the tile / pan-zoom payloads) hangs off
 //! the *unsimplified* super tree, so [`set_simplification`] and the mesh /
 //! SVG knobs never invalidate it; [`set_layout`] and anything that rebuilds
 //! the tree do.
 //!
-//! [`apply_delta`]: TerrainPipeline::apply_delta
 //! [`set_scalar`]: TerrainPipeline::set_scalar
 //! [`set_simplification`]: TerrainPipeline::set_simplification
 //! [`set_layout`]: TerrainPipeline::set_layout
@@ -75,7 +73,7 @@ use terrain::{
     MeshConfig, RenderScene, Scene, SceneTiming, Svg, TerrainError, TerrainLayout, TerrainMesh,
     TerrainResult,
 };
-use ugraph::delta::{self, CompactedDelta, DeltaApplyStats, GraphDelta};
+use ugraph::delta::{self, DeltaApplyStats, GraphDelta};
 use ugraph::io::GraphSource;
 use ugraph::par::Parallelism;
 use ugraph::{CsrGraph, GraphStorage, MappedCsrGraph};
@@ -156,22 +154,24 @@ impl Measure {
 
     /// The canonical names [`Measure::from_name`] accepts, one per
     /// measure, in the order the server and the docs list them — for error
-    /// messages that must list the alternatives and for the delta report's
-    /// per-measure cost table.
+    /// messages that must list the alternatives.
     pub fn known_names() -> &'static [&'static str] {
         &["kcore", "degree", "pagerank", "closeness", "betweenness", "ktruss", "edge-triangles"]
     }
 
-    /// How much of this measure survives a graph delta (see
-    /// [`TerrainPipeline::apply_delta`]): `Local` measures update only
-    /// around dirty endpoints, `Full` measures recompute from scratch.
-    /// K-core and k-truss are `Full`: an R-MAT batch lands in the giant
+    /// How much of this measure survives a graph delta: `Local` measures
+    /// can be updated around the dirty endpoints of a compacted batch
+    /// ([`measures::incremental_edge_triangle_counts`]), `Full` measures
+    /// recompute from scratch. Degree is `Full`: a full count is one pass
+    /// over the offsets and recounting only the dirty vertices did not beat
+    /// it. K-core and k-truss are `Full`: an R-MAT batch lands in the giant
     /// component, where re-peeling only the touched components is a full
     /// peel (PERFORMANCE.md, "Delta tiers").
     pub fn delta_cost(&self) -> DeltaCost {
         match self {
-            Measure::Degree | Measure::EdgeTriangles => DeltaCost::Local,
+            Measure::EdgeTriangles => DeltaCost::Local,
             Measure::KCore
+            | Measure::Degree
             | Measure::KTruss
             | Measure::PageRank
             | Measure::Closeness
@@ -347,48 +347,6 @@ pub struct TerrainStages<'a> {
     pub mesh: &'a TerrainMesh,
 }
 
-/// What [`TerrainPipeline::apply_delta`] did: the apply counters of
-/// [`ugraph::delta::apply`] plus how the session's cached scalar field
-/// crossed the mutation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct DeltaReport {
-    /// Counters for the applied batch (inserted / deleted / no-ops …).
-    pub stats: DeltaApplyStats,
-    /// Vertex count after the delta.
-    pub vertex_count: usize,
-    /// Edge count after the delta.
-    pub edge_count: usize,
-    /// Vertices flagged dirty (endpoints of effective structural changes).
-    pub dirty_vertex_count: usize,
-    /// Whether the graph actually changed. `false` means every stage cache
-    /// was kept and nothing was invalidated.
-    pub structural: bool,
-    /// How the scalar field crossed the delta.
-    pub scalar_path: ScalarPath,
-    /// The session's measure name, for measure sessions.
-    pub measure: Option<&'static str>,
-    /// The measure's incremental-recompute tier, for measure sessions.
-    pub delta_cost: Option<DeltaCost>,
-}
-
-/// How a session's scalar field crossed a delta
-/// ([`DeltaReport::scalar_path`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ScalarPath {
-    /// The batch changed nothing; the scalar and every stage were kept.
-    Unchanged,
-    /// A Local measure was updated around the dirty vertices.
-    Incremental,
-    /// A Full measure was dropped, to be recomputed lazily.
-    Recompute,
-    /// The measure had not been computed yet; there was nothing to carry.
-    Uncomputed,
-    /// An explicit vertex scalar is still valid and was kept.
-    Kept,
-    /// An explicit edge scalar was carried through the edge remap.
-    Remapped,
-}
-
 /// A reference-counted, shareable graph backend — the unit a multi-session
 /// registry (like the terrain server's `GraphStore` registry) hands out.
 ///
@@ -455,7 +413,8 @@ impl SharedGraph {
     /// the compacted result replaces `self` as a fresh owned graph — other
     /// `Arc` holders keep reading the old one. A batch of pure no-ops
     /// (redundant inserts, absent deletes, reweights) leaves the backend
-    /// untouched, so a memory-mapped snapshot stays mapped.
+    /// untouched, so a memory-mapped snapshot stays mapped. Sessions do not
+    /// cross a batch themselves: start a fresh one on the new graph.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaApplyStats {
         let (stats, compacted) = delta::apply(self.storage(), delta);
         if let Some(compacted) = compacted {
@@ -809,136 +768,6 @@ impl<'g> TerrainPipeline<'g> {
         Ok(self)
     }
 
-    /// Apply a [`GraphDelta`] to the session's graph and invalidate exactly
-    /// the affected stages.
-    ///
-    /// A batch with no effective change (redundant inserts, absent deletes,
-    /// reweights) invalidates **nothing** — every cached stage, including
-    /// the SVG, stays valid. A structural change swaps the graph for the
-    /// compacted result (copy-on-write: borrowed and mapped backends become
-    /// session-owned graphs) and rebuilds the tree stages downward through
-    /// the session's usual downstream-only invalidation, carrying the
-    /// scalar field across where the measure's [`DeltaCost`] tier allows:
-    ///
-    /// | session scalar                              | carried across as                        |
-    /// |---------------------------------------------|------------------------------------------|
-    /// | `Local` measure, computed                   | incremental update around dirty vertices |
-    /// | `Full` measure, computed                    | dropped; recomputed lazily               |
-    /// | measure, not yet computed                   | nothing to carry                         |
-    /// | explicit vertex scalar                      | kept (error if the vertex set grew)      |
-    /// | explicit edge scalar                        | remapped (error if edges were inserted)  |
-    ///
-    /// The explicit-scalar error paths reject the delta *before* touching
-    /// the session — it stays fully usable on its old graph; call
-    /// [`set_scalar`](Self::set_scalar) with a field for the new graph and
-    /// re-apply.
-    pub fn apply_delta(&mut self, delta: &GraphDelta) -> TerrainResult<DeltaReport> {
-        let measure_name = self.measure.as_ref().map(|m| m.name());
-        let measure_cost = self.measure.as_ref().map(|m| m.delta_cost());
-        let base = self.graph.get();
-        let old_vertex_count = base.vertex_count();
-        let (stats, compacted) = delta::apply(base, delta);
-        let Some(compacted) = compacted else {
-            return Ok(DeltaReport {
-                stats,
-                vertex_count: base.vertex_count(),
-                edge_count: base.edge_count(),
-                dirty_vertex_count: 0,
-                structural: false,
-                scalar_path: ScalarPath::Unchanged,
-                measure: measure_name,
-                delta_cost: measure_cost,
-            });
-        };
-
-        // Decide the scalar's fate before mutating anything, so the error
-        // paths leave the session untouched.
-        enum ScalarUpdate {
-            Keep,
-            Clear,
-            Set(Vec<f64>, Option<f64>),
-        }
-        let (update, scalar_path) = match (&self.measure, &self.scalar) {
-            (Some(measure), Some(old_scalar)) => match measure.delta_cost() {
-                DeltaCost::Local => {
-                    let started = Instant::now();
-                    let updated = incremental_measure_scalar(
-                        measure,
-                        &compacted,
-                        old_scalar,
-                        self.parallelism,
-                    );
-                    let seconds = started.elapsed().as_secs_f64();
-                    (ScalarUpdate::Set(updated, Some(seconds)), ScalarPath::Incremental)
-                }
-                DeltaCost::Full => (ScalarUpdate::Clear, ScalarPath::Recompute),
-            },
-            (Some(_), None) => (ScalarUpdate::Keep, ScalarPath::Uncomputed),
-            (None, Some(old_scalar)) => match self.field {
-                FieldKind::Vertex => {
-                    if compacted.graph.vertex_count() == old_vertex_count {
-                        (ScalarUpdate::Keep, ScalarPath::Kept)
-                    } else {
-                        return Err(TerrainError::Config {
-                            what: "graph delta",
-                            message: format!(
-                                "the delta grew the graph from {} to {} vertices but the \
-                                 session has an explicit vertex scalar; call set_scalar with \
-                                 a field for the new graph and re-apply",
-                                old_vertex_count,
-                                compacted.graph.vertex_count()
-                            ),
-                        });
-                    }
-                }
-                FieldKind::Edge => {
-                    if compacted.base_edge.iter().all(Option::is_some) {
-                        let remapped = compacted
-                            .base_edge
-                            .iter()
-                            .map(|e| old_scalar[e.expect("all checked Some").index()])
-                            .collect();
-                        (ScalarUpdate::Set(remapped, None), ScalarPath::Remapped)
-                    } else {
-                        return Err(TerrainError::Config {
-                            what: "graph delta",
-                            message: "the delta inserted edges but the session has an explicit \
-                                      edge scalar with no value for them; call set_scalar with \
-                                      a field for the new graph and re-apply"
-                                .to_string(),
-                        });
-                    }
-                }
-            },
-            (None, None) => unreachable!("a session always has a scalar or a measure"),
-        };
-
-        let report = DeltaReport {
-            stats: compacted.stats,
-            vertex_count: compacted.graph.vertex_count(),
-            edge_count: compacted.graph.edge_count(),
-            dirty_vertex_count: compacted.dirty.iter().filter(|&&d| d).count(),
-            structural: true,
-            scalar_path,
-            measure: measure_name,
-            delta_cost: measure_cost,
-        };
-        self.graph = GraphStore::Shared(SharedGraph::new(compacted.graph));
-        match update {
-            ScalarUpdate::Keep => {}
-            ScalarUpdate::Clear => {
-                self.scalar = None;
-                self.timings.scalar_seconds = None;
-            }
-            ScalarUpdate::Set(scalar, seconds) => {
-                self.scalar = Some(scalar);
-                self.timings.scalar_seconds = seconds;
-            }
-        }
-        self.invalidate_from_tree();
-        Ok(report)
-    }
-
     /// One finite entry per vertex or edge, by the session's field kind.
     fn validate_scalar(&self, scalar: &[f64]) -> TerrainResult<()> {
         match self.field {
@@ -1124,9 +953,9 @@ impl<'g> TerrainPipeline<'g> {
     /// The retained level-of-detail scene over the **unsimplified** super
     /// tree — the stage tile and pan/zoom payloads are served from (see
     /// [`terrain::Scene`]). Built lazily on first demand; invalidated by
-    /// tree rebuilds ([`set_scalar`](Self::set_scalar),
-    /// [`apply_delta`](Self::apply_delta)), [`set_layout`](Self::set_layout)
-    /// and [`set_lod`](Self::set_lod), but *not* by
+    /// tree rebuilds ([`set_scalar`](Self::set_scalar)),
+    /// [`set_layout`](Self::set_layout) and [`set_lod`](Self::set_lod), but
+    /// *not* by
     /// [`set_simplification`](Self::set_simplification) or any mesh / SVG
     /// knob: a tile's bytes depend only on the graph, the measure, the
     /// layout and the LOD configuration.
@@ -1394,39 +1223,6 @@ impl<'g> TerrainPipeline<'g> {
     }
 }
 
-/// Exact incremental update of a computed measure scalar across a delta.
-/// Every Local measure is an integer count (degree, triangle count) stored
-/// as `f64`, so the `usize` round-trip is lossless and the result matches a
-/// from-scratch recompute bit for bit.
-fn incremental_measure_scalar(
-    measure: &Measure,
-    compacted: &CompactedDelta,
-    old_scalar: &[f64],
-    parallelism: Parallelism,
-) -> Vec<f64> {
-    let graph = &compacted.graph;
-    let old_counts: Vec<usize> = old_scalar.iter().map(|&x| x as usize).collect();
-    match measure {
-        Measure::Degree => measures::incremental_degrees(graph, &old_counts, &compacted.dirty)
-            .into_iter()
-            .map(|d| d as f64)
-            .collect(),
-        Measure::EdgeTriangles => {
-            measures::incremental_edge_triangle_counts(graph, &old_counts, compacted, parallelism)
-                .into_iter()
-                .map(|t| t as f64)
-                .collect()
-        }
-        Measure::KCore
-        | Measure::KTruss
-        | Measure::PageRank
-        | Measure::Closeness
-        | Measure::BetweennessSampled { .. } => {
-            unreachable!("Full-cost measures recompute from scratch, not incrementally")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1680,111 +1476,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_matches_a_fresh_session_for_every_measure_tier() {
-        use ugraph::delta::{DeltaOp, GraphDelta};
-        let graph = ugraph::generators::barabasi_albert(120, 3, 5);
-        let e0 = graph.edges().next().unwrap();
-        let grown = graph.vertex_count() as u32;
-        let mut delta = GraphDelta::new();
-        delta.push(DeltaOp::Delete, e0.u, e0.v);
-        delta.push(DeltaOp::Insert, 0u32, grown); // grows the vertex set
-        delta.push(DeltaOp::Insert, grown, grown + 1);
-        // The oracle graph, via the delta crate's compaction (itself proven
-        // equal to a from-scratch build in its own tests).
-        let final_graph =
-            delta::apply(&graph, &delta).1.expect("the delta changes the graph").graph;
-
-        for measure in [
-            Measure::Degree,
-            Measure::EdgeTriangles,
-            Measure::KCore,
-            Measure::KTruss,
-            Measure::PageRank,
-        ] {
-            let mut session = TerrainPipeline::from_measure(&graph, measure.clone());
-            session.svg().unwrap(); // warm every stage cache
-            let report = session.apply_delta(&delta).unwrap();
-            assert!(report.structural);
-            assert_eq!(report.vertex_count, final_graph.vertex_count());
-            assert_eq!(report.edge_count, final_graph.edge_count());
-            assert_eq!(report.measure, Some(measure.name()));
-            assert_eq!(report.delta_cost, Some(measure.delta_cost()));
-            let expected_path = match measure.delta_cost() {
-                DeltaCost::Local => ScalarPath::Incremental,
-                DeltaCost::Full => ScalarPath::Recompute,
-            };
-            assert_eq!(report.scalar_path, expected_path, "{}", measure.name());
-            if report.scalar_path == ScalarPath::Incremental {
-                assert!(session.timings().scalar_seconds.is_some(), "incremental update is timed");
-            }
-            let mut fresh = TerrainPipeline::from_measure(&final_graph, measure.clone());
-            assert_eq!(session.svg().unwrap(), fresh.svg().unwrap(), "{}", measure.name());
-        }
-    }
-
-    #[test]
-    fn no_op_deltas_invalidate_nothing() {
-        use ugraph::delta::{DeltaOp, GraphDelta};
-        let graph = toy_graph();
-        let mut session = TerrainPipeline::from_measure(&graph, Measure::KCore);
-        let svg = session.build().unwrap();
-        let tree_time = session.timings().tree_seconds;
-        let mut delta = GraphDelta::new();
-        delta.push(DeltaOp::Insert, 0u32, 1u32); // already present
-        delta.push(DeltaOp::Delete, 0u32, 3u32); // absent
-        delta.push(DeltaOp::Reweight, 1u32, 2u32);
-        let report = session.apply_delta(&delta).unwrap();
-        assert!(!report.structural);
-        assert_eq!(report.scalar_path, ScalarPath::Unchanged);
-        assert_eq!(report.stats.redundant_inserts, 1);
-        assert_eq!(report.stats.absent_deletes, 1);
-        assert_eq!(report.stats.reweights, 1);
-        assert_eq!(report.dirty_vertex_count, 0);
-        // Every cache survived: identical timings, identical bytes.
-        assert_eq!(session.timings().tree_seconds, tree_time);
-        assert!(session.timings().svg_seconds.is_some(), "SVG cache kept");
-        assert_eq!(session.build().unwrap(), svg);
-    }
-
-    #[test]
-    fn explicit_scalars_cross_deltas_or_fail_safely() {
-        use ugraph::delta::{DeltaOp, GraphDelta};
-        let graph = toy_graph();
-        // Vertex scalar: kept verbatim while the vertex set is stable.
-        let scalar = vec![5.0, 4.0, 3.0, 2.0, 1.0];
-        let mut session = TerrainPipeline::vertex(&graph, scalar.clone()).unwrap();
-        let mut shrink = GraphDelta::new();
-        shrink.push(DeltaOp::Delete, 0u32, 1u32);
-        let report = session.apply_delta(&shrink).unwrap();
-        assert_eq!(report.scalar_path, ScalarPath::Kept);
-        assert_eq!(session.scalar().unwrap(), &scalar[..]);
-        // Growing the vertex set has no scalar values for the new vertices:
-        // rejected, and the session stays usable on its current graph.
-        let mut grow = GraphDelta::new();
-        grow.push(DeltaOp::Insert, 0u32, 9u32);
-        assert!(matches!(session.apply_delta(&grow), Err(TerrainError::Config { .. })));
-        assert_eq!(session.graph().vertex_count(), 5);
-        assert!(session.svg().unwrap().starts_with("<svg"));
-
-        // Edge scalar: deletions remap the surviving values by edge id.
-        let edge_scalar: Vec<f64> = (0..graph.edge_count()).map(|e| 10.0 + e as f64).collect();
-        let mut edges = TerrainPipeline::edge(&graph, edge_scalar.clone()).unwrap();
-        let e0 = graph.edges().next().unwrap();
-        let mut del = GraphDelta::new();
-        del.push(DeltaOp::Delete, e0.u, e0.v);
-        let report = edges.apply_delta(&del).unwrap();
-        assert_eq!(report.scalar_path, ScalarPath::Remapped);
-        let remapped = edges.scalar().unwrap().to_vec();
-        assert_eq!(remapped.len(), graph.edge_count() - 1);
-        assert!(!remapped.contains(&edge_scalar[e0.id.index()]), "deleted edge's value is gone");
-        // Insertions have no value to remap from: rejected up front.
-        let mut ins = GraphDelta::new();
-        ins.push(DeltaOp::Insert, 0u32, 4u32);
-        assert!(matches!(edges.apply_delta(&ins), Err(TerrainError::Config { .. })));
-        assert!(edges.svg().unwrap().starts_with("<svg"));
-    }
-
-    #[test]
     fn shared_graph_apply_delta_is_copy_on_write() {
         use ugraph::delta::{DeltaOp, GraphDelta};
         let graph = toy_graph();
@@ -1935,7 +1626,6 @@ mod tests {
 
     #[test]
     fn scene_stage_survives_simplification_but_not_tree_or_layout_changes() {
-        use ugraph::delta::{DeltaOp, GraphDelta};
         let graph = ugraph::generators::barabasi_albert(600, 3, 5);
         let mut session = TerrainPipeline::from_measure(&graph, Measure::Degree);
         let item_count = session.scene().unwrap().item_count();
@@ -1965,12 +1655,10 @@ mod tests {
         assert_eq!(session.scene().unwrap().max_zoom(), 4);
         assert_eq!(session.timings().layout_seconds, layout_time, "layout untouched");
 
-        // A structural delta rebuilds the tree, hence the scene.
-        let mut delta = GraphDelta::new();
-        delta.push(DeltaOp::Insert, 0u32, 600u32); // a brand-new vertex
-        let report = session.apply_delta(&delta).unwrap();
-        assert!(report.structural);
-        assert!(session.timings().scene_seconds.is_none(), "delta drops the scene");
+        // A new scalar field rebuilds the tree, hence the scene.
+        let scalar: Vec<f64> = (0..graph.vertex_count()).map(|v| (v % 7) as f64).collect();
+        session.set_scalar(scalar).unwrap();
+        assert!(session.timings().scene_seconds.is_none(), "a tree rebuild drops the scene");
         assert!(session.scene().unwrap().item_count() > 0);
 
         // The stage timing list exposes the scene stage once it has run.

@@ -1,14 +1,15 @@
 //! Scene/tile coherence: a tile's bytes are a pure function of the graph
 //! and the tile key. The same key must render **bit-identically** across
 //! [`Parallelism::Serial`] and `Threads(2)`, over owned and mapped
-//! (snapshot-backed) storage, and after a delta batch the incrementally
-//! updated session must serve the exact tiles a from-scratch build over
-//! the final graph serves. The release-mode test pushes the same claims
-//! through the 1M-edge R-MAT rung and pins the bandwidth story: any single
-//! tile at zoom >= 1 is at most ~1/8 of the full terrain SVG the
-//! `/graphs/{id}/terrain` route would serve.
+//! (snapshot-backed) storage, and a fresh session over a graph that crossed
+//! a delta batch through [`graph_terrain::SharedGraph::apply_delta`] must
+//! serve the exact tiles a from-scratch build over the final graph serves.
+//! The release-mode test pushes the same claims through the 1M-edge R-MAT
+//! rung and pins the bandwidth story: any single tile at zoom >= 1 is at
+//! most ~1/8 of the full terrain SVG the `/graphs/{id}/terrain` route would
+//! serve.
 
-use graph_terrain::{Measure, Scene, TerrainPipeline, TileKey};
+use graph_terrain::{Measure, Scene, SharedGraph, TerrainPipeline, TileKey};
 use ugraph::delta::{apply, DeltaOp, GraphDelta};
 use ugraph::generators::barabasi_albert;
 use ugraph::io::encode_binary_v3;
@@ -88,23 +89,26 @@ fn tiles_after_a_delta_match_a_from_scratch_build_of_the_final_graph() {
     }
     let final_graph = apply(&graph, &delta).1.expect("the batch changes the graph").graph;
 
+    // Cross the batch the way the server does: copy-on-write apply, then a
+    // fresh session over the new graph.
+    let mut crossed = SharedGraph::new(graph.clone());
+    crossed.apply_delta(&delta);
+
     for measure in [Measure::Degree, Measure::KCore, Measure::PageRank] {
-        let mut warm = TerrainPipeline::from_measure(&graph, measure.clone());
-        warm.scene().unwrap(); // build the scene pre-delta, then invalidate
-        warm.apply_delta(&delta).unwrap();
+        let mut after = TerrainPipeline::from_shared(crossed.clone(), measure.clone());
         let mut fresh = TerrainPipeline::from_measure(&final_graph, measure.clone());
         let fresh_scene = fresh.scene().unwrap();
-        let warm_scene = warm.scene().unwrap();
+        let after_scene = after.scene().unwrap();
         assert_eq!(
-            warm_scene.item_count(),
+            after_scene.item_count(),
             fresh_scene.item_count(),
             "{measure:?}: item counts diverge after delta"
         );
         for key in grid_keys(2) {
             assert_eq!(
-                tile_bytes(warm_scene, &key, 256),
+                tile_bytes(after_scene, &key, 256),
                 tile_bytes(fresh_scene, &key, 256),
-                "{measure:?} tile {key}: incremental and from-scratch tiles disagree"
+                "{measure:?} tile {key}: crossed and from-scratch tiles disagree"
             );
         }
     }

@@ -45,13 +45,11 @@
 //! re-upload CI's delta smoke performs), build the graph, and render a
 //! fresh session (`storage: "delta-rebuild"`). Timings are best-of-3; a
 //! byte-equality guard on the two SVGs backs every recorded pair. Both run
-//! at `degree`, `kcore` and `pagerank`; the printed summary line names each
-//! measure's [`Measure::delta_cost`] tier. `delta-apply` rows recorded before
+//! at `degree`, `kcore` and `pagerank`. `delta-apply` rows recorded before
 //! 0.19.0 timed a warm session's own delta apply and re-render instead, and
 //! k-core rows recorded before 0.18.0 a re-peel of the touched components.
 //!
 //! [`SharedGraph::apply_delta`]: graph_terrain::SharedGraph::apply_delta
-//! [`Measure::delta_cost`]: graph_terrain::Measure::delta_cost
 //!
 //! Finally each rung runs the tile bench over the retained scene: `storage:
 //! "tile-query"` records the *mean* quadtree viewport query over a fixed
@@ -288,8 +286,7 @@ fn main() {
         // then build and render a fresh session. One pair of rows per
         // measure.
         let delta = ladder_delta(&graph);
-        let final_graph =
-            ugraph::delta::apply(&graph, &delta).1.map_or_else(|| graph.clone(), |c| c.graph);
+        let final_graph = ugraph::delta::apply(&graph, &delta).1.unwrap_or_else(|| graph.clone());
         // The final edge list serialized as text — what a rebuilding client
         // re-uploads (CI's delta smoke performs exactly this re-upload), so
         // the rebuild timing covers parse + build + render. The trailing
@@ -309,7 +306,6 @@ fn main() {
         // shared container.
         const DELTA_ITERS: usize = 3;
         for delta_measure in [Measure::Degree, Measure::KCore, Measure::PageRank] {
-            let tier = delta_measure.delta_cost().name();
             let delta_measure_name = delta_measure.name().to_string();
             let mut apply_seconds = f64::INFINITY;
             let mut rebuild_seconds = f64::INFINITY;
@@ -377,7 +373,7 @@ fn main() {
                 });
             }
             println!(
-                "  delta ({} edges, {delta_measure_name}/{tier}): apply {apply_seconds:.3}s vs rebuild {rebuild_seconds:.3}s ({:.1}x)",
+                "  delta ({} edges, {delta_measure_name}): apply {apply_seconds:.3}s vs rebuild {rebuild_seconds:.3}s ({:.1}x)",
                 delta.len(),
                 rebuild_seconds / apply_seconds.max(1e-9)
             );

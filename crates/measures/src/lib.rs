@@ -42,7 +42,6 @@ pub mod betweenness;
 pub mod closeness;
 pub mod community;
 pub mod degree;
-pub mod incremental;
 pub mod kcore;
 pub mod ktruss;
 pub mod pagerank;
@@ -56,7 +55,6 @@ pub use betweenness::{
 pub use closeness::{closeness_centrality, closeness_centrality_with, harmonic_centrality};
 pub use community::{label_propagation, overlapping_community_scores, CommunityScores};
 pub use degree::{degree_centrality, degrees};
-pub use incremental::{incremental_edge_triangle_counts, DeltaCost};
 pub use kcore::{core_numbers, KCoreDecomposition};
 pub use ktruss::{truss_numbers, truss_numbers_with, KTrussDecomposition};
 pub use pagerank::{pagerank, pagerank_with, PageRankConfig};

@@ -233,10 +233,10 @@ fn post_delta(state: &AppState, req: &Request, id: &str) -> Result<Response, Api
     let delta = GraphDelta::from_graph(op, &parsed.graph);
 
     let (stats, compacted) = delta::apply(entry.graph.storage(), &delta);
-    let Some(compacted) = compacted else {
+    let Some(graph) = compacted else {
         return Ok(Response::json(200, delta_json(&entry, &stats, false, 0)));
     };
-    let entry = state.replace_graph(id, SharedGraph::new(compacted.graph)).ok_or_else(|| {
+    let entry = state.replace_graph(id, SharedGraph::new(graph)).ok_or_else(|| {
         // The graph vanished between lookup and replace (a concurrent
         // DELETE won the race); the mutation has nowhere to land.
         ApiError::not_found(format!("graph {id:?} was deleted while the delta was applied"))
@@ -247,7 +247,10 @@ fn post_delta(state: &AppState, req: &Request, id: &str) -> Result<Response, Api
 
 /// The delta response: the apply statistics and the resulting graph facts.
 /// A structural delta evicts every retained value of the id, so the next
-/// render of any measure recomputes it from scratch.
+/// render of any measure recomputes it from scratch. The body is parsed as
+/// a graph before it becomes a batch, and the parser already drops self
+/// loops and repeated edges, so the stats' `dropped_self_loops` and
+/// `superseded` are always 0 here and are not sent.
 fn delta_json(
     entry: &GraphEntry,
     stats: &DeltaApplyStats,
@@ -258,8 +261,7 @@ fn delta_json(
         concat!(
             "{{\"graph\":{},\"structural\":{structural},\"evicted_artifacts\":{evicted},",
             "\"inserted\":{},\"deleted\":{},\"redundant_inserts\":{},",
-            "\"absent_deletes\":{},\"reweights\":{},\"dropped_self_loops\":{},",
-            "\"superseded\":{}}}"
+            "\"absent_deletes\":{},\"reweights\":{}}}"
         ),
         graph_json(entry),
         stats.inserted,
@@ -267,8 +269,6 @@ fn delta_json(
         stats.redundant_inserts,
         stats.absent_deletes,
         stats.reweights,
-        stats.dropped_self_loops,
-        stats.superseded,
         structural = structural,
         evicted = evicted,
     )

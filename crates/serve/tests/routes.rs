@@ -403,6 +403,25 @@ fn noop_deltas_leave_the_graph_cache_and_etags_alone() {
 }
 
 #[test]
+fn delta_responses_omit_the_counters_the_body_parser_zeroes() {
+    let state = state_with_graph();
+    // A repeated edge (reversed) and a self loop on a fresh vertex: the
+    // body is parsed as a graph first, which drops both before the batch
+    // is built, so the response sends no counter for them.
+    let applied = routes::handle(&state, &post("/graphs/g/deltas", b"0 1\n1 0\n9 9\n".to_vec()));
+    assert_eq!(applied.status, 200, "{}", String::from_utf8_lossy(&applied.body));
+    let doc = body_json(&applied);
+    assert_eq!(doc.get("structural").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(doc.get("redundant_inserts").and_then(|v| v.as_u64()), Some(1));
+    assert!(doc.get("dropped_self_loops").is_none(), "{doc:?}");
+    assert!(doc.get("superseded").is_none(), "{doc:?}");
+    // The self loop's vertex still exists.
+    let graph = doc.get("graph").expect("graph facts");
+    assert_eq!(graph.get("vertices").and_then(|v| v.as_u64()), Some(10));
+    assert_eq!(routes::handle(&state, &get("/graphs/g/terrain")).status, 200);
+}
+
+#[test]
 fn a_delta_chain_on_a_mapped_upload_serves_the_bytes_of_a_fresh_upload() {
     let state = Arc::new(AppState::new(ServerConfig::default()));
     let base = test_graph();

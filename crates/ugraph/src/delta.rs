@@ -16,16 +16,12 @@
 //!
 //! It works in one pass over the batch's deduplicated, sorted changes: the
 //! pass marks deleted base edges, collects the inserted edges once each in
-//! canonical order, sets the *dirty* flags (endpoints of every effective
-//! structural change, which seed the incremental-recompute paths
-//! downstream) and counts the stats. When an edge toggled or a vertex was
-//! added, the surviving base edges (iterated in CSR order) and the inserts
-//! are two already-sorted streams, so one linear merge produces the
-//! canonical edge list **without a re-sort**. The result is bit-identical
-//! to building the final edge list from scratch with
-//! [`crate::GraphBuilder`], and comes with a new-edge-id → base-edge-id
-//! remap so per-edge results (triangle counts) can be copied
-//! instead of recomputed for untouched edges.
+//! canonical order and counts the stats. When an edge toggled or a vertex
+//! was added, the surviving base edges (iterated in CSR order) and the
+//! inserts are two already-sorted streams, so one linear merge produces
+//! the canonical edge list **without a re-sort**. The result is
+//! bit-identical to building the final edge list from scratch with
+//! [`crate::GraphBuilder`].
 //!
 //! Vertices are never removed: like the builder's `ensure_vertex`, every
 //! vertex *mentioned* by a delta (including by dropped self loops and
@@ -235,27 +231,13 @@ impl DeltaApplyStats {
     }
 }
 
-/// The product of [`apply`] when the batch changed the graph: the new
-/// canonical graph plus the provenance needed by incremental recomputation.
-#[derive(Clone, Debug)]
-pub struct CompactedDelta {
-    /// The merged graph, bit-identical to a from-scratch
-    /// [`crate::GraphBuilder`] build of the final edge list (with every
-    /// mentioned vertex ensured).
-    pub graph: CsrGraph,
-    /// For each new edge id, the base edge id it survives from
-    /// (`None` = freshly inserted). Length `graph.edge_count()`.
-    pub base_edge: Vec<Option<EdgeId>>,
-    /// Per-vertex dirty flags: `true` for endpoints of every effective
-    /// structural change. Length `graph.vertex_count()`.
-    pub dirty: Vec<bool>,
-}
-
 /// Apply one batch to `base` and compact it. Returns what the batch did
-/// and, when it changed the graph, the compaction; `None` means the graph
-/// did not change — no edge's presence toggled and no new vertex was
-/// mentioned — so `base` is still the current graph and nothing derived
-/// from it needs invalidating.
+/// and, when it changed the graph, the new graph: bit-identical to a
+/// from-scratch [`crate::GraphBuilder`] build of the final edge list, with
+/// every mentioned vertex ensured. `None` means the graph did not change —
+/// no edge's presence toggled and no new vertex was mentioned — so `base`
+/// is still the current graph and nothing derived from it needs
+/// invalidating.
 ///
 /// ```
 /// use ugraph::delta::{apply, DeltaOp, GraphDelta};
@@ -274,10 +256,10 @@ pub struct CompactedDelta {
 /// let (stats, compacted) = apply(&base, &delta);
 /// assert_eq!((stats.inserted, stats.deleted), (1, 1));
 /// let compacted = compacted.expect("the batch changed the graph");
-/// assert_eq!(compacted.graph.vertex_count(), 4);
-/// assert_eq!(compacted.graph.edge_count(), 3);
-/// assert!(!compacted.graph.has_edge(VertexId(0), VertexId(1)));
-/// assert!(compacted.graph.has_edge(VertexId(1), VertexId(3)));
+/// assert_eq!(compacted.vertex_count(), 4);
+/// assert_eq!(compacted.edge_count(), 3);
+/// assert!(!compacted.has_edge(VertexId(0), VertexId(1)));
+/// assert!(compacted.has_edge(VertexId(1), VertexId(3)));
 ///
 /// // A batch of no-ops leaves `base` the current graph.
 /// let (stats, compacted) = apply(&base, &GraphDelta::new());
@@ -287,7 +269,7 @@ pub struct CompactedDelta {
 pub fn apply<G: GraphStorage + ?Sized>(
     base: &G,
     delta: &GraphDelta,
-) -> (DeltaApplyStats, Option<CompactedDelta>) {
+) -> (DeltaApplyStats, Option<CsrGraph>) {
     let base_vertices = base.vertex_count();
     let vertex_count = base_vertices.max(delta.min_vertex_count());
     let mut stats = DeltaApplyStats {
@@ -299,39 +281,23 @@ pub fn apply<G: GraphStorage + ?Sized>(
     // batch's canonical order, so they need no sorting.
     let mut deleted = vec![false; base.edge_count()];
     let mut inserts: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut dirty = vec![false; vertex_count];
     for (&(u, v), &op) in &delta.ops {
-        let toggled = match op {
-            DeltaOp::Reweight => {
-                stats.reweights += 1;
-                false
-            }
-            DeltaOp::Insert => match base_edge_between(base, u, v) {
-                Some(_) => {
-                    stats.redundant_inserts += 1;
-                    false
-                }
+        match op {
+            DeltaOp::Reweight => stats.reweights += 1,
+            DeltaOp::Insert => match edge_in_base(base, u, v) {
+                Some(_) => stats.redundant_inserts += 1,
                 None => {
                     inserts.push((u, v));
                     stats.inserted += 1;
-                    true
                 }
             },
-            DeltaOp::Delete => match base_edge_between(base, u, v) {
+            DeltaOp::Delete => match edge_in_base(base, u, v) {
                 Some(e) => {
                     deleted[e.index()] = true;
                     stats.deleted += 1;
-                    true
                 }
-                None => {
-                    stats.absent_deletes += 1;
-                    false
-                }
+                None => stats.absent_deletes += 1,
             },
-        };
-        if toggled {
-            dirty[u.index()] = true;
-            dirty[v.index()] = true;
         }
     }
     if stats.structural_changes() == 0 && vertex_count == base_vertices {
@@ -342,7 +308,6 @@ pub fn apply<G: GraphStorage + ?Sized>(
     // the sorted inserts into the final canonical edge list.
     let edge_count = base.edge_count() - stats.deleted + stats.inserted;
     let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(edge_count);
-    let mut base_edge: Vec<Option<EdgeId>> = Vec::with_capacity(edge_count);
     let mut inserts = inserts.into_iter().peekable();
     for u in 0..base_vertices {
         let u = VertexId::from_index(u);
@@ -352,27 +317,17 @@ pub fn apply<G: GraphStorage + ?Sized>(
             }
             while let Some(edge) = inserts.next_if(|&edge| edge < (u, t)) {
                 edges.push(edge);
-                base_edge.push(None);
             }
             edges.push((u, t));
-            base_edge.push(Some(e));
         }
     }
-    for edge in inserts {
-        edges.push(edge);
-        base_edge.push(None);
-    }
-    let graph = CsrGraph::from_canonical_edges(vertex_count, edges);
-    (stats, Some(CompactedDelta { graph, base_edge, dirty }))
+    edges.extend(inserts);
+    (stats, Some(CsrGraph::from_canonical_edges(vertex_count, edges)))
 }
 
 /// The base edge between `u` and `v`, if the base has one. Vertices beyond
 /// the base have no base edges.
-fn base_edge_between<G: GraphStorage + ?Sized>(
-    base: &G,
-    u: VertexId,
-    v: VertexId,
-) -> Option<EdgeId> {
+fn edge_in_base<G: GraphStorage + ?Sized>(base: &G, u: VertexId, v: VertexId) -> Option<EdgeId> {
     let n = base.vertex_count();
     if u.index() >= n || v.index() >= n {
         return None;
@@ -386,7 +341,6 @@ mod tests {
 
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::generators::rmat;
 
     fn base_graph() -> CsrGraph {
         // Triangle 0-1-2 with a tail 2-3 and an island edge 4-5.
@@ -439,11 +393,6 @@ mod tests {
         assert_eq!(d.len(), 1, "the rejected mention must not be recorded");
     }
 
-    /// The dirty vertex ids of a compaction, ascending.
-    fn dirty(compacted: &CompactedDelta) -> Vec<u32> {
-        (0..compacted.dirty.len() as u32).filter(|&v| compacted.dirty[v as usize]).collect()
-    }
-
     #[test]
     fn overlay_merged_view_reflects_inserts_and_deletes() {
         let base = base_graph();
@@ -452,8 +401,7 @@ mod tests {
         delta.push(DeltaOp::Insert, 3, 5);
         delta.push(DeltaOp::Insert, 0, 6);
         let (stats, compacted) = apply(&base, &delta);
-        let compacted = compacted.expect("the batch changes the graph");
-        let merged = &compacted.graph;
+        let merged = compacted.expect("the batch changes the graph");
 
         assert_eq!(merged.vertex_count(), 7);
         assert_eq!(merged.edge_count(), 6);
@@ -463,7 +411,6 @@ mod tests {
         assert_eq!(merged.degree(VertexId(0)), 2); // lost 1, gained 6
         assert_eq!(merged.neighbor_slice(VertexId(0)), &[VertexId(2), VertexId(6)]);
         assert_eq!(merged.neighbor_slice(VertexId(6)), &[VertexId(0)]);
-        assert_eq!(dirty(&compacted), vec![0, 1, 3, 5, 6]);
         assert_eq!((stats.inserted, stats.deleted), (2, 1));
         assert_eq!(stats.structural_changes(), 3);
     }
@@ -493,19 +440,8 @@ mod tests {
         final_edges.remove(&(1, 2));
         final_edges.insert((1, 3));
         final_edges.insert((2, 6));
-        assert_eq!(compacted.graph, rebuild(7, &final_edges));
-        compacted.graph.check_invariants().unwrap();
-
-        // Every surviving edge maps back to the base edge with the same
-        // endpoints; inserted edges map to None.
-        assert_eq!(compacted.base_edge.len(), compacted.graph.edge_count());
-        for e in compacted.graph.edges() {
-            match compacted.base_edge[e.id.index()] {
-                Some(old) => assert_eq!(base.endpoints(old), (e.u, e.v)),
-                None => assert!([(1, 3), (2, 6)].contains(&(e.u.0, e.v.0))),
-            }
-        }
-        assert_eq!(dirty(&compacted), vec![1, 2, 3, 6]);
+        assert_eq!(compacted, rebuild(7, &final_edges));
+        compacted.check_invariants().unwrap();
     }
 
     #[test]
@@ -517,8 +453,8 @@ mod tests {
         // No edge changed, but the vertex set grew: the graph did change.
         assert_eq!(stats.structural_changes(), 0);
         let compacted = compacted.expect("new vertices change the graph");
-        assert_eq!(compacted.graph.vertex_count(), 10);
-        assert_eq!(compacted.graph.edge_count(), base.edge_count());
+        assert_eq!(compacted.vertex_count(), 10);
+        assert_eq!(compacted.edge_count(), base.edge_count());
         assert_eq!(stats.dropped_self_loops, 1);
     }
 
@@ -531,68 +467,5 @@ mod tests {
         let delta = GraphDelta::from_graph(DeltaOp::Insert, &batch);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta.min_vertex_count(), 5);
-    }
-
-    #[test]
-    fn random_delta_sequences_compact_to_the_from_scratch_build() {
-        // Deterministic pseudo-random op stream over a generated base;
-        // the oracle is a plain edge-set rebuild.
-        let base = rmat(6, 120, 99);
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut step = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut edges: BTreeSet<(u32, u32)> = base.edges().map(|e| (e.u.0, e.v.0)).collect();
-        let mut vertex_count = base.vertex_count();
-        // Chain one compaction per batch, as the server does.
-        let mut graph = base;
-        for _ in 0..20 {
-            let mut delta = GraphDelta::new();
-            for _ in 0..15 {
-                let r = step();
-                let u = (r >> 8) as u32 % 80;
-                let v = (r >> 40) as u32 % 80;
-                let op = if r % 3 == 0 {
-                    DeltaOp::Delete
-                } else if r % 3 == 1 {
-                    DeltaOp::Insert
-                } else {
-                    DeltaOp::Reweight
-                };
-                delta.push(op, u, v);
-                vertex_count = vertex_count.max(u as usize + 1).max(v as usize + 1);
-            }
-            for change in delta.changes() {
-                let key = (change.u.0, change.v.0);
-                match change.op {
-                    DeltaOp::Insert => {
-                        edges.insert(key);
-                    }
-                    DeltaOp::Delete => {
-                        edges.remove(&key);
-                    }
-                    DeltaOp::Reweight => {}
-                }
-            }
-            let (stats, compacted) = apply(&graph, &delta);
-            let Some(compacted) = compacted else {
-                assert_eq!(stats.structural_changes(), 0);
-                assert_eq!(graph.vertex_count(), vertex_count);
-                continue;
-            };
-            assert_eq!(compacted.graph, rebuild(vertex_count, &edges));
-            compacted.graph.check_invariants().unwrap();
-            for e in compacted.graph.edges() {
-                match compacted.base_edge[e.id.index()] {
-                    Some(old) => assert_eq!(graph.endpoints(old), (e.u, e.v)),
-                    None => assert_eq!(base_edge_between(&graph, e.u, e.v), None),
-                }
-            }
-            graph = compacted.graph;
-        }
-        assert_eq!(graph, rebuild(vertex_count, &edges));
     }
 }

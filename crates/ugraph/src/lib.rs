@@ -58,7 +58,7 @@ pub mod union_find;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, EdgeRef, NeighborIter};
-pub use delta::{CompactedDelta, DeltaApplyStats, DeltaOp, EdgeChange, GraphDelta};
+pub use delta::{DeltaApplyStats, DeltaOp, EdgeChange, GraphDelta};
 pub use dual::{line_graph, LineGraph};
 pub use error::{GraphError, Result};
 pub use ids::{EdgeId, VertexId};

@@ -1,8 +1,12 @@
 //! Property-based tests for the graph substrate: CSR structural invariants,
 //! union–find correctness against a naive oracle, line-graph size identities,
-//! and I/O round-trips for arbitrary graphs.
+//! I/O round-trips for arbitrary graphs, and delta batches against a
+//! from-scratch build.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
+use ugraph::delta::{apply, DeltaOp, GraphDelta};
 use ugraph::dual::{estimated_dual_edges, line_graph};
 use ugraph::generators::{lfr, rmat, rmat_with, RmatConfig};
 use ugraph::io::{
@@ -248,6 +252,59 @@ proptest! {
         for e in sub.edges() {
             let (u, v) = (back[e.u.index()], back[e.v.index()]);
             prop_assert!(g.has_edge(u, v));
+        }
+    }
+
+    /// A chain of arbitrary batches (fresh vertices, self loops, redundant
+    /// inserts, absent deletes, reweights, repeated mentions) applied to
+    /// the owned graph and to a mapped snapshot of it gives the graph a
+    /// from-scratch build of the final edge list gives, and `apply` returns
+    /// `None` exactly when no edge toggled and no vertex was added.
+    #[test]
+    fn delta_chains_match_a_from_scratch_build(
+        (n, edges, batches) in arbitrary_edges(20).prop_flat_map(|(n, edges)| {
+            let span = n as u32 + 4;
+            let batch = proptest::collection::vec((0u8..3, 0..span, 0..span), 0..12);
+            (Just(n), Just(edges), proptest::collection::vec(batch, 1..6))
+        })
+    ) {
+        let mut graph = build(n, &edges);
+        let mut oracle: BTreeSet<(u32, u32)> = graph.edges().map(|e| (e.u.0, e.v.0)).collect();
+        for batch in batches {
+            let mut delta = GraphDelta::new();
+            // The oracle's own last-wins dedup, and its own vertex count.
+            let mut last = BTreeMap::new();
+            let mut vertex_count = graph.vertex_count();
+            for (op, u, v) in batch {
+                let op = [DeltaOp::Insert, DeltaOp::Delete, DeltaOp::Reweight][op as usize];
+                delta.push(op, u, v);
+                vertex_count = vertex_count.max(u.max(v) as usize + 1);
+                if u != v {
+                    last.insert((u.min(v), u.max(v)), op);
+                }
+            }
+            let mut toggled = 0;
+            for (edge, op) in last {
+                toggled += usize::from(match op {
+                    DeltaOp::Insert => oracle.insert(edge),
+                    DeltaOp::Delete => oracle.remove(&edge),
+                    DeltaOp::Reweight => false,
+                });
+            }
+            let expected = build(vertex_count, &oracle.iter().copied().collect::<Vec<_>>());
+            let grew = vertex_count > graph.vertex_count();
+
+            let mapped =
+                MappedCsrGraph::from_bytes(&encode_binary_v3(&graph, None).unwrap()).unwrap();
+            let (mapped_stats, from_mapped) = apply(&mapped, &delta);
+            let (stats, owned) = apply(&graph, &delta);
+            prop_assert_eq!(mapped_stats, stats);
+            prop_assert_eq!(stats.structural_changes(), toggled);
+            prop_assert_eq!(owned.is_none(), toggled == 0 && !grew);
+            prop_assert_eq!(from_mapped.is_none(), owned.is_none());
+            prop_assert_eq!(&from_mapped.unwrap_or_else(|| mapped.to_csr_graph()), &expected);
+            graph = owned.unwrap_or(graph);
+            prop_assert_eq!(&graph, &expected);
         }
     }
 }

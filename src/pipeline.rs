@@ -60,7 +60,6 @@
 //! assert!(session.timings().tree_construction_seconds().is_some());
 //! ```
 
-use measures::DeltaCost;
 use scalarfield::{
     build_super_tree, edge_scalar_tree, simplify_super_tree, vertex_scalar_tree, EdgeScalarGraph,
     ScalarTree, SuperScalarTree, VertexScalarGraph,
@@ -157,26 +156,6 @@ impl Measure {
     /// messages that must list the alternatives.
     pub fn known_names() -> &'static [&'static str] {
         &["kcore", "degree", "pagerank", "closeness", "betweenness", "ktruss", "edge-triangles"]
-    }
-
-    /// How much of this measure survives a graph delta: `Local` measures
-    /// can be updated around the dirty endpoints of a compacted batch
-    /// ([`measures::incremental_edge_triangle_counts`]), `Full` measures
-    /// recompute from scratch. Degree is `Full`: a full count is one pass
-    /// over the offsets and recounting only the dirty vertices did not beat
-    /// it. K-core and k-truss are `Full`: an R-MAT batch lands in the giant
-    /// component, where re-peeling only the touched components is a full
-    /// peel (PERFORMANCE.md, "Delta tiers").
-    pub fn delta_cost(&self) -> DeltaCost {
-        match self {
-            Measure::EdgeTriangles => DeltaCost::Local,
-            Measure::KCore
-            | Measure::Degree
-            | Measure::KTruss
-            | Measure::PageRank
-            | Measure::Closeness
-            | Measure::BetweennessSampled { .. } => DeltaCost::Full,
-        }
     }
 
     /// The sampled-betweenness setting [`Measure::from_name`] resolves
@@ -417,8 +396,8 @@ impl SharedGraph {
     /// cross a batch themselves: start a fresh one on the new graph.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaApplyStats {
         let (stats, compacted) = delta::apply(self.storage(), delta);
-        if let Some(compacted) = compacted {
-            *self = SharedGraph::new(compacted.graph);
+        if let Some(graph) = compacted {
+            *self = SharedGraph::new(graph);
         }
         stats
     }

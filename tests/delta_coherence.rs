@@ -4,7 +4,7 @@
 //! way the terrain server crosses a batch, must leave a graph whose fresh
 //! session renders bit-identically to a from-scratch build over the final
 //! edge list — exact `==` on the SVG bytes — for vertex and edge fields of
-//! both cost tiers (degree, edge-triangles, k-core, k-truss and PageRank),
+//! five measures (degree, edge-triangles, k-core, k-truss and PageRank),
 //! over both the owned and the memory-mapped zero-copy backend, across
 //! [`Parallelism::Serial`] and `Threads(2)`.
 //!
@@ -34,7 +34,7 @@ fn op_of(code: u8) -> DeltaOp {
     }
 }
 
-/// The measures under test — vertex and edge fields of both cost tiers.
+/// The measures under test — vertex and edge fields.
 fn measures() -> [Measure; 5] {
     [Measure::Degree, Measure::EdgeTriangles, Measure::KCore, Measure::KTruss, Measure::PageRank]
 }

@@ -87,7 +87,7 @@ fn tiles_after_a_delta_match_a_from_scratch_build_of_the_final_graph() {
     for e in graph.edges().take(5) {
         delta.push(DeltaOp::Delete, e.u, e.v);
     }
-    let final_graph = apply(&graph, &delta).1.expect("the batch changes the graph").graph;
+    let final_graph = apply(&graph, &delta).1.expect("the batch changes the graph");
 
     // Cross the batch the way the server does: copy-on-write apply, then a
     // fresh session over the new graph.

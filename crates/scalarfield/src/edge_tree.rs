@@ -11,66 +11,30 @@
 //! Table II's `tc` vs `te` columns quantify exactly this gap.
 
 use crate::scalar_graph::{EdgeScalarGraph, VertexScalarGraph};
-use crate::vertex_tree::{vertex_scalar_tree, ScalarTree};
-use ugraph::{line_graph, GraphStorage, UnionFind};
+use crate::vertex_tree::{processing_order, sweep, vertex_scalar_tree, ScalarTree};
+use ugraph::{line_graph, EdgeId, GraphStorage};
 
 /// Algorithm 3: build the edge scalar tree of an edge scalar graph in
 /// `O(|E| log |E|)` without materializing the dual graph.
 pub fn edge_scalar_tree<G: GraphStorage + ?Sized>(sg: &EdgeScalarGraph<'_, G>) -> ScalarTree {
     let graph = sg.graph();
-    let m = graph.edge_count();
-    let n = graph.vertex_count();
-    let mut parent: Vec<Option<u32>> = vec![None; m];
-    if m == 0 {
-        return ScalarTree::from_parents(parent, Vec::new());
-    }
-
-    // Line 1: sort edges in decreasing order of scalar value.
-    let order = sg.edges_by_decreasing_scalar();
-    // rank[e] = processing index of edge e ("index" in the paper).
-    let mut rank = vec![0usize; m];
-    for (i, &e) in order.iter().enumerate() {
-        rank[e.index()] = i;
-    }
-
-    // Lines 2-3: for each vertex, the incident edge with the minimum index
-    // (i.e. processed earliest / highest scalar).
-    let mut min_id_edge: Vec<Option<u32>> = vec![None; n];
-    for v in graph.vertices() {
-        let best = graph.incident_edge_slice(v).iter().min_by_key(|e| rank[e.index()]).copied();
-        min_id_edge[v.index()] = best.map(|e| e.0);
-    }
-
-    // Union–find over edges; each set's payload is the current subtree root.
-    let mut uf = UnionFind::new(m);
-
-    // Lines 5-9.
-    for (i, &ei) in order.iter().enumerate() {
-        let (v1, v2) = graph.endpoints(ei);
-        for v in [v1, v2] {
-            let em = match min_id_edge[v.index()] {
-                Some(e) => e as usize,
-                None => continue,
-            };
-            // "m < i": the min-id edge was processed earlier than e_i.
-            if rank[em] >= i {
-                continue;
-            }
-            if uf.same_set(ei.index(), em) {
-                continue;
-            }
-            // Connect n(e_i) to root(n(e_m)); n(e_i) becomes the new root.
-            let root_m = uf.payload(em) as u32;
-            parent[root_m as usize] = Some(ei.0);
-            uf.union(ei.index(), em);
-            uf.set_payload(ei.index(), ei.index());
-        }
-    }
-
-    let scalar: Vec<f64> = sg.scalar().to_vec();
-    let tree = ScalarTree::from_parents(parent, scalar);
-    debug_assert!(tree.check_monotone().is_none(), "edge scalar tree violates monotonicity");
-    tree
+    let scalar = sg.scalar();
+    // Lines 2-3: for each vertex, its first-processed incident edge (highest
+    // scalar, then lowest id). Isolated vertices are never an endpoint, so
+    // their placeholder is never read.
+    let first: Vec<u32> = graph
+        .vertices()
+        .map(|v| {
+            let incident = graph.incident_edge_slice(v).iter().map(|e| e.0);
+            incident.min_by(|&a, &b| processing_order(scalar, a, b)).unwrap_or(u32::MAX)
+        })
+        .collect();
+    // Lines 5-9: the shared sweep, where the neighbours of edge `e` are the
+    // first-processed incident edges of its two endpoints.
+    sweep(scalar, |e| {
+        let (u, v) = graph.endpoints(EdgeId(e));
+        [first[u.index()], first[v.index()]]
+    })
 }
 
 /// The naive edge-scalar-tree construction: build the dual (line) graph and
@@ -96,7 +60,7 @@ mod tests {
     use crate::scalar_graph::EdgeScalarGraph;
     use crate::super_tree::build_super_tree;
     use std::collections::BTreeSet;
-    use ugraph::{CsrGraph, EdgeId, GraphBuilder};
+    use ugraph::{CsrGraph, GraphBuilder, UnionFind};
 
     /// Partition the edges with scalar >= alpha into groups connected in the
     /// given tree (the component partition the tree encodes at level alpha).
@@ -271,6 +235,19 @@ mod tests {
         // denser than the original graph.
         let (_, e) = (g.vertex_count(), g.edge_count());
         assert!(ugraph::dual::estimated_dual_edges(&g) > e);
-        let _ = EdgeId(0);
+    }
+
+    #[test]
+    fn equal_edge_scalars_are_swept_in_id_order() {
+        // Path edges e0 = (0, 1), e1 = (1, 2), e2 = (2, 3) with scalars 1, 1,
+        // 9: the order is e2, e0, e1, so e0 is vertex 1's first edge and e1
+        // joins e0 and e2. Sweeping e1 before e0 would give [None, 0, 1].
+        let mut b = GraphBuilder::new();
+        b.extend_edges([(0u32, 1u32), (1, 2), (2, 3)]);
+        let g = b.build();
+        let scalar = [1.0, 1.0, 9.0];
+        let sg = EdgeScalarGraph::new(&g, &scalar).unwrap();
+        assert_eq!(edge_scalar_tree(&sg).parents(), &[Some(1), None, Some(1)]);
+        assert_eq!(edge_scalar_tree_naive(&sg).parents(), &[Some(1), None, Some(1)]);
     }
 }

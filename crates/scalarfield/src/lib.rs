@@ -10,7 +10,7 @@
 //!   analogue (Definitions 1–3), extracted directly; used both as a public API
 //!   and as the correctness oracle for the tree algorithms;
 //! * [`vertex_tree`] — the **vertex scalar tree** of Algorithm 1
-//!   (union–find sweep in decreasing scalar order);
+//!   (union–find sweep in decreasing scalar order, shared with Algorithm 3);
 //! * [`super_tree`] — the **super scalar tree** of Algorithm 2 (merging
 //!   equal-scalar ancestor/descendant chains so Property 2 holds when scalar
 //!   values repeat);
@@ -30,17 +30,18 @@
 //! treemap, MCC queries) hammers the same handful of tree queries:
 //!
 //! * [`ScalarTree`] keeps node ids equal to element ids (Property 1) and
-//!   precomputes children as a single shared CSR vector with per-node
-//!   `(offset, len)` ranges — mirroring `ugraph::CsrGraph` — plus depths and
-//!   a BFS topological order, so `children`/`depths`/
-//!   `nodes_by_decreasing_depth` are allocation-free slice/iterator accessors.
+//!   stores, beside the parent pointers, only what Algorithm 2 reads: the
+//!   roots and the children as a single shared CSR vector with per-node
+//!   `(offset, len)` ranges — mirroring `ugraph::CsrGraph` — so `children`
+//!   is an allocation-free slice.
 //! * [`SuperScalarTree`] renumbers super nodes into **DFS pre-order** at
 //!   construction: every parent id is smaller than its children's, the
 //!   subtree rooted at `i` is the contiguous id range `i..subtree_end(i)`,
 //!   and the member arena is grouped accordingly — so
 //!   `subtree_member_count` is O(1) offset arithmetic and `subtree_members`
 //!   is a single allocation, instead of the old
-//!   sort-every-node-by-depth-per-query traversal.
+//!   sort-every-node-by-depth-per-query traversal. Reversed, the ids list
+//!   children before parents, so bottom-up passes need no level order.
 //!
 //! ## Quick example: K-Core terrain input in a few lines
 //!

@@ -93,14 +93,6 @@ impl<'a, G: GraphStorage + ?Sized> VertexScalarGraph<'a, G> {
     pub fn vertex_count(&self) -> usize {
         self.graph.vertex_count()
     }
-
-    /// Vertices sorted by decreasing scalar value, ties broken by increasing
-    /// vertex id — the processing order of Algorithm 1.
-    pub fn vertices_by_decreasing_scalar(&self) -> Vec<VertexId> {
-        let mut order: Vec<VertexId> = self.graph.vertices().collect();
-        order.sort_by(|&a, &b| self.value(b).total_cmp(&self.value(a)).then(a.cmp(&b)));
-        order
-    }
 }
 
 impl<'a, G: GraphStorage + ?Sized> EdgeScalarGraph<'a, G> {
@@ -135,14 +127,6 @@ impl<'a, G: GraphStorage + ?Sized> EdgeScalarGraph<'a, G> {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.graph.edge_count()
-    }
-
-    /// Edges sorted by decreasing scalar value, ties broken by increasing edge
-    /// id — the processing order of Algorithm 3.
-    pub fn edges_by_decreasing_scalar(&self) -> Vec<EdgeId> {
-        let mut order: Vec<EdgeId> = (0..self.edge_count()).map(EdgeId::from_index).collect();
-        order.sort_by(|&a, &b| self.value(b).total_cmp(&self.value(a)).then(a.cmp(&b)));
-        order
     }
 }
 
@@ -215,18 +199,5 @@ mod tests {
         assert_eq!(sg.value(EdgeId(1)), 2.0);
         assert_eq!(sg.edge_count(), 3);
         assert!(EdgeScalarGraph::new(&g, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn decreasing_order_breaks_ties_by_id() {
-        let g = path4();
-        let scalar = vec![2.0, 5.0, 2.0, 7.0];
-        let sg = VertexScalarGraph::new(&g, &scalar).unwrap();
-        let order = sg.vertices_by_decreasing_scalar();
-        assert_eq!(order, vec![VertexId(3), VertexId(1), VertexId(0), VertexId(2)]);
-
-        let escalar = vec![1.0, 1.0, 9.0];
-        let esg = EdgeScalarGraph::new(&g, &escalar).unwrap();
-        assert_eq!(esg.edges_by_decreasing_scalar(), vec![EdgeId(2), EdgeId(0), EdgeId(1)]);
     }
 }

@@ -377,11 +377,11 @@ mod tests {
         assert_eq!(st.node_count(), 20_000);
         let capped = simplify_super_tree(&st, 64, 500).unwrap();
         assert!(capped.node_count() <= 500);
-        // 40 bytes per node (scalar 8, parent 8, subtree end, depth, child
-        // and member offsets, level order 4 each, one child-or-root id 4),
-        // 8 per element (its member id and its `node_of` entry), 8 for the
-        // two offset arrays' closing entries.
-        let bound = |nodes: usize| 40 * nodes + 8 * 20_000 + 8;
+        // 36 bytes per node (scalar 8, parent 8, subtree end, depth, child
+        // and member offsets 4 each, one child-or-root id 4), 8 per element
+        // (its member id and its `node_of` entry), 8 for the two offset
+        // arrays' closing entries.
+        let bound = |nodes: usize| 36 * nodes + 8 * 20_000 + 8;
         assert!(capped.heap_bytes() <= bound(500), "{} > {}", capped.heap_bytes(), bound(500));
         assert!(capped.heap_bytes() <= bound(capped.node_count()));
         // The uncapped tree pays the per-node cost 20 000 times.

@@ -18,7 +18,8 @@
 //! Super nodes are renumbered into **DFS pre-order** at construction, so
 //!
 //! * `parent(i) < i` for every non-root — one forward pass computes depths,
-//!   one reverse pass accumulates subtree aggregates, no per-query sorting;
+//!   one reverse pass accumulates subtree aggregates (reversed, the ids list
+//!   children before parents), no per-query sorting and no level order;
 //! * the subtree rooted at `i` is the contiguous id range
 //!   `i..subtree_end(i)`, and its members are one contiguous slice of the
 //!   shared member arena — so [`SuperScalarTree::subtree_member_count`] is
@@ -55,9 +56,6 @@ pub struct SuperScalarTree {
     /// members of a whole subtree are also one contiguous slice.
     member_offsets: Vec<u32>,
     member_ids: Vec<u32>,
-    /// Node ids sorted by increasing depth (ties by increasing id): a level
-    /// order, reversed by [`SuperScalarTree::nodes_by_decreasing_depth`].
-    depth_order: Vec<u32>,
     /// Root super nodes, sorted by id.
     roots: Vec<u32>,
     /// `node_of[element]` is the super node containing that original element.
@@ -153,23 +151,6 @@ impl SuperScalarTree {
             }
         }
 
-        // Level order by counting sort on depth (increasing id within a
-        // level), so depth-ordered iteration never sorts at query time.
-        let max_depth = depth.iter().max().copied().unwrap_or(0) as usize;
-        let mut level_offsets = vec![0u32; max_depth + 2];
-        for &d in &depth {
-            level_offsets[d as usize + 1] += 1;
-        }
-        for i in 0..=max_depth {
-            level_offsets[i + 1] += level_offsets[i];
-        }
-        let mut level_cursor = level_offsets;
-        let mut depth_order = vec![0u32; n];
-        for (node, &d) in depth.iter().enumerate() {
-            depth_order[level_cursor[d as usize] as usize] = node as u32;
-            level_cursor[d as usize] += 1;
-        }
-
         // Subtree ranges by one reverse pass: size[i] = 1 + Σ children sizes.
         let mut size = vec![1u32; n];
         for i in (0..n).rev() {
@@ -231,7 +212,6 @@ impl SuperScalarTree {
             child_ids,
             member_offsets: new_member_offsets,
             member_ids: new_member_ids,
-            depth_order,
             roots,
             node_of,
         }
@@ -254,7 +234,7 @@ impl SuperScalarTree {
     }
 
     /// Bytes held by the arena: the summed byte length of its arrays (not
-    /// their spare capacity, nor the struct itself): exactly 40 bytes per
+    /// their spare capacity, nor the struct itself): exactly 36 bytes per
     /// node, 8 per element — `member_ids` and `node_of` hold one `u32` each
     /// per element — and 8 for the two offset arrays' closing entries, so a
     /// tree capped at a node budget weighs O(budget + elements).
@@ -268,7 +248,6 @@ impl SuperScalarTree {
             + size_of_val(self.child_ids.as_slice())
             + size_of_val(self.member_offsets.as_slice())
             + size_of_val(self.member_ids.as_slice())
-            + size_of_val(self.depth_order.as_slice())
             + size_of_val(self.roots.as_slice())
             + size_of_val(self.node_of.as_slice())
     }
@@ -381,14 +360,6 @@ impl SuperScalarTree {
         let mut members = self.subtree_member_slice(node).to_vec();
         members.sort_unstable();
         members
-    }
-
-    /// Node ids ordered by strictly non-increasing depth (ties by decreasing
-    /// id), so children always come before parents — the reversed precomputed
-    /// level order, no sorting per call.
-    #[inline]
-    pub fn nodes_by_decreasing_depth(&self) -> impl Iterator<Item = u32> + '_ {
-        self.depth_order.iter().rev().copied()
     }
 
     /// Verify structural invariants (used by tests and debug assertions):
@@ -603,20 +574,22 @@ mod tests {
     }
 
     #[test]
-    fn decreasing_depth_order_is_monotone_in_depth() {
-        // A shape where reversed pre-order would interleave depths: root with
-        // two children, the first of which has its own child.
+    fn reversed_ids_list_children_before_parents() {
+        // A shape where reversed pre-order interleaves depths: root with two
+        // children, the first of which has its own child. Bottom-up passes
+        // walk ids in reverse and still meet every child before its parent.
         let mut b = GraphBuilder::new();
-        b.extend_edges([(0u32, 1u32), (1, 2), (1, 3)]);
+        b.extend_edges([(0u32, 1u32), (1, 2), (2, 3)]);
         let graph = b.build();
-        // 1 is the valley; 0 and 3 are peaks; 2 sits on the 0-branch.
-        let scalar = vec![4.0, 1.0, 3.0, 2.0];
+        // 2 is the valley; 0 and 3 are peaks; 1 sits on the 0-branch.
+        let scalar = vec![4.0, 3.0, 1.0, 2.0];
         let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
         let st = build_super_tree(&vertex_scalar_tree(&sg));
-        let order: Vec<u32> = st.nodes_by_decreasing_depth().collect();
-        assert_eq!(order.len(), st.node_count());
-        for w in order.windows(2) {
-            assert!(st.depth(w[0]) >= st.depth(w[1]), "depth order violated: {order:?}");
+        assert_eq!(st.depths(), &[0, 1, 2, 1]);
+        let mut seen = vec![false; st.node_count()];
+        for node in (0..st.node_count() as u32).rev() {
+            assert!(st.children(node).iter().all(|&c| seen[c as usize]), "child after {node}");
+            seen[node as usize] = true;
         }
     }
 

@@ -1,4 +1,5 @@
-//! Algorithm 1: constructing the vertex scalar tree.
+//! Algorithm 1: constructing the vertex scalar tree, and the union–find
+//! sweep it shares with Algorithm 3.
 //!
 //! The scalar tree has one node per vertex (Property 1); after the sweep every
 //! node's scalar is ≥ its parent's scalar, and — when scalar values are
@@ -6,12 +7,15 @@
 //! (Proposition 1). When values repeat, Algorithm 2 ([`crate::super_tree`])
 //! merges equal-value chains to restore Property 2.
 //!
-//! The sweep processes vertices in decreasing scalar order and maintains a
-//! union–find over the already-processed vertices; each set's payload tracks
-//! the current root of the corresponding subtree. Cost:
+//! The sweep processes elements in decreasing scalar order (ties by
+//! increasing id) and maintains a union–find over the already-processed
+//! ones; a side array remembers the current tree root of each set, which is
+//! not necessarily its union–find root. Algorithm 1 runs it over vertices
+//! and their neighbours, Algorithm 3 ([`crate::edge_tree`]) over edges. Cost:
 //! `O(|E|·α(n) + |V| log |V|)`, matching the paper's analysis.
 
 use crate::scalar_graph::VertexScalarGraph;
+use std::cmp::Ordering;
 use ugraph::{GraphStorage, UnionFind, VertexId};
 
 /// A rooted forest over elements `0..len`, each carrying a scalar value,
@@ -23,11 +27,9 @@ use ugraph::{GraphStorage, UnionFind, VertexId};
 /// uniformly as a forest.
 ///
 /// Node `i` *is* element `i` (vertex id or edge id) of the underlying scalar
-/// graph, so the arena keeps node ids stable and instead precomputes, once at
-/// construction, everything the old pointer-chasing representation recomputed
-/// per query: children as one shared CSR vector with per-node ranges, depths,
-/// and a BFS topological order (parents before children, non-decreasing
-/// depth). All accessors are allocation-free slices or iterators.
+/// graph. Beside the parent pointers the arena keeps what Algorithm 2 reads:
+/// the roots, and the children as one shared CSR vector with per-node
+/// ranges. All accessors are allocation-free slices.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScalarTree {
     /// `parent[i]` is the parent node of node `i`, or `None` for roots.
@@ -40,32 +42,16 @@ pub struct ScalarTree {
     /// `child_ids[child_offsets[i] .. child_offsets[i + 1]]`, sorted by id.
     child_offsets: Vec<u32>,
     child_ids: Vec<u32>,
-    /// Depth of each node (roots at 0).
-    depth: Vec<u32>,
-    /// BFS order over the forest: parents before children, non-decreasing
-    /// depth. Reversed, it yields children before parents.
-    topo: Vec<u32>,
 }
 
 impl ScalarTree {
-    /// Build the arena from parent pointers and scalar values.
-    ///
-    /// This is the single constructor used by Algorithms 1 and 3; it computes
-    /// roots, the CSR child ranges, depths and the topological order in `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two vectors disagree in length or the parent pointers
-    /// contain a cycle or an out-of-bounds node id.
-    pub fn from_parents(parent: Vec<Option<u32>>, scalar: Vec<f64>) -> ScalarTree {
+    /// Build the arena from the sweep's parent pointers and scalar values:
+    /// the roots and the child CSR, in `O(n)`.
+    fn from_parents(parent: Vec<Option<u32>>, scalar: Vec<f64>) -> ScalarTree {
         let n = parent.len();
-        assert_eq!(n, scalar.len(), "one scalar per tree node");
-
         let mut child_offsets = vec![0u32; n + 1];
         for p in parent.iter().flatten() {
-            let p = *p as usize;
-            assert!(p < n, "parent id {p} out of bounds for {n} nodes");
-            child_offsets[p + 1] += 1;
+            child_offsets[*p as usize + 1] += 1;
         }
         for i in 0..n {
             child_offsets[i + 1] += child_offsets[i];
@@ -83,23 +69,7 @@ impl ScalarTree {
         let roots: Vec<u32> =
             parent.iter().enumerate().filter(|(_, p)| p.is_none()).map(|(v, _)| v as u32).collect();
 
-        // BFS from the roots: `topo` is parents-first and sorted by depth.
-        let mut depth = vec![0u32; n];
-        let mut topo = Vec::with_capacity(n);
-        topo.extend_from_slice(&roots);
-        let mut head = 0;
-        while head < topo.len() {
-            let node = topo[head] as usize;
-            head += 1;
-            let (start, end) = (child_offsets[node] as usize, child_offsets[node + 1] as usize);
-            for &c in &child_ids[start..end] {
-                depth[c as usize] = depth[node] + 1;
-                topo.push(c);
-            }
-        }
-        assert_eq!(topo.len(), n, "parent pointers contain a cycle");
-
-        ScalarTree { parent, scalar, roots, child_offsets, child_ids, depth, topo }
+        ScalarTree { parent, scalar, roots, child_offsets, child_ids }
     }
 
     /// Number of nodes (= number of elements of the underlying scalar graph).
@@ -151,32 +121,6 @@ impl ScalarTree {
         &self.child_ids[start as usize..end as usize]
     }
 
-    /// Depth of `node` (roots have depth 0).
-    #[inline]
-    pub fn depth(&self, node: u32) -> u32 {
-        self.depth[node as usize]
-    }
-
-    /// Depth of each node, indexed by node id.
-    #[inline]
-    pub fn depths(&self) -> &[u32] {
-        &self.depth
-    }
-
-    /// Node ids in an order where every node appears before its children
-    /// (BFS over the forest, non-decreasing depth).
-    #[inline]
-    pub fn topological_order(&self) -> &[u32] {
-        &self.topo
-    }
-
-    /// Node ids ordered by decreasing depth (children before parents) — the
-    /// reversed precomputed BFS order, so no sorting happens per call.
-    #[inline]
-    pub fn nodes_by_decreasing_depth(&self) -> impl Iterator<Item = u32> + '_ {
-        self.topo.iter().rev().copied()
-    }
-
     /// Verify the defining order invariant: every node's scalar is greater
     /// than or equal to its parent's scalar. Returns the first violating node
     /// if any (used by tests and debug assertions).
@@ -192,51 +136,77 @@ impl ScalarTree {
     }
 }
 
+/// The sweep's processing order (line 1 of Algorithms 1 and 3): decreasing
+/// scalar value, ties broken by increasing id.
+pub(crate) fn processing_order(scalar: &[f64], a: u32, b: u32) -> Ordering {
+    scalar[b as usize].total_cmp(&scalar[a as usize]).then(a.cmp(&b))
+}
+
+/// The union–find sweep of Algorithms 1 and 3 over elements
+/// `0..scalar.len()`.
+///
+/// Elements are processed in [`processing_order`]. When element `x` is
+/// processed, each of its `neighbours(x)` that was processed earlier and is
+/// not yet in `x`'s set has its set's current tree root hung under `x`, and
+/// `x` becomes the root of the merged set. Later elements (and `x` itself)
+/// may appear among the neighbours; they are skipped.
+pub(crate) fn sweep<I: IntoIterator<Item = u32>>(
+    scalar: &[f64],
+    neighbours: impl Fn(u32) -> I,
+) -> ScalarTree {
+    // The sweep's working arrays are freed before the arena is allocated,
+    // so the two never add up in peak memory.
+    let parent = sweep_parents(scalar, neighbours);
+    let tree = ScalarTree::from_parents(parent, scalar.to_vec());
+    debug_assert!(tree.check_monotone().is_none(), "scalar tree violates monotonicity");
+    tree
+}
+
+/// The parent pointers of [`sweep`].
+fn sweep_parents<I: IntoIterator<Item = u32>>(
+    scalar: &[f64],
+    neighbours: impl Fn(u32) -> I,
+) -> Vec<Option<u32>> {
+    let n = scalar.len();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by(|&a, &b| processing_order(scalar, a, b));
+    // rank[x] = position of x in the processing order ("index" in the paper:
+    // lower rank means processed earlier, i.e. higher scalar).
+    let mut rank = vec![0u32; n];
+    for (i, &x) in order.iter().enumerate() {
+        rank[x as usize] = i as u32;
+    }
+
+    let mut parent: Vec<Option<u32>> = vec![None; n];
+    let mut uf = UnionFind::new(n);
+    // top[r] = the tree root of the set whose union–find root is `r`.
+    let mut top = vec![0u32; n];
+    for (i, &x) in order.iter().enumerate() {
+        // Only `x`'s own turn merges it, so it is still a singleton here.
+        let mut root = x as usize;
+        for y in neighbours(x) {
+            // "j < i": the neighbour was processed earlier.
+            if rank[y as usize] >= i as u32 {
+                continue;
+            }
+            let other = uf.find(y as usize);
+            // "currently n(x) and n(y) are not in the same subtree"
+            if other == root {
+                continue;
+            }
+            // Connect root(n(y)) to n(x); n(x) becomes the new root.
+            parent[top[other] as usize] = Some(x);
+            root = uf.union(root, other).expect("two distinct sets merge");
+        }
+        top[root] = x;
+    }
+    parent
+}
+
 /// Algorithm 1: build the vertex scalar tree of a vertex scalar graph.
 pub fn vertex_scalar_tree<G: GraphStorage + ?Sized>(sg: &VertexScalarGraph<'_, G>) -> ScalarTree {
     let graph = sg.graph();
-    let n = graph.vertex_count();
-    let mut parent: Vec<Option<u32>> = vec![None; n];
-    if n == 0 {
-        return ScalarTree::from_parents(parent, Vec::new());
-    }
-
-    // Line 1: sort vertices in decreasing order of scalar value.
-    let order = sg.vertices_by_decreasing_scalar();
-    // rank[v] = position of v in the processing order ("index" in the paper:
-    // lower rank means processed earlier, i.e. higher scalar).
-    let mut rank = vec![0usize; n];
-    for (i, &v) in order.iter().enumerate() {
-        rank[v.index()] = i;
-    }
-
-    // Union–find over vertices; the payload of each set is the node id of the
-    // current root of that subtree.
-    let mut uf = UnionFind::new(n);
-
-    // Lines 3-6.
-    for (i, &vi) in order.iter().enumerate() {
-        for vj in graph.neighbor_vertices(vi) {
-            // "j < i": the neighbor was processed earlier.
-            if rank[vj.index()] >= i {
-                continue;
-            }
-            // "currently n(vi) and n(vj) are not in the same subtree"
-            if uf.same_set(vi.index(), vj.index()) {
-                continue;
-            }
-            // Connect n(vi) to root(n(vj)); n(vi) becomes the new root.
-            let root_j = uf.payload(vj.index()) as u32;
-            parent[root_j as usize] = Some(vi.0);
-            uf.union(vi.index(), vj.index());
-            uf.set_payload(vi.index(), vi.index());
-        }
-    }
-
-    let scalar: Vec<f64> = (0..n).map(|v| sg.value(VertexId::from_index(v))).collect();
-    let tree = ScalarTree::from_parents(parent, scalar);
-    debug_assert!(tree.check_monotone().is_none(), "scalar tree violates monotonicity");
-    tree
+    sweep(sg.scalar(), |v| graph.neighbor_slice(VertexId(v)).iter().map(|u| u.0))
 }
 
 #[cfg(test)]
@@ -248,20 +218,13 @@ mod tests {
     use std::collections::BTreeSet;
     use ugraph::GraphBuilder;
 
-    /// Collect, for each node, the set of vertices in the subtree rooted there.
-    fn subtree_sets(tree: &ScalarTree) -> Vec<BTreeSet<u32>> {
-        let mut sets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); tree.len()];
-        // Children come before parents in decreasing-depth order.
-        for v in tree.nodes_by_decreasing_depth() {
-            let mut set: BTreeSet<u32> = BTreeSet::new();
-            set.insert(v);
-            for &c in tree.children(v) {
-                let child_set = sets[c as usize].clone();
-                set.extend(child_set);
-            }
-            sets[v as usize] = set;
+    /// The set of vertices in the subtree rooted at `node`.
+    fn subtree_set(tree: &ScalarTree, node: u32) -> BTreeSet<u32> {
+        let mut set = BTreeSet::from([node]);
+        for &c in tree.children(node) {
+            set.extend(subtree_set(tree, c));
         }
-        sets
+        set
     }
 
     #[test]
@@ -297,7 +260,10 @@ mod tests {
         assert_eq!(tree.parent(2), Some(3));
         assert_eq!(tree.parent(3), None);
         assert_eq!(tree.roots(), &[3]);
-        assert_eq!(tree.depths(), &[3, 2, 1, 0]);
+        for node in 1..4 {
+            assert_eq!(tree.children(node), &[node - 1]);
+        }
+        assert!(tree.children(0).is_empty());
         assert!(tree.check_monotone().is_none());
     }
 
@@ -326,32 +292,30 @@ mod tests {
             for &c in tree.children(node) {
                 assert_eq!(tree.parent(c), Some(node));
             }
-            if let Some(p) = tree.parent(node) {
-                assert!(tree.children(p).contains(&node));
-                assert_eq!(tree.depth(node), tree.depth(p) + 1);
-            } else {
-                assert_eq!(tree.depth(node), 0);
-                assert!(tree.roots().contains(&node));
+            match tree.parent(node) {
+                Some(p) => assert!(tree.children(p).contains(&node)),
+                None => assert!(tree.roots().contains(&node)),
             }
         }
-        // The topological order visits parents before children and the
-        // decreasing-depth iterator is its exact reverse.
-        let topo = tree.topological_order();
-        assert_eq!(topo.len(), tree.len());
-        let mut seen = vec![false; tree.len()];
-        for &node in topo {
-            if let Some(p) = tree.parent(node) {
-                assert!(seen[p as usize], "parent of {node} not yet visited");
-            }
-            seen[node as usize] = true;
-        }
-        let rev: Vec<u32> = tree.nodes_by_decreasing_depth().collect();
-        let mut expected: Vec<u32> = topo.to_vec();
-        expected.reverse();
-        assert_eq!(rev, expected);
-        for w in rev.windows(2) {
-            assert!(tree.depth(w[0]) >= tree.depth(w[1]));
-        }
+        // Every node reaches a root, and the subtrees of the roots cover
+        // every node exactly once.
+        let covered: usize = tree.roots().iter().map(|&r| subtree_set(&tree, r).len()).sum();
+        assert_eq!(covered, tree.len());
+    }
+
+    #[test]
+    fn equal_scalars_are_swept_in_id_order() {
+        // Path 0-1-2-3 with scalars 2, 5, 2, 7: the order is 3, 1, 0, 2. Vertex
+        // 0 goes before 2 and takes 1 under it; 2 then joins {0, 1} and {3}.
+        // Sweeping 2 before 0 would give parents [None, 2, 0, 2] instead.
+        let mut b = GraphBuilder::new();
+        b.extend_edges([(0u32, 1u32), (1, 2), (2, 3)]);
+        let g = b.build();
+        let scalar = vec![2.0, 5.0, 2.0, 7.0];
+        let sg = VertexScalarGraph::new(&g, &scalar).unwrap();
+        let tree = vertex_scalar_tree(&sg);
+        assert_eq!(tree.parents(), &[Some(2), Some(0), None, Some(2)]);
+        assert_eq!(tree.children(2), &[0, 3]);
     }
 
     #[test]
@@ -365,14 +329,13 @@ mod tests {
         scalar[3] = 3.03;
         let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
         let tree = vertex_scalar_tree(&sg);
-        let sets = subtree_sets(&tree);
         for v in graph.vertices() {
             let alpha = sg.value(v);
             let comps = maximal_alpha_components(&sg, alpha);
             let mcc = comps.iter().find(|c| c.vertices.contains(&v)).expect("MCC(v) exists");
             let expected: BTreeSet<u32> = mcc.vertices.iter().map(|x| x.0).collect();
             assert_eq!(
-                sets[v.index()],
+                subtree_set(&tree, v.0),
                 expected,
                 "subtree rooted at n({v:?}) must equal MCC({v:?})"
             );

@@ -14,7 +14,7 @@ use scalarfield::{
     VertexScalarGraph,
 };
 use std::collections::BTreeSet;
-use ugraph::{CsrGraph, GraphBuilder};
+use ugraph::{CsrGraph, GraphBuilder, VertexId};
 
 /// Naive recursive oracle for the arena accessors: collect the members of the
 /// subtree rooted at `node` by walking children lists, no arena tricks.
@@ -40,11 +40,6 @@ fn oracle_depth(tree: &SuperScalarTree, node: u32) -> u32 {
 /// node: `subtree_members` / `subtree_member_count(s)` / `depths`.
 fn assert_arena_roundtrip(tree: &SuperScalarTree) {
     tree.check_invariants().unwrap();
-    let by_depth: Vec<u32> = tree.nodes_by_decreasing_depth().collect();
-    assert_eq!(by_depth.len(), tree.node_count());
-    for w in by_depth.windows(2) {
-        assert!(tree.depth(w[0]) >= tree.depth(w[1]), "decreasing-depth order violated");
-    }
     let counts = tree.subtree_member_counts();
     for node in 0..tree.node_count() as u32 {
         let mut expected = Vec::new();
@@ -58,6 +53,35 @@ fn assert_arena_roundtrip(tree: &SuperScalarTree) {
         assert_eq!(slice, expected, "subtree_member_slice({node})");
         assert_eq!(tree.depths()[node as usize], oracle_depth(tree, node));
     }
+}
+
+/// Definition-based oracle for the sweep's parent pointers: in the order
+/// (scalar desc, id asc), the parent of `y` is the first element `x` after
+/// `y` that has a neighbour in `y`'s component of the prefix before `x`.
+fn oracle_parents(graph: &CsrGraph, scalar: &[f64]) -> Vec<Option<u32>> {
+    let mut order: Vec<u32> = (0..scalar.len() as u32).collect();
+    order.sort_by(|&a, &b| scalar[b as usize].total_cmp(&scalar[a as usize]).then(a.cmp(&b)));
+    let neighbours = |v: u32| graph.neighbor_slice(VertexId(v)).iter().map(|u| u.0);
+    let component = |y: u32, prefix: &[u32]| {
+        let mut comp = BTreeSet::from([y]);
+        let mut stack = vec![y];
+        while let Some(v) = stack.pop() {
+            for u in neighbours(v).filter(|u| prefix.contains(u)) {
+                if comp.insert(u) {
+                    stack.push(u);
+                }
+            }
+        }
+        comp
+    };
+    let mut parent = vec![None; scalar.len()];
+    for (i, &y) in order.iter().enumerate() {
+        parent[y as usize] = order[i + 1..].iter().enumerate().find_map(|(k, &x)| {
+            let comp = component(y, &order[..i + 1 + k]);
+            neighbours(x).any(|u| comp.contains(&u)).then_some(x)
+        });
+    }
+    parent
 }
 
 /// Strategy: a random simple graph with up to `max_n` vertices plus a scalar
@@ -162,6 +186,22 @@ proptest! {
                 .collect();
             prop_assert_eq!(from_tree, direct, "alpha {}", alpha);
         }
+    }
+
+    /// Algorithm 1 returns exactly the parent pointers the definition gives:
+    /// the join tree under (scalar desc, id asc) is unique.
+    #[test]
+    fn vertex_tree_parents_match_the_definition((graph, scalar) in graph_and_vertex_scalars(20)) {
+        let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
+        prop_assert_eq!(vertex_scalar_tree(&sg).parents(), oracle_parents(&graph, &scalar).as_slice());
+    }
+
+    /// Algorithm 3 returns the parent pointers of Algorithm 1 run on the dual
+    /// graph, not just the same component partitions.
+    #[test]
+    fn edge_tree_parents_match_the_naive_method((graph, scalar) in graph_and_edge_scalars(16)) {
+        let sg = EdgeScalarGraph::new(&graph, &scalar).unwrap();
+        prop_assert_eq!(edge_scalar_tree(&sg).parents(), edge_scalar_tree_naive(&sg).parents());
     }
 
     /// Theorem 1 + Proposition 2: MCC(v) read from the super tree equals the

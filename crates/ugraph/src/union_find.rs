@@ -3,35 +3,23 @@
 //! This is the data structure behind Algorithm 1 and Algorithm 3 of the paper:
 //! vertices (or edges) are processed in decreasing scalar order and merged
 //! into growing components; the amortized `α(n)` cost per operation gives the
-//! `O(|E|·α(n) + |V| log |V|)` bound quoted in Section II-B.
-//!
-//! In addition to the classic `find`/`union` API, the structure can track an
-//! arbitrary *representative payload* per set — the scalar-tree algorithms use
-//! it to remember the current tree root of each subtree, which is not
-//! necessarily the union–find root.
+//! `O(|E|·α(n) + |V| log |V|)` bound quoted in Section II-B. The sweep keeps
+//! the current tree root of each set in its own array, indexed by the root
+//! that [`UnionFind::union`] returns.
 
-/// Disjoint-set-union over `0..len` with an optional per-set payload.
+/// Disjoint-set-union over `0..len`.
 #[derive(Clone, Debug)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    /// Arbitrary payload attached to the set representative (e.g. the current
-    /// scalar-tree root of the component). Indexed by union-find root.
-    payload: Vec<u32>,
     set_count: usize,
 }
 
 impl UnionFind {
-    /// Create `len` singleton sets. Each set's payload is initialized to its
-    /// own element index.
+    /// Create `len` singleton sets.
     pub fn new(len: usize) -> Self {
         assert!(len <= u32::MAX as usize, "union-find domain too large for u32");
-        UnionFind {
-            parent: (0..len as u32).collect(),
-            size: vec![1; len],
-            payload: (0..len as u32).collect(),
-            set_count: len,
-        }
+        UnionFind { parent: (0..len as u32).collect(), size: vec![1; len], set_count: len }
     }
 
     /// Number of elements.
@@ -61,16 +49,6 @@ impl UnionFind {
         x as usize
     }
 
-    /// Non-mutating find (no path compression); useful in tight read-only loops.
-    #[inline]
-    pub fn find_immutable(&self, x: usize) -> usize {
-        let mut x = x as u32;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x as usize
-    }
-
     /// Whether `a` and `b` are in the same set.
     pub fn same_set(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
@@ -79,9 +57,7 @@ impl UnionFind {
     /// Merge the sets of `a` and `b` (union by size).
     ///
     /// Returns the representative of the merged set, or `None` if they were
-    /// already in the same set. The payload of the merged set is the payload
-    /// of the larger constituent (callers that care set it explicitly with
-    /// [`UnionFind::set_payload`] afterwards).
+    /// already in the same set.
     pub fn union(&mut self, a: usize, b: usize) -> Option<usize> {
         let ra = self.find(a);
         let rb = self.find(b);
@@ -93,44 +69,6 @@ impl UnionFind {
         self.size[big] += self.size[small];
         self.set_count -= 1;
         Some(big)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
-    /// Payload currently attached to the set containing `x`.
-    pub fn payload(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.payload[r] as usize
-    }
-
-    /// Attach payload `value` to the set containing `x`.
-    pub fn set_payload(&mut self, x: usize, value: usize) {
-        let r = self.find(x);
-        self.payload[r] = value as u32;
-    }
-
-    /// Group all elements by their set representative.
-    ///
-    /// Returns a vector of groups; each group is sorted and groups are sorted
-    /// by their smallest element, so the output is canonical.
-    pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for x in 0..n {
-            let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
-        }
-        let mut groups: Vec<Vec<usize>> = by_root.into_values().collect();
-        for g in &mut groups {
-            g.sort_unstable();
-        }
-        groups.sort_by_key(|g| g[0]);
-        groups
     }
 }
 
@@ -147,46 +85,12 @@ mod tests {
         assert!(uf.union(0, 1).is_some());
         assert!(uf.same_set(0, 1));
         assert_eq!(uf.set_count(), 4);
-        assert_eq!(uf.set_size(1), 2);
         // Union within the same set is a no-op.
         assert!(uf.union(1, 0).is_none());
         assert_eq!(uf.set_count(), 4);
-    }
-
-    #[test]
-    fn payload_tracks_merged_sets() {
-        let mut uf = UnionFind::new(4);
-        assert_eq!(uf.payload(2), 2);
-        uf.set_payload(2, 99);
-        assert_eq!(uf.payload(2), 99);
-        uf.union(2, 3);
-        uf.set_payload(3, 7);
-        assert_eq!(uf.payload(2), 7);
-        assert_eq!(uf.payload(3), 7);
-    }
-
-    #[test]
-    fn groups_are_canonical() {
-        let mut uf = UnionFind::new(6);
-        uf.union(0, 2);
-        uf.union(2, 4);
-        uf.union(1, 5);
-        let groups = uf.groups();
-        assert_eq!(groups, vec![vec![0, 2, 4], vec![1, 5], vec![3]]);
-    }
-
-    #[test]
-    fn find_immutable_matches_find() {
-        let mut uf = UnionFind::new(10);
-        for i in 0..9 {
-            uf.union(i, i + 1);
-        }
-        for i in 0..10 {
-            let r = uf.find_immutable(i);
-            assert_eq!(r, uf.find(i));
-        }
-        assert_eq!(uf.set_count(), 1);
-        assert_eq!(uf.set_size(0), 10);
+        // The returned representative is what `find` answers for both sides.
+        let root = uf.union(2, 3).unwrap();
+        assert_eq!((uf.find(2), uf.find(3)), (root, root));
     }
 
     #[test]

@@ -84,8 +84,10 @@ impl CsrGraph {
     /// edges; edge `i` of the list gets id `i`.
     ///
     /// The caller must pass the edges with `u < v` (so no self loops) in
-    /// strictly increasing order (so no duplicates). [`crate::GraphBuilder`]
-    /// sorts and deduplicates; the constructor only debug-asserts it.
+    /// strictly increasing order (so no duplicates); the constructor only
+    /// debug-asserts it. Its callers are [`crate::GraphBuilder::build`],
+    /// which sorts and deduplicates, and [`CsrGraph::induced_subgraph`],
+    /// which keeps its source's canonical order.
     ///
     /// Sorted input is what makes the counting scatter below produce the
     /// canonical form directly: vertex `w`'s block first receives its lower
@@ -136,7 +138,8 @@ impl CsrGraph {
     /// No validation is performed — the caller must guarantee the invariants
     /// of [`GraphStorage::check_invariants`] (snapshot decoders validate the
     /// arrays first; [`GraphStorage::to_csr_graph`] copies from an
-    /// already-valid storage).
+    /// already-valid storage; [`crate::delta::apply`] splices a batch into
+    /// one and debug-asserts the result).
     pub(crate) fn from_raw_parts(
         offsets: Vec<usize>,
         targets: Vec<VertexId>,

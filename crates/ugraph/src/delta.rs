@@ -15,13 +15,28 @@
 //! It is the only place that decides whether a batch changed the graph.
 //!
 //! It works in one pass over the batch's deduplicated, sorted changes: the
-//! pass marks deleted base edges, collects the inserted edges once each in
-//! canonical order and counts the stats. When an edge toggled or a vertex
-//! was added, the surviving base edges (iterated in CSR order) and the
-//! inserts are two already-sorted streams, so one linear merge produces
-//! the canonical edge list **without a re-sort**. The result is
-//! bit-identical to building the final edge list from scratch with
-//! [`crate::GraphBuilder`].
+//! pass classifies each change against the base and counts the stats, and
+//! keeps the edges whose presence toggles, in canonical order. When an edge
+//! toggled or a vertex was added, it splices those edits into the base's
+//! four CSR arrays ([`GraphStorage::offsets`], [`GraphStorage::targets`],
+//! [`GraphStorage::edge_ids`], [`GraphStorage::endpoint_pairs`]) instead of
+//! rebuilding the graph:
+//!
+//! - **edge ids** — canonical order is id order, so a surviving base edge's
+//!   new id is its old id minus the deletes before it plus the inserts
+//!   before it; one pass over the edits fills an old → new table run by run;
+//! - **untouched vertices** — runs of vertices no edit touches keep their
+//!   blocks whole: the targets are copied, the offsets shift by one constant
+//!   per run, and the edge ids go through the table;
+//! - **touched vertices** — each endpoint of an edit merges its base block,
+//!   less the deleted targets, with its sorted inserted half-edges; vertices
+//!   past the base start from an empty block;
+//! - **endpoints** — the base's pairs are copied in runs between the edits,
+//!   with the inserted pairs in their canonical places.
+//!
+//! Nothing is re-sorted but the `2 · |batch|` half-edge edits, and the
+//! result is bit-identical to building the final edge list from scratch
+//! with [`crate::GraphBuilder`].
 //!
 //! Vertices are never removed: like the builder's `ensure_vertex`, every
 //! vertex *mentioned* by a delta (including by dropped self loops and
@@ -231,13 +246,14 @@ impl DeltaApplyStats {
     }
 }
 
-/// Apply one batch to `base` and compact it. Returns what the batch did
-/// and, when it changed the graph, the new graph: bit-identical to a
-/// from-scratch [`crate::GraphBuilder`] build of the final edge list, with
-/// every mentioned vertex ensured. `None` means the graph did not change —
-/// no edge's presence toggled and no new vertex was mentioned — so `base`
-/// is still the current graph and nothing derived from it needs
-/// invalidating.
+/// Apply one batch to `base`. Returns what the batch did and, when it
+/// changed the graph, the new graph: the base's CSR arrays with the toggled
+/// edges spliced in (see the module docs), bit-identical to a from-scratch
+/// [`crate::GraphBuilder`] build of the final edge list, with every
+/// mentioned vertex ensured. Debug builds check the invariants of every
+/// graph it returns. `None` means the graph did not change — no edge's
+/// presence toggled and no new vertex was mentioned — so `base` is still
+/// the current graph and nothing derived from it needs invalidating.
 ///
 /// ```
 /// use ugraph::delta::{apply, DeltaOp, GraphDelta};
@@ -277,23 +293,22 @@ pub fn apply<G: GraphStorage + ?Sized>(
         superseded: delta.superseded(),
         ..DeltaApplyStats::default()
     };
-    // Deletion marks indexed by base edge id; the inserts arrive in the
-    // batch's canonical order, so they need no sorting.
-    let mut deleted = vec![false; base.edge_count()];
-    let mut inserts: Vec<(VertexId, VertexId)> = Vec::new();
+    // The edges whose presence toggles, in the batch's canonical order: a
+    // delete carries its base edge id, an insert `None`.
+    let mut edits: Vec<Edit> = Vec::new();
     for (&(u, v), &op) in &delta.ops {
         match op {
             DeltaOp::Reweight => stats.reweights += 1,
             DeltaOp::Insert => match edge_in_base(base, u, v) {
                 Some(_) => stats.redundant_inserts += 1,
                 None => {
-                    inserts.push((u, v));
+                    edits.push((u, v, None));
                     stats.inserted += 1;
                 }
             },
             DeltaOp::Delete => match edge_in_base(base, u, v) {
                 Some(e) => {
-                    deleted[e.index()] = true;
+                    edits.push((u, v, Some(e)));
                     stats.deleted += 1;
                 }
                 None => stats.absent_deletes += 1,
@@ -303,26 +318,167 @@ pub fn apply<G: GraphStorage + ?Sized>(
     if stats.structural_changes() == 0 && vertex_count == base_vertices {
         return (stats, None);
     }
-
-    // Merge the surviving base edges (CSR order is canonical order) with
-    // the sorted inserts into the final canonical edge list.
     let edge_count = base.edge_count() - stats.deleted + stats.inserted;
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(edge_count);
-    let mut inserts = inserts.into_iter().peekable();
-    for u in 0..base_vertices {
-        let u = VertexId::from_index(u);
-        for (t, e) in base.neighbors(u) {
-            if t < u || deleted[e.index()] {
-                continue;
+    let graph = splice(base, vertex_count, edge_count, &edits);
+    debug_assert!(graph.check_invariants().is_ok(), "a spliced graph must be canonical");
+    (stats, Some(graph))
+}
+
+/// One edge whose presence a batch toggles: its canonical endpoints and,
+/// for a delete, its base edge id.
+type Edit = (VertexId, VertexId, Option<EdgeId>);
+
+/// One half of an [`Edit`], seen from the vertex that holds it: (vertex,
+/// target, the inserted edge's new id, or `None` for a deleted half-edge).
+type HalfEdit = (VertexId, VertexId, Option<EdgeId>);
+
+/// Splice `edits` (canonical order, each toggling an edge of `base`) into
+/// the base's CSR arrays: a graph of `vertex_count` vertices and
+/// `edge_count` edges.
+fn splice<G: GraphStorage + ?Sized>(
+    base: &G,
+    vertex_count: usize,
+    edge_count: usize,
+    edits: &[Edit],
+) -> CsrGraph {
+    let base_pairs = base.endpoint_pairs();
+    // Where each edit falls in the base's canonical edge order: a delete at
+    // its own id, an insert before the first base edge that sorts after it.
+    let at: Vec<usize> = edits
+        .iter()
+        .map(|&(u, v, old)| match old {
+            Some(e) => e.index(),
+            None => base_pairs.partition_point(|&pair| pair < [u.0, v.0]),
+        })
+        .collect();
+
+    // The half-edge edits and the adjacency arrays are allocated before the
+    // old → new edge-id table, and the table is freed before `endpoints` is
+    // allocated: on a heap allocator the table then sits at the top of the
+    // heap, and `endpoints` reuses its pages instead of growing the peak.
+    let mut half_edits: Vec<HalfEdit> = Vec::with_capacity(2 * edits.len());
+    let mut out = Blocks {
+        base_vertices: base.vertex_count(),
+        base_offsets: base.offsets(),
+        base_targets: base.targets(),
+        base_edge_ids: base.edge_ids(),
+        offsets: Vec::with_capacity(vertex_count + 1),
+        targets: Vec::with_capacity(2 * edge_count),
+        edge_ids: Vec::with_capacity(2 * edge_count),
+        // Allocated last; see above.
+        new_id: Vec::with_capacity(base_pairs.len()),
+    };
+    // The surviving base edges between two edits take consecutive new ids.
+    // A deleted edge's entry is never read.
+    let new_id = &mut out.new_id;
+    let mut next = 0usize;
+    for (&(u, v, old), &at) in edits.iter().zip(&at) {
+        let run = at - new_id.len();
+        new_id.extend((next..next + run).map(|id| id as u32));
+        next += run;
+        let id = match old {
+            Some(_) => {
+                new_id.push(u32::MAX);
+                None
             }
-            while let Some(edge) = inserts.next_if(|&edge| edge < (u, t)) {
-                edges.push(edge);
+            None => {
+                next += 1;
+                Some(EdgeId::from_index(next - 1))
             }
-            edges.push((u, t));
+        };
+        half_edits.push((u, v, id));
+        half_edits.push((v, u, id));
+    }
+    let run = base_pairs.len() - new_id.len();
+    new_id.extend((next..next + run).map(|id| id as u32));
+    half_edits.sort_unstable();
+
+    let mut rest = &half_edits[..];
+    while let Some(&(w, _, _)) = rest.first() {
+        let touched = rest.partition_point(|edit| edit.0 == w);
+        out.untouched(w.index());
+        out.touched(w.index(), &rest[..touched]);
+        rest = &rest[touched..];
+    }
+    out.untouched(vertex_count);
+    let Blocks { mut offsets, targets, edge_ids, new_id, .. } = out;
+    offsets.push(targets.len());
+    drop(new_id);
+
+    // The endpoints, copied in runs between the edits.
+    let mut endpoints = Vec::with_capacity(edge_count);
+    let mut copied = 0;
+    for (&(u, v, old), &at) in edits.iter().zip(&at) {
+        endpoints.extend_from_slice(&base_pairs[copied..at]);
+        copied = at;
+        match old {
+            Some(_) => copied += 1,
+            None => endpoints.push([u.0, v.0]),
         }
     }
-    edges.extend(inserts);
-    (stats, Some(CsrGraph::from_canonical_edges(vertex_count, edges)))
+    endpoints.extend_from_slice(&base_pairs[copied..]);
+    CsrGraph::from_raw_parts(offsets, targets, edge_ids, endpoints)
+}
+
+/// The spliced adjacency arrays under construction, vertex by vertex, and
+/// the base arrays they are copied from.
+struct Blocks<'a> {
+    base_vertices: usize,
+    base_offsets: &'a [usize],
+    base_targets: &'a [VertexId],
+    base_edge_ids: &'a [EdgeId],
+    new_id: Vec<u32>,
+    offsets: Vec<usize>,
+    targets: Vec<VertexId>,
+    edge_ids: Vec<EdgeId>,
+}
+
+impl Blocks<'_> {
+    /// Append the base half-edges `lo..hi`, renumbering their edge ids.
+    fn copy(&mut self, lo: usize, hi: usize) {
+        self.targets.extend_from_slice(&self.base_targets[lo..hi]);
+        let new_id = &self.new_id;
+        self.edge_ids.extend(self.base_edge_ids[lo..hi].iter().map(|e| EdgeId(new_id[e.index()])));
+    }
+
+    /// Append the blocks of the vertices from the next one up to `end`,
+    /// which no edit touches: base blocks whole, with their offsets shifted
+    /// by one constant, and empty blocks past the base.
+    fn untouched(&mut self, end: usize) {
+        let in_base = self.offsets.len()..end.min(self.base_vertices);
+        if !in_base.is_empty() {
+            let (lo, hi) = (self.base_offsets[in_base.start], self.base_offsets[in_base.end]);
+            let start = self.targets.len();
+            self.offsets.extend(self.base_offsets[in_base].iter().map(|&o| o - lo + start));
+            self.copy(lo, hi);
+        }
+        self.offsets.resize(end, self.targets.len());
+    }
+
+    /// Append the block of vertex `w`: its base block (empty past the base)
+    /// without the deleted targets, merged with its inserted half-edges.
+    /// `edits` are `w`'s half-edge edits, sorted by target.
+    fn touched(&mut self, w: usize, edits: &[HalfEdit]) {
+        self.offsets.push(self.targets.len());
+        let (mut lo, hi) = if w < self.base_vertices {
+            (self.base_offsets[w], self.base_offsets[w + 1])
+        } else {
+            (0, 0)
+        };
+        for &(_, target, id) in edits {
+            let before = lo + self.base_targets[lo..hi].partition_point(|&t| t < target);
+            self.copy(lo, before);
+            lo = before;
+            match id {
+                Some(id) => {
+                    self.targets.push(target);
+                    self.edge_ids.push(id);
+                }
+                None => lo += 1,
+            }
+        }
+        self.copy(lo, hi);
+    }
 }
 
 /// The base edge between `u` and `v`, if the base has one. Vertices beyond
@@ -341,6 +497,8 @@ mod tests {
 
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::generators::rmat;
+    use crate::io::{encode_binary_v3, MappedCsrGraph};
 
     fn base_graph() -> CsrGraph {
         // Triangle 0-1-2 with a tail 2-3 and an island edge 4-5.
@@ -362,6 +520,146 @@ mod tests {
             b.add_edge(u, v);
         }
         b.build()
+    }
+
+    /// The oracle's edge set after `delta`: the base's edges with each
+    /// deduplicated change applied.
+    fn final_edges(base: &CsrGraph, delta: &GraphDelta) -> BTreeSet<(u32, u32)> {
+        let mut edges: BTreeSet<(u32, u32)> = base.edges().map(|e| (e.u.0, e.v.0)).collect();
+        for change in delta.changes() {
+            let edge = (change.u.0, change.v.0);
+            match change.op {
+                DeltaOp::Insert => edges.insert(edge),
+                DeltaOp::Delete => edges.remove(&edge),
+                DeltaOp::Reweight => false,
+            };
+        }
+        edges
+    }
+
+    /// Apply `delta` to `base` and to a mapped snapshot of it; both must
+    /// change the graph and give exactly the from-scratch build. Returns
+    /// the spliced graph.
+    fn assert_spliced(base: &CsrGraph, delta: &GraphDelta) -> CsrGraph {
+        let vertex_count = base.vertex_count().max(delta.min_vertex_count());
+        let expected = rebuild(vertex_count, &final_edges(base, delta));
+        let mapped = MappedCsrGraph::from_bytes(&encode_binary_v3(base, None).unwrap()).unwrap();
+        for spliced in [apply(base, delta).1, apply(&mapped, delta).1] {
+            let spliced = spliced.expect("the batch changes the graph");
+            spliced.check_invariants().unwrap();
+            assert_eq!(spliced, expected);
+        }
+        expected
+    }
+
+    fn batch(op: DeltaOp, edges: &[(u32, u32)]) -> GraphDelta {
+        let mut delta = GraphDelta::new();
+        for &(u, v) in edges {
+            delta.push(op, u, v);
+        }
+        delta
+    }
+
+    #[test]
+    fn splice_grows_an_empty_base() {
+        let empty = GraphBuilder::new().build();
+        assert_eq!(empty.vertex_count(), 0);
+        let mut delta = batch(DeltaOp::Insert, &[(0, 2), (3, 1), (2, 3)]);
+        delta.push(DeltaOp::Insert, 6, 6);
+        delta.push(DeltaOp::Delete, 4, 5);
+        let grown = assert_spliced(&empty, &delta);
+        assert_eq!((grown.vertex_count(), grown.edge_count()), (7, 3));
+    }
+
+    #[test]
+    fn splice_empties_the_first_and_the_last_vertex() {
+        let base = rmat(7, 600, 3);
+        let last = VertexId::from_index(base.vertex_count() - 1);
+        let mut delta = GraphDelta::new();
+        for w in [VertexId(0), last] {
+            for &t in base.neighbor_slice(w) {
+                delta.push(DeltaOp::Delete, w, t);
+            }
+        }
+        assert!(!delta.is_empty(), "the probe needs edges at both ends");
+        let spliced = assert_spliced(&base, &delta);
+        assert_eq!(spliced.degree(VertexId(0)), 0);
+        assert_eq!(spliced.degree(last), 0);
+    }
+
+    #[test]
+    fn splice_inserts_before_the_first_and_after_the_last_edge() {
+        let mut b = GraphBuilder::new();
+        for (u, v) in [(1, 3), (2, 3), (2, 4)] {
+            b.add_edge(u, v);
+        }
+        b.ensure_vertex(5);
+        let base = b.build();
+        let delta = batch(DeltaOp::Insert, &[(0, 1), (0, 5), (4, 5), (3, 5)]);
+        let spliced = assert_spliced(&base, &delta);
+        assert_eq!(spliced.endpoints(EdgeId(0)), (VertexId(0), VertexId(1)));
+        let last = EdgeId::from_index(spliced.edge_count() - 1);
+        assert_eq!(spliced.endpoints(last), (VertexId(4), VertexId(5)));
+    }
+
+    #[test]
+    fn splice_inserts_only_between_new_vertices() {
+        let base = base_graph();
+        let delta = batch(DeltaOp::Insert, &[(7, 9), (6, 11), (9, 11)]);
+        let spliced = assert_spliced(&base, &delta);
+        assert_eq!(spliced.vertex_count(), 12);
+        assert_eq!(spliced.degree(VertexId(8)), 0, "a vertex between new ones stays empty");
+        assert_eq!(spliced.degree(VertexId(10)), 0);
+        assert_eq!(spliced.degree(VertexId(11)), 2);
+    }
+
+    #[test]
+    fn splice_deletes_the_first_and_the_last_edge_id() {
+        let base = rmat(7, 600, 5);
+        let (first, last) = (EdgeId(0), EdgeId::from_index(base.edge_count() - 1));
+        let mut delta = GraphDelta::new();
+        for e in [first, last] {
+            let (u, v) = base.endpoints(e);
+            delta.push(DeltaOp::Delete, u, v);
+        }
+        let spliced = assert_spliced(&base, &delta);
+        assert_eq!(spliced.edge_count(), base.edge_count() - 2);
+    }
+
+    #[test]
+    fn splice_one_vertex_that_loses_and_gains_edges() {
+        let base = base_graph();
+        let mut delta = batch(DeltaOp::Delete, &[(0, 2), (2, 3)]);
+        for (u, v) in [(2, 4), (5, 2), (2, 7)] {
+            delta.push(DeltaOp::Insert, u, v);
+        }
+        let spliced = assert_spliced(&base, &delta);
+        let expected = [1, 4, 5, 7].map(VertexId);
+        assert_eq!(spliced.neighbor_slice(VertexId(2)), &expected);
+    }
+
+    #[test]
+    fn splice_toggle_inserts_then_deletes_back_to_the_base() {
+        // The mutate workload's shape: one batch of absent edges, inserted
+        // and then deleted.
+        let base = rmat(8, 1_500, 11);
+        let n = base.vertex_count() as u64;
+        let mut toggle = Vec::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        while toggle.len() < 40 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (a, b) = (((state >> 8) % n) as u32, ((state >> 40) % n) as u32);
+            let edge = (a.min(b), a.max(b));
+            if a != b && !base.has_edge(VertexId(a), VertexId(b)) && !toggle.contains(&edge) {
+                toggle.push(edge);
+            }
+        }
+        let inserted = assert_spliced(&base, &batch(DeltaOp::Insert, &toggle));
+        assert_eq!(inserted.edge_count(), base.edge_count() + 40);
+        let deleted = assert_spliced(&inserted, &batch(DeltaOp::Delete, &toggle));
+        assert_eq!(deleted, base);
     }
 
     #[test]

@@ -268,43 +268,67 @@ proptest! {
             (Just(n), Just(edges), proptest::collection::vec(batch, 1..6))
         })
     ) {
-        let mut graph = build(n, &edges);
-        let mut oracle: BTreeSet<(u32, u32)> = graph.edges().map(|e| (e.u.0, e.v.0)).collect();
-        for batch in batches {
-            let mut delta = GraphDelta::new();
-            // The oracle's own last-wins dedup, and its own vertex count.
-            let mut last = BTreeMap::new();
-            let mut vertex_count = graph.vertex_count();
-            for (op, u, v) in batch {
-                let op = [DeltaOp::Insert, DeltaOp::Delete, DeltaOp::Reweight][op as usize];
-                delta.push(op, u, v);
-                vertex_count = vertex_count.max(u.max(v) as usize + 1);
-                if u != v {
-                    last.insert((u.min(v), u.max(v)), op);
-                }
-            }
-            let mut toggled = 0;
-            for (edge, op) in last {
-                toggled += usize::from(match op {
-                    DeltaOp::Insert => oracle.insert(edge),
-                    DeltaOp::Delete => oracle.remove(&edge),
-                    DeltaOp::Reweight => false,
-                });
-            }
-            let expected = build(vertex_count, &oracle.iter().copied().collect::<Vec<_>>());
-            let grew = vertex_count > graph.vertex_count();
+        check_delta_chain(n, &edges, batches);
+    }
 
-            let mapped =
-                MappedCsrGraph::from_bytes(&encode_binary_v3(&graph, None).unwrap()).unwrap();
-            let (mapped_stats, from_mapped) = apply(&mapped, &delta);
-            let (stats, owned) = apply(&graph, &delta);
-            prop_assert_eq!(mapped_stats, stats);
-            prop_assert_eq!(stats.structural_changes(), toggled);
-            prop_assert_eq!(owned.is_none(), toggled == 0 && !grew);
-            prop_assert_eq!(from_mapped.is_none(), owned.is_none());
-            prop_assert_eq!(&from_mapped.unwrap_or_else(|| mapped.to_csr_graph()), &expected);
-            graph = owned.unwrap_or(graph);
-            prop_assert_eq!(&graph, &expected);
+    /// The same check over sparse batches (at most 12 changes) on graphs
+    /// of up to ~200 vertices, with a few vertices past the base in reach:
+    /// most vertex blocks and edge ids stay untouched in long runs, and
+    /// batches often add vertices past the base, with edges or (through
+    /// self loops and absent deletes) without.
+    #[test]
+    fn sparse_delta_chains_match_a_from_scratch_build(
+        (n, edges, batches) in arbitrary_edges(200).prop_flat_map(|(n, edges)| {
+            let span = n as u32 + 8;
+            let batch = proptest::collection::vec((0u8..3, 0..span, 0..span), 0..13);
+            (Just(n), Just(edges), proptest::collection::vec(batch, 1..6))
+        })
+    ) {
+        check_delta_chain(n, &edges, batches);
+    }
+}
+
+/// Apply a chain of `(op, u, v)` batches, `op` indexing insert / delete /
+/// reweight, to the graph of `edges` on `n` vertices, owned and as a mapped
+/// snapshot, and check each step against a from-scratch build of the final
+/// edge list; `apply` must return `None` exactly when no edge toggled and
+/// no vertex was added.
+fn check_delta_chain(n: usize, edges: &[(u32, u32)], batches: Vec<Vec<(u8, u32, u32)>>) {
+    let mut graph = build(n, edges);
+    let mut oracle: BTreeSet<(u32, u32)> = graph.edges().map(|e| (e.u.0, e.v.0)).collect();
+    for batch in batches {
+        let mut delta = GraphDelta::new();
+        // The oracle's own last-wins dedup, and its own vertex count.
+        let mut last = BTreeMap::new();
+        let mut vertex_count = graph.vertex_count();
+        for (op, u, v) in batch {
+            let op = [DeltaOp::Insert, DeltaOp::Delete, DeltaOp::Reweight][op as usize];
+            delta.push(op, u, v);
+            vertex_count = vertex_count.max(u.max(v) as usize + 1);
+            if u != v {
+                last.insert((u.min(v), u.max(v)), op);
+            }
         }
+        let mut toggled = 0;
+        for (edge, op) in last {
+            toggled += usize::from(match op {
+                DeltaOp::Insert => oracle.insert(edge),
+                DeltaOp::Delete => oracle.remove(&edge),
+                DeltaOp::Reweight => false,
+            });
+        }
+        let expected = build(vertex_count, &oracle.iter().copied().collect::<Vec<_>>());
+        let grew = vertex_count > graph.vertex_count();
+
+        let mapped = MappedCsrGraph::from_bytes(&encode_binary_v3(&graph, None).unwrap()).unwrap();
+        let (mapped_stats, from_mapped) = apply(&mapped, &delta);
+        let (stats, owned) = apply(&graph, &delta);
+        prop_assert_eq!(mapped_stats, stats);
+        prop_assert_eq!(stats.structural_changes(), toggled);
+        prop_assert_eq!(owned.is_none(), toggled == 0 && !grew);
+        prop_assert_eq!(from_mapped.is_none(), owned.is_none());
+        prop_assert_eq!(&from_mapped.unwrap_or_else(|| mapped.to_csr_graph()), &expected);
+        graph = owned.unwrap_or(graph);
+        prop_assert_eq!(&graph, &expected);
     }
 }

@@ -142,6 +142,29 @@ pub(crate) fn processing_order(scalar: &[f64], a: u32, b: u32) -> Ordering {
     scalar[b as usize].total_cmp(&scalar[a as usize]).then(a.cmp(&b))
 }
 
+/// A `u64` whose ascending order is [`processing_order`]'s on scalars:
+/// `total_cmp`'s key (flip every bit of a negative, the sign bit of a
+/// non-negative), complemented so that larger scalars come first.
+fn descending_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    let ascending = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    !ascending
+}
+
+/// The element ids `0..scalar.len()` in [`processing_order`], sorted as one
+/// packed `(descending_key, id)` integer each so that no compare reads a
+/// scalar. The packed keys are freed before the caller allocates its
+/// working arrays.
+fn sorted_order(scalar: &[f64]) -> Vec<u32> {
+    let mut packed: Vec<u128> = scalar
+        .iter()
+        .enumerate()
+        .map(|(id, &value)| u128::from(descending_key(value)) << 32 | id as u128)
+        .collect();
+    packed.sort_unstable();
+    packed.iter().map(|&key| key as u32).collect()
+}
+
 /// The union–find sweep of Algorithms 1 and 3 over elements
 /// `0..scalar.len()`.
 ///
@@ -168,8 +191,7 @@ fn sweep_parents<I: IntoIterator<Item = u32>>(
     neighbours: impl Fn(u32) -> I,
 ) -> Vec<Option<u32>> {
     let n = scalar.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by(|&a, &b| processing_order(scalar, a, b));
+    let order = sorted_order(scalar);
     // rank[x] = position of x in the processing order ("index" in the paper:
     // lower rank means processed earlier, i.e. higher scalar).
     let mut rank = vec![0u32; n];
@@ -225,6 +247,36 @@ mod tests {
             set.extend(subtree_set(tree, c));
         }
         set
+    }
+
+    #[test]
+    fn packed_keys_sort_like_processing_order() {
+        let tiny = f64::from_bits(1);
+        let scalar = vec![
+            0.0,
+            -0.0,
+            1.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1.0,
+            -0.0,
+            0.0,
+            tiny,
+            -3.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -3.5,
+            2.0,
+            1.0,
+        ];
+        let mut expected: Vec<u32> = (0..scalar.len() as u32).collect();
+        expected.sort_by(|&a, &b| processing_order(&scalar, a, b));
+        assert_eq!(sorted_order(&scalar), expected);
+        // `total_cmp` puts +0.0 before -0.0 in decreasing order.
+        assert_eq!(&sorted_order(&[-0.0, 0.0, -0.0, 0.0]), &[1, 3, 0, 2]);
     }
 
     #[test]

@@ -25,7 +25,19 @@ impl Color {
 
     /// CSS hex representation, e.g. `#ff7f00`.
     pub fn hex(&self) -> String {
-        format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
+        String::from_utf8_lossy(&self.hex_bytes()).into_owned()
+    }
+
+    /// [`hex`](Self::hex) on the stack: what the exporters' per-element
+    /// loops emit without allocating.
+    pub(crate) fn hex_bytes(&self) -> [u8; 7] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [b'#'; 7];
+        for (i, channel) in [self.r, self.g, self.b].into_iter().enumerate() {
+            out[1 + 2 * i] = DIGITS[usize::from(channel >> 4)];
+            out[2 + 2 * i] = DIGITS[usize::from(channel & 0xf)];
+        }
+        out
     }
 
     /// Linear interpolation between two colors.
@@ -171,6 +183,10 @@ mod tests {
     fn hex_and_darken() {
         let c = Color::rgb(255, 128, 0);
         assert_eq!(c.hex(), "#ff8000");
+        for v in [0u8, 9, 10, 15, 16, 127, 160, 255] {
+            let c = Color::rgb(v, v.wrapping_mul(7), 255 - v);
+            assert_eq!(c.hex(), format!("#{:02x}{:02x}{:02x}", c.r, c.g, c.b));
+        }
         let d = c.darkened(0.5);
         assert_eq!(d, Color::rgb(127, 64, 0));
     }

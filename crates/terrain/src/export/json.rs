@@ -113,13 +113,14 @@ impl Exporter for JsonScene {
         writeln!(out, "  ], \"triangles\": [")?;
         for (i, t) in mesh.triangles.iter().enumerate() {
             let comma = if i + 1 < mesh.triangles.len() { "," } else { "" };
+            let color = t.color.hex_bytes();
             writeln!(
                 out,
                 "    {{\"v\": [{}, {}, {}], \"color\": \"{}\", \"node\": {}, \"top\": {}}}{comma}",
                 t.indices[0],
                 t.indices[1],
                 t.indices[2],
-                t.color.hex(),
+                String::from_utf8_lossy(&color),
                 t.node,
                 t.is_top
             )?;

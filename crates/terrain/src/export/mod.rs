@@ -50,6 +50,7 @@
 //! ```
 
 pub mod ascii;
+pub(crate) mod fixed;
 pub mod json;
 pub mod obj;
 pub mod ply;

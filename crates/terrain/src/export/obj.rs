@@ -5,6 +5,7 @@
 //! all the reproduction needs. Per-face colors are not part of core OBJ; use
 //! [`Ply`](super::Ply) when colors must survive the export.
 
+use super::fixed::push_fixed;
 use super::{Exporter, RenderScene};
 use crate::error::TerrainResult;
 use crate::mesh::TerrainMesh;
@@ -35,8 +36,16 @@ impl Exporter for Obj {
 fn write_obj(mesh: &TerrainMesh, out: &mut dyn Write) -> TerrainResult<()> {
     out.write_all(b"# graph-terrain mesh export\n")?;
     writeln!(out, "# {} vertices, {} triangles", mesh.vertex_count(), mesh.triangle_count())?;
+    let mut line = Vec::new();
     for v in &mesh.vertices {
-        writeln!(out, "v {:.6} {:.6} {:.6}", v.x, v.z, v.y)?;
+        line.clear();
+        line.push(b'v');
+        for coordinate in [v.x, v.z, v.y] {
+            line.push(b' ');
+            push_fixed(&mut line, coordinate, 6);
+        }
+        line.push(b'\n');
+        out.write_all(&line)?;
     }
     for t in &mesh.triangles {
         // OBJ face indices are 1-based.

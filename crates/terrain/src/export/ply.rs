@@ -6,6 +6,7 @@
 //! a self-describing header, one `x y z` line per vertex, then one
 //! `3 a b c r g b` line per triangular face.
 
+use super::fixed::push_fixed;
 use super::{Exporter, RenderScene};
 use crate::error::TerrainResult;
 
@@ -33,9 +34,17 @@ impl Exporter for Ply {
               property uchar red\nproperty uchar green\nproperty uchar blue\n\
               end_header\n",
         )?;
+        let mut line = Vec::new();
         for v in &mesh.vertices {
             // PLY viewers treat +z as up, matching the mesh's own convention.
-            writeln!(out, "{:.6} {:.6} {:.6}", v.x, v.y, v.z)?;
+            line.clear();
+            push_fixed(&mut line, v.x, 6);
+            line.push(b' ');
+            push_fixed(&mut line, v.y, 6);
+            line.push(b' ');
+            push_fixed(&mut line, v.z, 6);
+            line.push(b'\n');
+            out.write_all(&line)?;
         }
         for t in &mesh.triangles {
             writeln!(

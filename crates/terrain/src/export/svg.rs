@@ -7,11 +7,11 @@
 //! is a faithful static stand-in for the paper's rotatable OpenGL view: the
 //! projection direction plays the role of the camera angle.
 
+use super::fixed::push_fixed;
 use super::{Exporter, RenderScene};
 use crate::error::TerrainResult;
 use crate::mesh::TerrainMesh;
 use crate::treemap::{build_treemap, Treemap};
-use std::fmt::Write as _;
 use std::io::Write;
 
 /// The 3D terrain backend: streams the oblique-projected mesh as an SVG
@@ -118,19 +118,27 @@ fn write_treemap_svg(
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">"#
     )?;
     out.write_all(b"<!-- graph-terrain 2D treemap -->\n")?;
+    let mut line = Vec::new();
     for cell in &map.cells {
-        writeln!(
-            out,
-            r##"  <rect x="{:.2}" y="{:.2}" width="{:.2}" height="{:.2}" fill="{}" stroke="#222222" stroke-width="0.5"><title>node {} scalar {:.3} members {}</title></rect>"##,
-            cell.rect.x0 * sx,
-            (max_y - cell.rect.y1) * sy,
-            cell.rect.width() * sx,
-            cell.rect.height() * sy,
-            cell.color.hex(),
-            cell.node,
-            cell.scalar,
-            cell.subtree_members,
-        )?;
+        line.clear();
+        line.extend_from_slice(br#"  <rect x=""#);
+        push_fixed(&mut line, cell.rect.x0 * sx, 2);
+        line.extend_from_slice(br#"" y=""#);
+        push_fixed(&mut line, (max_y - cell.rect.y1) * sy, 2);
+        line.extend_from_slice(br#"" width=""#);
+        push_fixed(&mut line, cell.rect.width() * sx, 2);
+        line.extend_from_slice(br#"" height=""#);
+        push_fixed(&mut line, cell.rect.height() * sy, 2);
+        line.extend_from_slice(br#"" fill=""#);
+        line.extend_from_slice(&cell.color.hex_bytes());
+        let _ = write!(
+            line,
+            r##"" stroke="#222222" stroke-width="0.5"><title>node {} scalar "##,
+            cell.node
+        );
+        push_fixed(&mut line, cell.scalar, 3);
+        let _ = writeln!(line, " members {}</title></rect>", cell.subtree_members);
+        out.write_all(&line)?;
     }
     out.write_all(b"</svg>\n")?;
     Ok(())
@@ -143,13 +151,13 @@ fn write_terrain_svg(
     height_px: f64,
     out: &mut dyn Write,
 ) -> TerrainResult<()> {
-    let Some((min, max)) = mesh.bounds() else {
+    if mesh.vertices.is_empty() {
         writeln!(
             out,
             r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}"/>"#
         )?;
         return Ok(());
-    };
+    }
 
     // Oblique projection parameters.
     let depth = 0.45f64;
@@ -165,7 +173,6 @@ fn write_terrain_svg(
         pmin = (pmin.0.min(p.0), pmin.1.min(p.1));
         pmax = (pmax.0.max(p.0), pmax.1.max(p.1));
     }
-    let _ = (min, max);
     let span_x = (pmax.0 - pmin.0).max(1e-9);
     let span_y = (pmax.1 - pmin.1).max(1e-9);
     let scale = (width_px / span_x).min(height_px / span_y) * 0.95;
@@ -196,20 +203,25 @@ fn write_terrain_svg(
     )?;
     out.write_all(b"<!-- graph-terrain 3D terrain (oblique projection) -->\n")?;
     // One polygon element per triangle, formatted into a reused buffer.
-    let mut line = String::new();
+    let mut line = Vec::new();
     for (_, i) in order {
         let t = &mesh.triangles[i];
         line.clear();
-        line.push_str(r#"  <polygon points=""#);
+        line.extend_from_slice(br#"  <polygon points=""#);
         for (corner, &v) in t.indices.iter().enumerate() {
             let vert = &mesh.vertices[v as usize];
             let p = to_px(project(vert.x, vert.y, vert.z));
-            let sep = if corner == 0 { "" } else { " " };
-            let _ = write!(line, "{sep}{:.2},{:.2}", p.0, p.1);
+            if corner > 0 {
+                line.push(b' ');
+            }
+            push_fixed(&mut line, p.0, 2);
+            line.push(b',');
+            push_fixed(&mut line, p.1, 2);
         }
-        let c = t.color;
-        let _ = writeln!(line, r##"" fill="#{:02x}{:02x}{:02x}" stroke="none"/>"##, c.r, c.g, c.b);
-        out.write_all(line.as_bytes())?;
+        line.extend_from_slice(br#"" fill=""#);
+        line.extend_from_slice(&t.color.hex_bytes());
+        line.extend_from_slice(b"\" stroke=\"none\"/>\n");
+        out.write_all(&line)?;
     }
     out.write_all(b"</svg>\n")?;
     Ok(())

@@ -28,6 +28,7 @@ use std::io::Write as _;
 
 use crate::color::colormap;
 use crate::error::{TerrainError, TerrainResult};
+use crate::export::fixed::push_fixed;
 use crate::layout2d::{LayoutConfig, Rect};
 use scalarfield::SuperScalarTree;
 
@@ -259,6 +260,7 @@ impl Scene {
             r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">"#
         )?;
         writeln!(w, r##"<rect width="{width_px}" height="{height_px}" fill="#10141c"/>"##)?;
+        let mut line = Vec::new();
         for &id in ids {
             let item = &self.items[id as usize];
             // Clip to the viewport so a huge parent rect costs the same
@@ -276,11 +278,19 @@ impl Scene {
             let h_px = clipped.height() * sy;
             let t = ((item.height - self.baseline) / range).clamp(0.0, 1.0);
             let fill = colormap(t).darkened(cushion_shade(&item.surface, r));
-            writeln!(
-                w,
-                r#"<rect x="{x:.2}" y="{y:.2}" width="{w_px:.2}" height="{h_px:.2}" fill="{}"/>"#,
-                fill.hex()
-            )?;
+            line.clear();
+            line.extend_from_slice(br#"<rect x=""#);
+            push_fixed(&mut line, x, 2);
+            line.extend_from_slice(br#"" y=""#);
+            push_fixed(&mut line, y, 2);
+            line.extend_from_slice(br#"" width=""#);
+            push_fixed(&mut line, w_px, 2);
+            line.extend_from_slice(br#"" height=""#);
+            push_fixed(&mut line, h_px, 2);
+            line.extend_from_slice(br#"" fill=""#);
+            line.extend_from_slice(&fill.hex_bytes());
+            line.extend_from_slice(b"\"/>\n");
+            w.write_all(&line)?;
         }
         writeln!(w, "</svg>")?;
         io::Write::flush(&mut w)?;

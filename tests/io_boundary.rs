@@ -4,7 +4,7 @@
 //! ingest paths and pinned to a recorded golden digest.
 
 use graph_terrain::{Measure, SimplificationConfig, TerrainPipeline};
-use terrain::{builtin_exporters, Exporter, RenderScene, Svg};
+use terrain::{builtin_exporters, Exporter, Obj, Ply, RenderScene, Svg, TreemapSvg};
 use ugraph::io::{
     encode_binary_v3, fnv1a64, restamp_v3_checksum, GraphFormat, GraphSource, MappedCsrGraph,
 };
@@ -137,6 +137,35 @@ fn unsimplified_ba_terrain_svg_matches_the_recorded_golden() {
     session.set_simplification(SimplificationConfig::disabled());
     let svg = session.svg().unwrap().as_bytes();
     assert_eq!((svg.len(), fnv1a64(svg)), BA_SVG, "the unsimplified BA terrain SVG changed");
+}
+
+/// Length and FNV-1a 64 of the same unsimplified BA PageRank scene through
+/// the other fixed-precision backends: the default-size treemap SVG
+/// (`{:.2}` rects and a `{:.3}` scalar per cell) and the OBJ and PLY meshes
+/// (`{:.6}` vertices). Recorded on x86_64 Linux while every coordinate was
+/// still printed by `core::fmt`, so they pin the exporters' number writer
+/// against std's formatting.
+const BA_TREEMAP_SVG: (usize, u64) = (246_981, 0x4f9e_7a6c_71ed_3856);
+const BA_OBJ: (usize, u64) = (606_166, 0x9f46_1a87_e977_8031);
+const BA_PLY: (usize, u64) = (734_223, 0x4a24_1820_8782_0bca);
+
+#[test]
+fn unsimplified_ba_mesh_and_treemap_exports_match_the_recorded_goldens() {
+    let graph = ugraph::generators::barabasi_albert(1500, 3, 11);
+    let mut session = TerrainPipeline::from_measure(&graph, Measure::PageRank);
+    session.set_simplification(SimplificationConfig::disabled());
+    let cases: [(&dyn Exporter, (usize, u64)); 3] =
+        [(&TreemapSvg::default(), BA_TREEMAP_SVG), (&Obj, BA_OBJ), (&Ply, BA_PLY)];
+    for (exporter, golden) in cases {
+        let mut out = Vec::new();
+        session.render_to(exporter, &mut out).unwrap();
+        assert_eq!(
+            (out.len(), fnv1a64(&out)),
+            golden,
+            "the unsimplified BA {} export changed",
+            exporter.name()
+        );
+    }
 }
 
 /// Length and FNV-1a 64 of a snapped *and* capped PageRank terrain of

@@ -34,14 +34,13 @@
 //!   roots and the children as a single shared CSR vector with per-node
 //!   `(offset, len)` ranges — mirroring `ugraph::CsrGraph` — so `children`
 //!   is an allocation-free slice.
-//! * [`SuperScalarTree`] renumbers super nodes into **DFS pre-order** at
-//!   construction: every parent id is smaller than its children's, the
-//!   subtree rooted at `i` is the contiguous id range `i..subtree_end(i)`,
-//!   and the member arena is grouped accordingly — so
+//! * [`SuperScalarTree`] holds super nodes in **DFS pre-order**, the order
+//!   Algorithm 2 emits them in: every parent id is smaller than its
+//!   children's, the subtree rooted at `i` is the contiguous id range
+//!   `i..subtree_end(i)`, and the member arena is grouped accordingly — so
 //!   `subtree_member_count` is O(1) offset arithmetic and `subtree_members`
-//!   is a single allocation, instead of the old
-//!   sort-every-node-by-depth-per-query traversal. Reversed, the ids list
-//!   children before parents, so bottom-up passes need no level order.
+//!   is a single allocation. Reversed, the ids list children before
+//!   parents, so bottom-up passes need no level order.
 //!
 //! ## Quick example: K-Core terrain input in a few lines
 //!

@@ -156,8 +156,8 @@ fn cap(tree: &SuperScalarTree, group_of: &mut [u32], groups: &Groups, budget: us
 /// Rebuild `tree` with every old node merged into the group
 /// `group_of[node]`, where `groups[g]` is group `g`'s scalar and parent
 /// group. The members are scattered into one flat arena grouped by group id
-/// (a counting sort; `from_parts` sorts within each group). The groups are
-/// already in DFS pre-order, so `from_parts` keeps their ids.
+/// (a counting sort; `from_parts` sorts within each group). The groups
+/// come out in DFS pre-order, the order `from_parts` takes them in.
 fn regroup(tree: &SuperScalarTree, group_of: &[u32], groups: Groups) -> SuperScalarTree {
     let group_count = groups.len();
     let mut member_offsets = vec![0u32; group_count + 1];
@@ -377,11 +377,11 @@ mod tests {
         assert_eq!(st.node_count(), 20_000);
         let capped = simplify_super_tree(&st, 64, 500).unwrap();
         assert!(capped.node_count() <= 500);
-        // 36 bytes per node (scalar 8, parent 8, subtree end, depth, child
-        // and member offsets 4 each, one child-or-root id 4), 8 per element
+        // 32 bytes per node (scalar 8, parent 8, subtree end, child and
+        // member offsets 4 each, one child-or-root id 4), 8 per element
         // (its member id and its `node_of` entry), 8 for the two offset
         // arrays' closing entries.
-        let bound = |nodes: usize| 36 * nodes + 8 * 20_000 + 8;
+        let bound = |nodes: usize| 32 * nodes + 8 * 20_000 + 8;
         assert!(capped.heap_bytes() <= bound(500), "{} > {}", capped.heap_bytes(), bound(500));
         assert!(capped.heap_bytes() <= bound(capped.node_count()));
         // The uncapped tree pays the per-node cost 20 000 times.

@@ -15,7 +15,9 @@
 //! # Arena layout
 //!
 //! [`SuperScalarTree`] is a flat arena, not a vector of per-node structs.
-//! Super nodes are renumbered into **DFS pre-order** at construction, so
+//! Algorithm 2 emits super nodes in **DFS pre-order**: a stack of anchors
+//! hands each super node the next id as it is found, children in the order
+//! its equal-scalar region discovers them. So
 //!
 //! * `parent(i) < i` for every non-root — one forward pass computes depths,
 //!   one reverse pass accumulates subtree aggregates (reversed, the ids list
@@ -29,7 +31,6 @@
 //!   `Vec<u32>`s, mirroring `ugraph::CsrGraph`.
 
 use crate::vertex_tree::ScalarTree;
-use std::collections::VecDeque;
 
 /// The super scalar tree produced by Algorithm 2 (a forest for disconnected
 /// inputs), stored as a flat DFS-pre-order arena.
@@ -43,8 +44,6 @@ pub struct SuperScalarTree {
     /// One past the last id of each node's subtree: the subtree rooted at `i`
     /// is exactly the id range `i..subtree_end[i]`.
     subtree_end: Vec<u32>,
-    /// Depth of each super node (roots at 0).
-    depth: Vec<u32>,
     /// CSR child arena: children of node `i` are
     /// `child_ids[child_offsets[i] .. child_offsets[i + 1]]`, in increasing
     /// id order.
@@ -64,23 +63,24 @@ pub struct SuperScalarTree {
 
 impl SuperScalarTree {
     /// Assemble the arena from per-node scalars, parent pointers and flat
-    /// member lists (`members_flat` grouped by node via `member_offsets`, both
-    /// indexed by the caller's provisional node ids).
+    /// member lists (`member_ids` grouped by node via `member_offsets`), with
+    /// nodes already numbered in DFS pre-order, as Algorithm 2 and the
+    /// simplification emit them.
     ///
-    /// Nodes are renumbered into DFS pre-order (children visited in increasing
-    /// provisional id), member lists are sorted, and every derived array
-    /// (depths, child CSR, subtree ranges, `node_of`) is computed in `O(n + m)`.
+    /// Member lists are sorted, and the derived arrays (roots, subtree
+    /// ranges, child CSR, `node_of`) are computed in `O(n + m)`.
     ///
     /// # Panics
     ///
     /// Panics if the inputs are structurally inconsistent: mismatched lengths,
-    /// out-of-bounds parents or members, parent cycles, or an element that
-    /// belongs to zero or several super nodes.
+    /// out-of-bounds members, an element that belongs to zero or several
+    /// super nodes, or ids not in DFS pre-order (a parent after its child,
+    /// or a subtree that does not fit in its parent's id range).
     pub fn from_parts(
         scalar: Vec<f64>,
         parent: Vec<Option<u32>>,
         member_offsets: Vec<u32>,
-        member_ids: Vec<u32>,
+        mut member_ids: Vec<u32>,
         element_count: usize,
     ) -> SuperScalarTree {
         let n = scalar.len();
@@ -89,129 +89,61 @@ impl SuperScalarTree {
         assert_eq!(member_offsets[n] as usize, member_ids.len(), "member offsets cover the arena");
         assert_eq!(member_ids.len(), element_count, "every element in exactly one super node");
 
-        // Children lists in the provisional numbering (counting-sort CSR).
-        let mut old_child_offsets = vec![0u32; n + 1];
-        for p in parent.iter().flatten() {
-            let p = *p as usize;
-            assert!(p < n, "parent id {p} out of bounds for {n} super nodes");
-            old_child_offsets[p + 1] += 1;
-        }
-        for i in 0..n {
-            old_child_offsets[i + 1] += old_child_offsets[i];
-        }
-        let mut cursor = old_child_offsets.clone();
-        let mut old_child_ids = vec![0u32; old_child_offsets[n] as usize];
-        for (node, p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                old_child_ids[cursor[*p as usize] as usize] = node as u32;
-                cursor[*p as usize] += 1;
-            }
-        }
-
-        // DFS pre-order renumbering. Children are pushed in reverse so the
-        // smallest provisional id is visited (and renumbered) first.
-        let mut order = Vec::with_capacity(n); // order[new] = old
-        let mut stack: Vec<u32> = Vec::new();
-        for (node, p) in parent.iter().enumerate().rev() {
-            if p.is_none() {
-                stack.push(node as u32);
-            }
-        }
-        while let Some(old) = stack.pop() {
-            order.push(old);
-            let (start, end) = (
-                old_child_offsets[old as usize] as usize,
-                old_child_offsets[old as usize + 1] as usize,
-            );
-            for &c in old_child_ids[start..end].iter().rev() {
-                stack.push(c);
-            }
-        }
-        assert_eq!(order.len(), n, "parent pointers contain a cycle");
-        let mut new_of_old = vec![0u32; n];
-        for (new, &old) in order.iter().enumerate() {
-            new_of_old[old as usize] = new as u32;
-        }
-
-        // Rebuild every array in the new numbering.
-        let mut new_scalar = vec![0.0f64; n];
-        let mut new_parent = vec![None; n];
-        let mut depth = vec![0u32; n];
+        // Subtree ranges by one reverse pass (children have larger ids):
+        // size[i] = 1 + Σ children sizes, stored as the range end i + size.
+        let mut subtree_end: Vec<u32> = (1..=n as u32).collect();
         let mut roots = Vec::new();
-        for (new, &old) in order.iter().enumerate() {
-            new_scalar[new] = scalar[old as usize];
-            match parent[old as usize] {
+        for (i, p) in parent.iter().enumerate().rev() {
+            match *p {
                 Some(p) => {
-                    let p = new_of_old[p as usize];
-                    assert!(p < new as u32, "DFS pre-order must place parents first");
-                    new_parent[new] = Some(p);
-                    depth[new] = depth[p as usize] + 1;
+                    assert!((p as usize) < i, "parent {p} of super node {i} not before it");
+                    subtree_end[p as usize] += subtree_end[i] - i as u32;
                 }
-                None => roots.push(new as u32),
+                None => roots.push(i as u32),
             }
         }
+        roots.reverse();
 
-        // Subtree ranges by one reverse pass: size[i] = 1 + Σ children sizes.
-        let mut size = vec![1u32; n];
-        for i in (0..n).rev() {
-            if let Some(p) = new_parent[i] {
-                size[p as usize] += size[i];
+        // With parents first, nested ranges are exactly DFS pre-order; then a
+        // node's children are the consecutive subtree heads in its range.
+        let mut child_offsets = Vec::with_capacity(n + 1);
+        let mut child_ids = Vec::with_capacity(n - roots.len());
+        child_offsets.push(0);
+        for (i, p) in parent.iter().enumerate() {
+            if let Some(p) = *p {
+                assert!(
+                    subtree_end[i] <= subtree_end[p as usize],
+                    "subtree of super node {i} escapes its parent {p}"
+                );
             }
-        }
-        let subtree_end: Vec<u32> = (0..n).map(|i| i as u32 + size[i]).collect();
-
-        // Child CSR in the new numbering: a node's children are consecutive
-        // subtree heads inside its own range, in increasing id order.
-        let mut child_offsets = vec![0u32; n + 1];
-        for p in new_parent.iter().flatten() {
-            child_offsets[*p as usize + 1] += 1;
-        }
-        for i in 0..n {
-            child_offsets[i + 1] += child_offsets[i];
-        }
-        let mut cursor = child_offsets.clone();
-        let mut child_ids = vec![0u32; child_offsets[n] as usize];
-        for (node, p) in new_parent.iter().enumerate() {
-            if let Some(p) = p {
-                child_ids[cursor[*p as usize] as usize] = node as u32;
-                cursor[*p as usize] += 1;
+            let mut child = i as u32 + 1;
+            while child < subtree_end[i] {
+                child_ids.push(child);
+                child = subtree_end[child as usize];
             }
+            child_offsets.push(child_ids.len() as u32);
         }
 
-        // Member CSR in the new numbering, each node's slice sorted.
-        let mut new_member_offsets = vec![0u32; n + 1];
-        for (new, &old) in order.iter().enumerate() {
-            new_member_offsets[new + 1] =
-                member_offsets[old as usize + 1] - member_offsets[old as usize];
-        }
-        for i in 0..n {
-            new_member_offsets[i + 1] += new_member_offsets[i];
-        }
-        let mut new_member_ids = vec![0u32; member_ids.len()];
+        // Sort each member slice in place and invert it into `node_of`.
         let mut node_of = vec![u32::MAX; element_count];
-        for (new, &old) in order.iter().enumerate() {
-            let src = &member_ids
-                [member_offsets[old as usize] as usize..member_offsets[old as usize + 1] as usize];
-            let dst_start = new_member_offsets[new] as usize;
-            let dst = &mut new_member_ids[dst_start..dst_start + src.len()];
-            dst.copy_from_slice(src);
-            dst.sort_unstable();
-            for &m in dst.iter() {
+        for (node, range) in member_offsets.windows(2).enumerate() {
+            let members = &mut member_ids[range[0] as usize..range[1] as usize];
+            members.sort_unstable();
+            for &m in members.iter() {
                 assert!((m as usize) < element_count, "member id {m} out of bounds");
                 assert_eq!(node_of[m as usize], u32::MAX, "element {m} in two super nodes");
-                node_of[m as usize] = new as u32;
+                node_of[m as usize] = node as u32;
             }
         }
 
         SuperScalarTree {
-            scalar: new_scalar,
-            parent: new_parent,
+            scalar,
+            parent,
             subtree_end,
-            depth,
             child_offsets,
             child_ids,
-            member_offsets: new_member_offsets,
-            member_ids: new_member_ids,
+            member_offsets,
+            member_ids,
             roots,
             node_of,
         }
@@ -234,7 +166,7 @@ impl SuperScalarTree {
     }
 
     /// Bytes held by the arena: the summed byte length of its arrays (not
-    /// their spare capacity, nor the struct itself): exactly 36 bytes per
+    /// their spare capacity, nor the struct itself): exactly 32 bytes per
     /// node, 8 per element — `member_ids` and `node_of` hold one `u32` each
     /// per element — and 8 for the two offset arrays' closing entries, so a
     /// tree capped at a node budget weighs O(budget + elements).
@@ -243,7 +175,6 @@ impl SuperScalarTree {
         size_of_val(self.scalar.as_slice())
             + size_of_val(self.parent.as_slice())
             + size_of_val(self.subtree_end.as_slice())
-            + size_of_val(self.depth.as_slice())
             + size_of_val(self.child_offsets.as_slice())
             + size_of_val(self.child_ids.as_slice())
             + size_of_val(self.member_offsets.as_slice())
@@ -306,18 +237,6 @@ impl SuperScalarTree {
         self.node_of[element as usize]
     }
 
-    /// Depth of super node `node` (roots at 0).
-    #[inline]
-    pub fn depth(&self, node: u32) -> u32 {
-        self.depth[node as usize]
-    }
-
-    /// Depth of every super node (roots at depth 0), indexed by node id.
-    #[inline]
-    pub fn depths(&self) -> &[u32] {
-        &self.depth
-    }
-
     /// The contiguous id range of the subtree rooted at `node` (DFS pre-order
     /// invariant): `node` itself, then every descendant.
     #[inline]
@@ -336,8 +255,7 @@ impl SuperScalarTree {
     /// Number of members in the subtree rooted at each super node
     /// (the quantity the terrain layout maps to boundary area).
     ///
-    /// A single output allocation; each entry is `O(1)` offset arithmetic
-    /// (the old representation re-sorted every node by depth per call).
+    /// A single output allocation; each entry is `O(1)` offset arithmetic.
     pub fn subtree_member_counts(&self) -> Vec<usize> {
         (0..self.node_count() as u32).map(|n| self.subtree_member_count(n)).collect()
     }
@@ -410,9 +328,6 @@ impl SuperScalarTree {
                         self.scalar(id)
                     ));
                 }
-                if self.depth(c) != self.depth(id) + 1 {
-                    return Err(format!("child {c} depth inconsistent with parent {id}"));
-                }
             }
             match self.parent(id) {
                 Some(p) => {
@@ -426,9 +341,6 @@ impl SuperScalarTree {
                 None => {
                     if !listed_root[id as usize] {
                         return Err(format!("orphan super node {id} not listed as root"));
-                    }
-                    if self.depth(id) != 0 {
-                        return Err(format!("root {id} has non-zero depth"));
                     }
                 }
             }
@@ -467,29 +379,34 @@ pub fn build_super_tree(tree: &ScalarTree) -> SuperScalarTree {
     let mut member_offsets: Vec<u32> = vec![0];
     let mut member_ids: Vec<u32> = Vec::with_capacity(n);
 
-    // `ancestors` is the work list of the paper's Algorithm 2: tree nodes that
+    // `anchors` is the work list of the paper's Algorithm 2: tree nodes that
     // start a new super node, paired with the super node of their parent.
-    let mut ancestors: VecDeque<(u32, Option<u32>)> =
-        tree.roots().iter().map(|&r| (r, None)).collect();
+    // Popped last-in first-out, so each super node takes the next id in DFS
+    // pre-order; roots and each region's child anchors go on reversed.
+    let mut anchors: Vec<(u32, Option<u32>)> =
+        tree.roots().iter().rev().map(|&r| (r, None)).collect();
+    let mut found: Vec<u32> = Vec::new();
 
-    while let Some((anchor, parent_super)) = ancestors.pop_front() {
+    while let Some((anchor, parent_super)) = anchors.pop() {
         let super_id = scalar.len() as u32;
-        // BFS over the equal-scalar region rooted at `anchor` (lines 6-13);
-        // members land directly in the flat arena slice of this super node.
-        let mut queue = VecDeque::new();
-        queue.push_back(anchor);
-        while let Some(nq) = queue.pop_front() {
-            member_ids.push(nq);
+        let value = tree.scalar(anchor);
+        // BFS over the equal-scalar region rooted at `anchor` (lines 6-13):
+        // this node's slice of the member arena is the queue itself.
+        let mut head = member_ids.len();
+        member_ids.push(anchor);
+        while let Some(&nq) = member_ids.get(head) {
+            head += 1;
             for &nc in tree.children(nq) {
-                if tree.scalar(nc) == tree.scalar(anchor) {
-                    queue.push_back(nc);
+                if tree.scalar(nc) == value {
+                    member_ids.push(nc);
                 } else {
                     // Lines 14-18: the child starts its own super node.
-                    ancestors.push_back((nc, Some(super_id)));
+                    found.push(nc);
                 }
             }
         }
-        scalar.push(tree.scalar(anchor));
+        anchors.extend(found.drain(..).rev().map(|nc| (nc, Some(super_id))));
+        scalar.push(value);
         parent.push(parent_super);
         member_offsets.push(member_ids.len() as u32);
     }
@@ -585,7 +502,7 @@ mod tests {
         let scalar = vec![4.0, 3.0, 1.0, 2.0];
         let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
         let st = build_super_tree(&vertex_scalar_tree(&sg));
-        assert_eq!(st.depths(), &[0, 1, 2, 1]);
+        assert_eq!(st.parents(), &[None, Some(0), Some(1), Some(0)]);
         let mut seen = vec![false; st.node_count()];
         for node in (0..st.node_count() as u32).rev() {
             assert!(st.children(node).iter().all(|&c| seen[c as usize]), "child after {node}");
@@ -616,6 +533,24 @@ mod tests {
             from_slice.sort_unstable();
             assert_eq!(from_slice, st.subtree_members(id));
         }
+    }
+
+    #[test]
+    fn sibling_super_nodes_follow_discovery_order_not_anchor_ids() {
+        // Raw parents [2, 3, 3, root]: the root's region {3, 2} meets anchor
+        // 1 (a child of 3) before anchor 0 (a child of 2), so {1} comes
+        // first although 0 < 1.
+        let mut b = GraphBuilder::new();
+        b.extend_edges([(0u32, 2u32), (1, 3), (2, 3)]);
+        let graph = b.build();
+        let scalar = vec![2.0, 2.0, 1.0, 1.0];
+        let sg = VertexScalarGraph::new(&graph, &scalar).unwrap();
+        let tree = vertex_scalar_tree(&sg);
+        assert_eq!(tree.parents(), &[Some(2), Some(3), Some(3), None]);
+        let st = build_super_tree(&tree);
+        assert_eq!(st.parents(), &[None, Some(0), Some(0)]);
+        assert_eq!([st.members(0), st.members(1), st.members(2)], [&[2, 3][..], &[1], &[0]]);
+        assert_eq!((0..4).map(|e| st.node_of(e)).collect::<Vec<_>>(), [2, 1, 0, 0]);
     }
 
     #[test]
@@ -653,6 +588,31 @@ mod tests {
             vec![0, 1, 2],
             vec![0, 0],
             2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "parent 1 of super node 0 not before it")]
+    fn from_parts_rejects_a_child_before_its_parent() {
+        SuperScalarTree::from_parts(
+            vec![2.0, 1.0],
+            vec![Some(1), None],
+            vec![0, 1, 2],
+            vec![0, 1],
+            2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "subtree of super node 3 escapes its parent 1")]
+    fn from_parts_rejects_interleaved_subtrees() {
+        // Node 3 hangs off 1, but node 2 (a child of 0) sits between them.
+        SuperScalarTree::from_parts(
+            vec![1.0, 2.0, 2.0, 3.0],
+            vec![None, Some(0), Some(0), Some(1)],
+            vec![0, 1, 2, 3, 4],
+            vec![0, 1, 2, 3],
+            4,
         );
     }
 }

@@ -39,9 +39,9 @@ use graph_terrain::{Scene, SharedGraph, StageTimings};
 pub const RETAINED_ENTRIES: usize = 64;
 
 /// Byte bound of the retained store. A super tree or a render tree weighs
-/// 36 bytes per node and 8 per vertex or edge
+/// 32 bytes per node and 8 per vertex or edge
 /// ([`SuperScalarTree::heap_bytes`]), so at the server's node cap of
-/// 150 000 a render tree over the 10M rung's ~10M edges (~87 MB) still
+/// 150 000 a render tree over the 10M rung's ~10M edges (~86 MB) still
 /// fits. A render tree that fits its budget is the super tree itself and is
 /// charged twice (once per key). A value alone above the budget is
 /// `uncacheable` and is rebuilt by every request that needs it.
@@ -467,7 +467,7 @@ mod tests {
         let scene = Arc::new(session.scene().unwrap().clone());
         // A triangle's degree field is flat: one node holding all three.
         assert_eq!(super_tree.node_count(), 1);
-        assert_eq!(Retained::SuperTree(Arc::clone(&super_tree)).weight(), 36 + 3 * 8 + 8);
+        assert_eq!(Retained::SuperTree(Arc::clone(&super_tree)).weight(), 32 + 3 * 8 + 8);
         assert_eq!(Retained::SuperTree(super_tree).kind(), RetainedKind::SuperTree);
         assert_eq!(Retained::RenderTree(Arc::clone(&tree)).weight(), tree.heap_bytes());
         // A scene is charged its quadtree index as well as its items.

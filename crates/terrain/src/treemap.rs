@@ -51,16 +51,18 @@ impl Treemap {
 /// Build the 2D treemap from a super tree and its layout.
 pub fn build_treemap(tree: &SuperScalarTree, layout: &TerrainLayout) -> Treemap {
     let normalized = normalize_for_color(tree.scalars());
-    let mut cells: Vec<TreemapCell> = (0..tree.node_count())
-        .map(|id| TreemapCell {
+    let mut cells: Vec<TreemapCell> = Vec::with_capacity(tree.node_count());
+    // Ids are in DFS pre-order, so a parent's cell (and depth) comes first.
+    for (id, parent) in tree.parents().iter().enumerate() {
+        cells.push(TreemapCell {
             node: id as u32,
             rect: layout.rects[id],
             scalar: tree.scalars()[id],
             color: colormap(normalized[id]),
-            depth: tree.depths()[id] as usize,
+            depth: parent.map_or(0, |p| cells[p as usize].depth + 1),
             subtree_members: tree.subtree_member_count(id as u32),
-        })
-        .collect();
+        });
+    }
     // Draw order: shallow first so nested cells paint over their parents.
     cells.sort_by_key(|c| (c.depth, c.node));
     Treemap { cells }

@@ -4,7 +4,7 @@
 //! ingest paths and pinned to a recorded golden digest.
 
 use graph_terrain::{Measure, SimplificationConfig, TerrainPipeline};
-use terrain::{builtin_exporters, Exporter, Obj, Ply, RenderScene, Svg, TreemapSvg};
+use terrain::{builtin_exporters, Exporter, JsonScene, Obj, Ply, RenderScene, Svg, TreemapSvg};
 use ugraph::io::{
     encode_binary_v3, fnv1a64, restamp_v3_checksum, GraphFormat, GraphSource, MappedCsrGraph,
 };
@@ -166,6 +166,24 @@ fn unsimplified_ba_mesh_and_treemap_exports_match_the_recorded_goldens() {
             exporter.name()
         );
     }
+}
+
+/// Length and FNV-1a 64 of the same unsimplified BA PageRank scene as the
+/// JSON document (`render_deterministic_to`, so no timings). Recorded on
+/// x86_64 Linux while the super tree was still renumbered into pre-order in
+/// a second pass, it pins the render tree's `scalars`, `parents` and
+/// `subtree_members` in arena order, and the JSON backend's number
+/// formatting.
+const BA_JSON: (usize, u64) = (1_998_148, 0xb416_4083_e809_540a);
+
+#[test]
+fn unsimplified_ba_json_scene_matches_the_recorded_golden() {
+    let graph = ugraph::generators::barabasi_albert(1500, 3, 11);
+    let mut session = TerrainPipeline::from_measure(&graph, Measure::PageRank);
+    session.set_simplification(SimplificationConfig::disabled());
+    let mut json = Vec::new();
+    session.render_deterministic_to(&JsonScene, &mut json).unwrap();
+    assert_eq!((json.len(), fnv1a64(&json)), BA_JSON, "the unsimplified BA JSON scene changed");
 }
 
 /// Length and FNV-1a 64 of a snapped *and* capped PageRank terrain of

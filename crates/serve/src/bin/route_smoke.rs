@@ -23,10 +23,12 @@
 //! at a new `budget` then builds one more render tree from the retained
 //! super tree: `render_trees.builds` grows by 1 and `super_trees.builds` by
 //! 0. `/stats` must time the scalar stage (`stage_seconds.scalar > 0`) and
-//! have no `scalars` view: the server retains no scalar field.
+//! have no `scalars` view: the server retains no scalar field. Last, the
+//! snapshot re-uploaded with one byte flipped must be a 400 `invalid_graph`
+//! that registers nothing (`GET /graphs` lists only the script's graphs).
 //!
 //! ```text
-//! route_smoke --addr <host:port> --graph <path> [--out-dir <dir>]
+//! route_smoke --addr <host:port> --graph <v3 snapshot> [--out-dir <dir>]
 //! ```
 //!
 //! Exits 0 and prints `route smoke: PASS` only if every step held.
@@ -342,7 +344,37 @@ fn main() {
         client::get(addr, "/graphs/delta-rebuilt").unwrap_or_else(|e| fail("deleted lookup", e));
     expect_status("deleted lookup", &lookup, 404);
 
-    // 13. Save artifacts for the CI byte-diff against a direct render (and
+    // 13. The snapshot with one byte flipped is a 400 `invalid_graph` that
+    // registers nothing: the listing holds exactly the graphs this script
+    // registered and kept.
+    let mut corrupt = graph_bytes.clone();
+    corrupt[graph_bytes.len() / 2] ^= 0x01;
+    let rejected = client::post(addr, "/graphs?id=corrupt", &corrupt)
+        .unwrap_or_else(|e| fail("corrupt upload", e));
+    expect_status("corrupt upload", &rejected, 400);
+    let rejected_doc = serde_json::from_str(&rejected.body_utf8())
+        .unwrap_or_else(|e| fail("corrupt upload", format!("body is not JSON: {e}")));
+    let code = rejected_doc.get("error").and_then(|e| e.get("code")?.as_str());
+    if code != Some("invalid_graph") {
+        fail("corrupt upload", format!("error code = {code:?}, expected invalid_graph"));
+    }
+    let listing = client::get(addr, "/graphs").unwrap_or_else(|e| fail("graph listing", e));
+    expect_status("graph listing", &listing, 200);
+    let listing_doc = serde_json::from_str(&listing.body_utf8())
+        .unwrap_or_else(|e| fail("graph listing", format!("body is not JSON: {e}")));
+    let mut ids: Vec<&str> = listing_doc
+        .get("graphs")
+        .and_then(|g| g.as_array())
+        .unwrap_or_else(|| fail("graph listing", "no graphs array"))
+        .iter()
+        .filter_map(|g| g.get("id")?.as_str())
+        .collect();
+    ids.sort_unstable();
+    if ids != ["delta-base", "smoke"] {
+        fail("graph listing", format!("expected [\"delta-base\", \"smoke\"], got {ids:?}"));
+    }
+
+    // 14. Save artifacts for the CI byte-diff against a direct render (and
     // the tile/scene re-request diffs).
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail("out-dir", e));

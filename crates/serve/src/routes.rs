@@ -173,7 +173,8 @@ fn upload_graph(state: &AppState, req: &Request) -> Result<Response, ApiError> {
         return Err(ApiError::new(400, "empty_body", "graph upload requires a non-empty body"));
     }
     let graph = if is_v3_snapshot(&req.body) {
-        SharedGraph::from_snapshot_bytes(&req.body)?
+        SharedGraph::from_snapshot_bytes(&req.body)
+            .map_err(|e| ApiError::new(400, "invalid_graph", e.to_string()))?
     } else {
         let parsed = GraphSource::reader(&req.body[..])
             .with_format(graph_format_param(req)?)

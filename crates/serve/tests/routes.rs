@@ -269,6 +269,22 @@ fn retired_v2_snapshot_uploads_are_invalid_graph_400s_naming_the_version() {
 }
 
 #[test]
+fn corrupt_v3_snapshot_uploads_are_invalid_graph_400s() {
+    let state = Arc::new(AppState::new(ServerConfig::default()));
+    let snapshot = ugraph::io::encode_binary_v3(&test_graph(), None).expect("encode v3");
+    let truncated = snapshot[..snapshot.len() - 5].to_vec();
+    let mut flipped = snapshot.clone();
+    flipped[snapshot.len() / 2] ^= 0x01;
+    for (name, body) in [("truncated", truncated), ("byte-flipped", flipped)] {
+        let response = routes::handle(&state, &post("/graphs?id=g", body));
+        assert_eq!(response.status, 400, "{name}");
+        let error = body_json(&response).get("error").cloned().expect("structured error");
+        assert_eq!(error.get("code").and_then(|c| c.as_str()), Some("invalid_graph"), "{name}");
+        assert!(state.graphs().is_empty(), "{name} upload registered a graph");
+    }
+}
+
+#[test]
 fn peaks_returns_the_clique_and_stats_reflects_traffic() {
     let state = state_with_graph();
     let peaks = routes::handle(&state, &get("/graphs/g/peaks?count=2"));

@@ -18,31 +18,26 @@
 //! chunk boundaries make the per-chunk chains independent:
 //! [`chunked_checksum`] advances four chunk digests through one core's
 //! pipeline simultaneously (the multiplies overlap in the out-of-order
-//! window) and spreads chunk groups across threads for large inputs, so
-//! open-time verification runs at memory bandwidth instead of gating the
-//! zero-copy design. The writer ([`ChunkedFnv`]) stays strictly streaming —
-//! it never needs the file in memory, only one pending word and the current
-//! chunk's running hash.
+//! window), and large inputs spread those groups of four across the
+//! [`crate::par`] workers, so open-time verification runs at memory
+//! bandwidth instead of gating the zero-copy design. The writer
+//! ([`ChunkedFnv`]) stays strictly streaming — it never needs the file in
+//! memory, only one pending word and the current chunk's running hash.
 //!
 //! The result is deterministic: the chunk and word decomposition is a pure
 //! function of the stream length, and digests are always combined in chunk
 //! order, so every thread count (and the serial fallback) produces identical
 //! bytes.
 
+use crate::par::{self, map_reduce_chunks, Parallelism};
+
 /// Fixed chunk width of the two-level checksum (1 MiB — a multiple of the
 /// 8-byte word size, so chunk boundaries are always word boundaries). Part of
 /// the v3 format: changing it changes every stored checksum.
-pub(crate) const CHECKSUM_CHUNK: usize = 1 << 20;
+const CHECKSUM_CHUNK: usize = 1 << 20;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Inputs below this size are verified on the calling thread only — spawning
-/// threads costs more than the hash.
-const PARALLEL_THRESHOLD: usize = 8 << 20;
-
-/// Upper bound on verification threads; beyond this the walk is memory-bound.
-const MAX_THREADS: usize = 8;
 
 /// Plain byte-wise FNV-1a 64 over `bytes` — the integrity check of the
 /// `GTSC` scene stream and the server's key-derived ETags. Deliberately
@@ -164,7 +159,7 @@ impl ChunkedFnv {
 }
 
 /// Word fold over the per-chunk digests — the second level of the checksum.
-pub(crate) fn combine(digests: &[u64]) -> u64 {
+fn combine(digests: &[u64]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &digest in digests {
         hash = fold(hash, digest);
@@ -195,9 +190,8 @@ fn digest_x4(a: &[u8], b: &[u8], c: &[u8], d: &[u8]) -> [u64; 4] {
 }
 
 /// Digest the chunks `first_chunk..first_chunk + out.len()` of `body` into
-/// `out`, four at a time where the chunks are full-width. Also the building
-/// block of the fused verify-and-validate sweep in the v3 open path.
-pub(crate) fn digest_range(body: &[u8], first_chunk: usize, out: &mut [u64]) {
+/// `out`, four at a time where the chunks are full-width.
+fn digest_range(body: &[u8], first_chunk: usize, out: &mut [u64]) {
     let mut i = 0;
     while i < out.len() {
         if i + 4 <= out.len() {
@@ -221,40 +215,29 @@ pub(crate) fn digest_range(body: &[u8], first_chunk: usize, out: &mut [u64]) {
     }
 }
 
-/// Number of verification threads for an input of `len` bytes.
-fn verify_threads(len: usize) -> usize {
-    if len < PARALLEL_THRESHOLD {
-        return 1;
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(MAX_THREADS)
-}
-
 /// Compute the two-level checksum of `body` — the verification-side
-/// counterpart of [`ChunkedFnv`], interleaved in the pipeline and parallel
-/// over chunk groups for large inputs. Identical output for every thread
-/// count.
+/// counterpart of [`ChunkedFnv`]. The [`crate::par`] engine digests groups
+/// of four chunks (each group one [`digest_x4`] interleave) at
+/// [`Parallelism::auto`] above the serial size gate; the digests combine in
+/// chunk order, so every thread count gives the same checksum.
 pub(crate) fn chunked_checksum(body: &[u8]) -> u64 {
     let chunk_count = body.len().div_ceil(CHECKSUM_CHUNK);
-    let mut digests = vec![0u64; chunk_count];
-    let threads = verify_threads(body.len());
-    if threads <= 1 {
-        digest_range(body, 0, &mut digests);
-    } else {
-        let per_thread = chunk_count.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u64] = &mut digests;
-            let mut first_chunk = 0usize;
-            while !rest.is_empty() {
-                let take = per_thread.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                let start = first_chunk;
-                scope.spawn(move || digest_range(body, start, head));
-                rest = tail;
-                first_chunk += take;
-            }
-        });
-    }
-    combine(&digests)
+    let parallelism = par::for_scan(body.len(), Parallelism::auto);
+    let digests = map_reduce_chunks(
+        parallelism,
+        chunk_count.div_ceil(4),
+        |groups| {
+            let first_chunk = 4 * groups.start;
+            let mut digests = vec![0u64; (4 * groups.end).min(chunk_count) - first_chunk];
+            digest_range(body, first_chunk, &mut digests);
+            digests
+        },
+        |mut all, more| {
+            all.extend(more);
+            all
+        },
+    );
+    combine(&digests.unwrap_or_default())
 }
 
 #[cfg(test)]

@@ -120,20 +120,6 @@ impl MappedBytes {
         Self::read_file(&mut file, len)
     }
 
-    /// Read `path` into the aligned heap buffer, never mapping. Used on
-    /// non-Unix platforms and by callers that want a private RAM copy.
-    pub fn read_file_to_heap(path: &Path) -> std::io::Result<MappedBytes> {
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
-        if len > usize::MAX as u64 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "file too large for this address space",
-            ));
-        }
-        Self::read_file(&mut file, len as usize)
-    }
-
     /// Copy an in-memory buffer into the aligned heap representation —
     /// primarily for tests that build snapshots without touching disk.
     pub fn from_bytes(bytes: &[u8]) -> MappedBytes {
@@ -226,13 +212,20 @@ mod tests {
         p
     }
 
+    /// The heap fallback `map_file` takes when it cannot map.
+    fn read_to_heap(path: &Path) -> MappedBytes {
+        let mut file = File::open(path).unwrap();
+        let len = file.metadata().unwrap().len() as usize;
+        MappedBytes::read_file(&mut file, len).unwrap()
+    }
+
     #[test]
     fn mapped_and_heap_reads_agree() {
         let path = temp_path("agree");
         let payload: Vec<u8> = (0..=255u8).cycle().take(12_345).collect();
         std::fs::write(&path, &payload).unwrap();
         let mapped = MappedBytes::map_file(&path).unwrap();
-        let heap = MappedBytes::read_file_to_heap(&path).unwrap();
+        let heap = read_to_heap(&path);
         assert_eq!(&*mapped, &payload[..]);
         assert_eq!(&*heap, &payload[..]);
         assert!(!heap.is_memory_mapped());
@@ -245,9 +238,7 @@ mod tests {
     fn buffers_are_eight_byte_aligned() {
         let path = temp_path("aligned");
         std::fs::write(&path, [7u8; 31]).unwrap();
-        for buf in
-            [MappedBytes::map_file(&path).unwrap(), MappedBytes::read_file_to_heap(&path).unwrap()]
-        {
+        for buf in [MappedBytes::map_file(&path).unwrap(), read_to_heap(&path)] {
             assert_eq!(buf.as_ptr() as usize % 8, 0);
             assert_eq!(buf.len(), 31);
         }

@@ -47,14 +47,18 @@
 //! to owned arrays instead — same trait, same results, only residency
 //! differs.
 //!
-//! [`MappedCsrGraph::open`] verifies the trailing checksum and every
-//! structural property the accessors rely on (section framing, counts,
-//! monotone offsets, in-bounds targets/edge ids, sorted neighbor blocks,
-//! canonical endpoints, finite weights), so no later access can panic — let
-//! alone hit undefined behavior — on a corrupt file. The one check deferred
-//! to [`crate::GraphStorage::check_invariants`] is the random-access
-//! cross-link between half-edges and endpoint pairs; the owned decoder
-//! ([`decode_binary_v3`]) runs that too.
+//! Both openers check a snapshot in the same order before any accessor can
+//! see it: the framing (magic, version, section headers, the counts in the
+//! header section), then the trailing checksum, then the linear CSR checks
+//! every storage shares (monotone offsets, sorted in-bounds neighbor blocks,
+//! in-bounds edge ids, canonical in-bounds endpoints; see
+//! [`crate::GraphStorage::check_invariants`]), then finite weights. So no
+//! later access can panic — let alone hit undefined behavior — on a corrupt
+//! file. [`MappedCsrGraph::open`] runs the linear checks over the mapped
+//! arrays in place and defers the random-access cross-link between
+//! half-edges and endpoint pairs to
+//! [`crate::GraphStorage::check_invariants`]; the owned decoder
+//! ([`decode_binary_v3`]) copies the arrays and runs that whole check.
 
 use super::checksum::{chunked_checksum, ChunkedFnv};
 use super::mmap::MappedBytes;
@@ -62,7 +66,8 @@ use super::ParsedEdgeList;
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
 use crate::ids::{EdgeId, VertexId};
-use crate::storage::GraphStorage;
+use crate::par::{self, map_reduce_chunks, Parallelism};
+use crate::storage::{check_linear_invariants, GraphStorage};
 use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
@@ -129,14 +134,18 @@ fn validate_weights<G: GraphStorage + ?Sized>(graph: &G, weights: &[f64]) -> Res
             actual: weights.len(),
         });
     }
-    if let Some(index) = weights.iter().position(|w| !w.is_finite()) {
-        return Err(GraphError::NonFiniteScalar {
-            what: "edge weights",
-            index,
-            value: weights[index],
-        });
-    }
-    Ok(())
+    let parallelism = par::for_scan(std::mem::size_of_val(weights), Parallelism::auto);
+    let check = |range: Range<usize>| match weights[range.clone()]
+        .iter()
+        .position(|w| !w.is_finite())
+    {
+        Some(i) => {
+            let index = range.start + i;
+            Err(GraphError::NonFiniteScalar { what: "edge weights", index, value: weights[index] })
+        }
+        None => Ok(()),
+    };
+    map_reduce_chunks(parallelism, weights.len(), check, Result::and).unwrap_or(Ok(()))
 }
 
 fn write_section<W: Write>(
@@ -278,7 +287,8 @@ pub fn restamp_v3_checksum(bytes: &mut [u8]) {
 // Layout parsing and validation
 // ---------------------------------------------------------------------------
 
-/// Byte ranges of the six sections inside a validated v3 snapshot.
+/// Byte ranges of the six sections inside a framed and checksummed v3
+/// snapshot.
 #[derive(Clone, Debug)]
 struct V3Layout {
     vertex_count: usize,
@@ -288,20 +298,6 @@ struct V3Layout {
     edge_ids: Range<usize>,
     endpoints: Range<usize>,
     weights: Option<Range<usize>>,
-}
-
-/// Parse and fully validate a v3 snapshot: magic, version, trailing checksum,
-/// section framing, declared counts, and every structural array property
-/// (monotone offsets, in-bounds sorted targets, in-bounds edge ids, canonical
-/// endpoints, finite weights). After `Ok`, every accessor over the returned
-/// ranges is panic-free.
-fn parse_v3(bytes: &[u8]) -> Result<V3Layout> {
-    let (body, _) = split_checksum(bytes)?;
-    check_magic_version(bytes)?;
-    verify_checksum(bytes, chunked_checksum(body))?;
-    let layout = parse_v3_layout(bytes)?;
-    validate_arrays(bytes, &layout)?;
-    Ok(layout)
 }
 
 /// Reject snapshots whose magic or version stamp is not v3's.
@@ -331,23 +327,12 @@ fn split_checksum(bytes: &[u8]) -> Result<(&[u8], u64)> {
     Ok((body, u64::from_le_bytes(checksum_bytes.try_into().expect("8 bytes"))))
 }
 
-/// Compare a computed body checksum against the stored trailer.
-fn verify_checksum(bytes: &[u8], computed: u64) -> Result<()> {
-    let (_, stored) = split_checksum(bytes)?;
-    if stored != computed {
-        return Err(corrupt(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x} — snapshot corrupt"
-        )));
-    }
-    Ok(())
-}
-
-/// Framing half of [`parse_v3`]: magic, version, section framing and declared
-/// counts — everything *except* the checksum and the structural array
-/// validation, which the zero-copy open path fuses into a single sweep
-/// ([`verify_open`]) instead.
+/// The first half of both openers: magic, version, section framing and
+/// declared counts, then the trailing checksum over the body. After `Ok`,
+/// every section range is in bounds and sized to the header counts; the
+/// array contents are still unchecked.
 fn parse_v3_layout(bytes: &[u8]) -> Result<V3Layout> {
-    let (body, _) = split_checksum(bytes)?;
+    let (body, stored) = split_checksum(bytes)?;
     check_magic_version(bytes)?;
 
     let mut counts: Option<(usize, usize)> = None;
@@ -437,11 +422,17 @@ fn parse_v3_layout(bytes: &[u8]) -> Result<V3Layout> {
             None => None,
         },
     };
+    let computed = chunked_checksum(body);
+    if stored != computed {
+        return Err(corrupt(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x} — snapshot corrupt"
+        )));
+    }
     Ok(layout)
 }
 
-/// Little-endian readers over a section's raw bytes — used by validation and
-/// by the portable (copying) decode path, so they work on any endianness.
+/// Little-endian readers over a section's raw bytes — the portable (copying)
+/// decode path, so they work on any endianness.
 fn read_u64(bytes: &[u8], range: &Range<usize>, i: usize) -> u64 {
     let at = range.start + i * 8;
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
@@ -452,134 +443,12 @@ fn read_u32(bytes: &[u8], range: &Range<usize>, i: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
-/// Split `0..count` into contiguous per-thread ranges and run `check` over
-/// each concurrently, reporting the error of the earliest range that failed.
-/// Each range is scanned front to back, so the reported error is exactly the
-/// one a serial front-to-back scan would hit first — validation stays
-/// deterministic at every thread count.
-fn check_chunks<F>(count: usize, check: F) -> Result<()>
-where
-    F: Fn(Range<usize>) -> Result<()> + Sync,
-{
-    // Below this many items per worker the spawn overhead outweighs the scan.
-    const MIN_PER_THREAD: usize = 1 << 17;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-        .min(count / MIN_PER_THREAD);
-    if threads <= 1 {
-        return check(0..count);
-    }
-    let per = count.div_ceil(threads);
-    let check = &check;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                let range = t * per..((t + 1) * per).min(count);
-                scope.spawn(move || check(range))
-            })
-            .collect();
-        // Joining in spawn order makes the earliest failing range win.
-        workers.into_iter().try_for_each(|w| w.join().expect("validation worker panicked"))
-    })
-}
-
-fn validate_arrays(bytes: &[u8], layout: &V3Layout) -> Result<()> {
-    let broken =
-        |what: &'static str, message: String| Err(GraphError::BrokenInvariant { what, message });
-    let half_edges = layout.edge_count * 2;
-    // Offsets are validated up front and serially: every later walk trusts
-    // them as block boundaries, and at 8 bytes per vertex the scan is cheap.
-    if read_u64(bytes, &layout.offsets, 0) != 0 {
-        return broken("offsets", "offsets must start at 0".into());
-    }
-    let mut prev = 0u64;
-    for v in 1..=layout.vertex_count {
-        let next = read_u64(bytes, &layout.offsets, v);
-        if next < prev {
-            return broken("offsets", format!("offsets decrease at vertex {}", v - 1));
-        }
-        prev = next;
-    }
-    if prev != half_edges as u64 {
-        return broken(
-            "offsets",
-            format!("offsets end at {prev} but the graph has {half_edges} half-edges"),
-        );
-    }
-    // Walk targets per adjacency block: bounds plus strict neighbor order.
-    // Chunked over vertices so each worker sees only whole blocks.
-    check_chunks(layout.vertex_count, |vertices| {
-        for v in vertices {
-            let start = read_u64(bytes, &layout.offsets, v) as usize;
-            let end = read_u64(bytes, &layout.offsets, v + 1) as usize;
-            let mut prev_target = u32::MAX;
-            for i in start..end {
-                let t = read_u32(bytes, &layout.targets, i);
-                if t as usize >= layout.vertex_count {
-                    return broken(
-                        "adjacency",
-                        format!("target v{t} at half-edge {i} out of bounds"),
-                    );
-                }
-                if prev_target != u32::MAX && t <= prev_target {
-                    return broken(
-                        "neighbor order",
-                        format!("neighbors of v{v} are not strictly sorted at half-edge {i}"),
-                    );
-                }
-                prev_target = t;
-            }
-        }
-        Ok(())
-    })?;
-    check_chunks(half_edges, |range| {
-        for i in range {
-            let e = read_u32(bytes, &layout.edge_ids, i);
-            if e as usize >= layout.edge_count {
-                return broken("edge ids", format!("e{e} at half-edge {i} out of bounds"));
-            }
-        }
-        Ok(())
-    })?;
-    check_chunks(layout.edge_count, |range| {
-        for i in range {
-            let u = read_u32(bytes, &layout.endpoints, 2 * i);
-            let w = read_u32(bytes, &layout.endpoints, 2 * i + 1);
-            if u >= w {
-                return broken("endpoints", format!("edge {i} is not canonical: (v{u}, v{w})"));
-            }
-            if w as usize >= layout.vertex_count {
-                return broken("endpoints", format!("edge {i} endpoint v{w} out of bounds"));
-            }
-        }
-        Ok(())
-    })?;
-    if let Some(weights) = &layout.weights {
-        check_chunks(layout.edge_count, |range| {
-            for i in range {
-                let w = f64::from_bits(read_u64(bytes, weights, i));
-                if !w.is_finite() {
-                    return Err(GraphError::NonFiniteScalar {
-                        what: "edge weights",
-                        index: i,
-                        value: w,
-                    });
-                }
-            }
-            Ok(())
-        })?;
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Owned (copying) decode — the portable path, also used by GraphSource
 // ---------------------------------------------------------------------------
 
 fn decode_owned(bytes: &[u8]) -> Result<(CsrGraph, Option<Vec<f64>>)> {
-    let layout = parse_v3(bytes)?;
+    let layout = parse_v3_layout(bytes)?;
     let half_edges = layout.edge_count * 2;
     let offsets =
         (0..=layout.vertex_count).map(|v| read_u64(bytes, &layout.offsets, v) as usize).collect();
@@ -594,12 +463,14 @@ fn decode_owned(bytes: &[u8]) -> Result<(CsrGraph, Option<Vec<f64>>)> {
         })
         .collect();
     let graph = CsrGraph::from_raw_parts(offsets, targets, edge_ids, endpoints);
-    // `parse_v3` validated everything linear; the owned decoder also runs the
-    // full cross-linking check.
+    // The linear checks and the cross-link pass, on the copied arrays.
     graph.check_invariants()?;
-    let weights = layout.weights.map(|range| {
+    let weights: Option<Vec<f64>> = layout.weights.map(|range| {
         (0..layout.edge_count).map(|i| f64::from_bits(read_u64(bytes, &range, i))).collect()
     });
+    if let Some(weights) = &weights {
+        validate_weights(&graph, weights)?;
+    }
     Ok((graph, weights))
 }
 
@@ -615,7 +486,7 @@ pub fn decode_binary_v3(bytes: &[u8]) -> Result<ParsedEdgeList> {
 // MappedCsrGraph
 // ---------------------------------------------------------------------------
 
-/// Zero-copy reinterpretation of validated section bytes. Only compiled where
+/// Zero-copy reinterpretation of framed section bytes. Only compiled where
 /// the in-memory representation matches the file format (little-endian,
 /// 64-bit); [`ZERO_COPY_SUPPORTED`] gates every caller.
 #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
@@ -627,7 +498,7 @@ mod reinterpret {
         debug_assert_eq!(bytes.as_ptr() as usize % elem, 0, "section payload misaligned");
     }
 
-    /// SAFETY (all four): the caller hands in a validated section payload —
+    /// SAFETY (all five): the caller hands in a framed section payload —
     /// length checked against the header counts and start 8-byte aligned (the
     /// format places payloads on 8-byte file offsets inside an 8-byte-aligned
     /// buffer). Every target type is `#[repr(transparent)]` over `u32`, a
@@ -659,182 +530,9 @@ mod reinterpret {
     }
 }
 
-/// Carry state of the fused verify-and-validate sweep ([`verify_open`]):
-/// per-array reductions that can consume a section in contiguous,
-/// file-order portions, so structural validation runs on bytes the checksum
-/// pass just pulled into cache.
-#[cfg(all(target_endian = "little", target_pointer_width = "64"))]
-struct SweepState {
-    offsets_monotone: bool,
-    offsets_prev: usize,
-    target_max: u32,
-    /// Non-increasing adjacent target pairs seen so far. Strict per-block
-    /// sortedness is settled at the end by subtracting the violations that
-    /// sit exactly on block boundaries (where order legitimately resets).
-    target_violations: usize,
-    target_prev: u32,
-    target_seen: bool,
-    edge_id_max: u32,
-    endpoints_ok: bool,
-    weights_finite: bool,
-}
-
-#[cfg(all(target_endian = "little", target_pointer_width = "64"))]
-impl SweepState {
-    fn new() -> SweepState {
-        SweepState {
-            offsets_monotone: true,
-            offsets_prev: 0,
-            target_max: 0,
-            target_violations: 0,
-            target_prev: 0,
-            target_seen: false,
-            edge_id_max: 0,
-            endpoints_ok: true,
-            weights_finite: true,
-        }
-    }
-
-    /// Fold the portions of every section that intersect `window` into the
-    /// reductions. Windows arrive in ascending file order, so each array's
-    /// portions arrive in element order and the cross-portion carries
-    /// (`offsets_prev`, `target_prev`) stay exact.
-    fn consume(&mut self, bytes: &[u8], layout: &V3Layout, window: &Range<usize>) {
-        // Both section payloads and window edges sit on 8-byte file offsets,
-        // so every portion keeps the alignment reinterpretation needs and
-        // never splits an element.
-        let portion =
-            |section: &Range<usize>| section.start.max(window.start)..section.end.min(window.end);
-        let offsets = portion(&layout.offsets);
-        if !offsets.is_empty() {
-            let part = reinterpret::usizes(&bytes[offsets]);
-            self.offsets_monotone &= part[0] >= self.offsets_prev;
-            for pair in part.windows(2) {
-                self.offsets_monotone &= pair[1] >= pair[0];
-            }
-            self.offsets_prev = part[part.len() - 1];
-        }
-        let targets = portion(&layout.targets);
-        if !targets.is_empty() {
-            let part = reinterpret::vertex_ids(&bytes[targets]);
-            if self.target_seen {
-                self.target_violations += (part[0].0 <= self.target_prev) as usize;
-            }
-            let mut max = self.target_max.max(part[0].0);
-            let mut violations = 0usize;
-            for i in 1..part.len() {
-                let t = part[i].0;
-                max = max.max(t);
-                violations += (t <= part[i - 1].0) as usize;
-            }
-            self.target_max = max;
-            self.target_violations += violations;
-            self.target_prev = part[part.len() - 1].0;
-            self.target_seen = true;
-        }
-        let edge_ids = portion(&layout.edge_ids);
-        if !edge_ids.is_empty() {
-            let part = reinterpret::edge_ids(&bytes[edge_ids]);
-            let mut max = self.edge_id_max;
-            for e in part {
-                max = max.max(e.0);
-            }
-            self.edge_id_max = max;
-        }
-        let endpoints = portion(&layout.endpoints);
-        if !endpoints.is_empty() {
-            let part = reinterpret::pairs(&bytes[endpoints]);
-            let mut ok = true;
-            for &[u, v] in part {
-                ok &= u < v;
-                ok &= (v as usize) < layout.vertex_count;
-            }
-            self.endpoints_ok &= ok;
-        }
-        if let Some(weights) = &layout.weights {
-            let weights = portion(weights);
-            if !weights.is_empty() {
-                let part = reinterpret::floats(&bytes[weights]);
-                let mut finite = true;
-                for w in part {
-                    finite &= w.is_finite();
-                }
-                self.weights_finite &= finite;
-            }
-        }
-    }
-
-    /// Settle the reductions into a verdict. `true` means every structural
-    /// property [`validate_arrays`] checks holds.
-    fn valid(&self, bytes: &[u8], layout: &V3Layout) -> bool {
-        let half_edges = layout.edge_count * 2;
-        let offsets = reinterpret::usizes(&bytes[layout.offsets.clone()]);
-        let targets = reinterpret::vertex_ids(&bytes[layout.targets.clone()]);
-        if offsets[0] != 0 || offsets[layout.vertex_count] != half_edges || !self.offsets_monotone {
-            return false;
-        }
-        if half_edges > 0
-            && (self.target_max as usize >= layout.vertex_count
-                || self.edge_id_max as usize >= layout.edge_count)
-        {
-            return false;
-        }
-        if !self.endpoints_ok || !self.weights_finite {
-            return false;
-        }
-        // Strict sortedness inside every adjacency block: every counted
-        // violation must sit on a distinct block boundary. (Offsets are
-        // already known monotone and capped by `half_edges` here, so the
-        // `targets` indexing below cannot go out of bounds.)
-        let mut boundary_violations = 0usize;
-        let mut prev_boundary = 0usize;
-        for &boundary in offsets.get(1..layout.vertex_count).unwrap_or(&[]) {
-            if boundary != prev_boundary && boundary < half_edges {
-                boundary_violations += (targets[boundary] <= targets[boundary - 1]) as usize;
-            }
-            prev_boundary = boundary;
-        }
-        self.target_violations == boundary_violations
-    }
-}
-
-/// The zero-copy open path's single pass over the snapshot: digest a group of
-/// checksum chunks, then immediately fold the section portions inside that
-/// window into the structural reductions while the bytes are cache-hot —
-/// instead of streaming the whole file once for the checksum and again for
-/// validation. Reports a checksum mismatch first (matching [`parse_v3`]);
-/// on a structural violation it re-runs the serial [`validate_arrays`], which
-/// pinpoints the failure with the same deterministic error a serial-only
-/// open would report.
-#[cfg(all(target_endian = "little", target_pointer_width = "64"))]
-fn verify_open(bytes: &[u8], layout: &V3Layout) -> Result<()> {
-    use super::checksum::{combine, digest_range, CHECKSUM_CHUNK};
-    // Digest x4-interleave width: 4 MiB of cache locality per window.
-    const GROUP: usize = 4;
-    let (body, _) = split_checksum(bytes)?;
-    let chunk_count = body.len().div_ceil(CHECKSUM_CHUNK);
-    let mut digests = vec![0u64; chunk_count];
-    let mut state = SweepState::new();
-    let mut chunk = 0usize;
-    while chunk < chunk_count {
-        let take = GROUP.min(chunk_count - chunk);
-        digest_range(body, chunk, &mut digests[chunk..chunk + take]);
-        let window = chunk * CHECKSUM_CHUNK..((chunk + take) * CHECKSUM_CHUNK).min(body.len());
-        state.consume(bytes, layout, &window);
-        chunk += take;
-    }
-    verify_checksum(bytes, combine(&digests))?;
-    if state.valid(bytes, layout) {
-        return Ok(());
-    }
-    // Serial rescan pinpoints the violation deterministically.
-    validate_arrays(bytes, layout)?;
-    Err(corrupt("snapshot failed structural validation"))
-}
-
 enum Repr {
     /// The CSR arrays live in the snapshot bytes; accessors reinterpret the
-    /// validated section ranges in place.
+    /// checked section ranges in place.
     #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
     ZeroCopy { bytes: MappedBytes, layout: V3Layout },
     /// Owned arrays decoded from the snapshot — the portable fallback (and
@@ -847,9 +545,9 @@ enum Repr {
 /// On little-endian 64-bit targets the four CSR arrays are served straight
 /// out of the (memory-mapped or heap-loaded) file bytes; elsewhere the
 /// snapshot is decoded into owned arrays behind the same type. Either way the
-/// storage is fully validated at open time and behaves identically to the
-/// [`CsrGraph`] it was saved from — the determinism ledger holds bit-for-bit
-/// across backends.
+/// open checks everything its accessors rely on (see the module docs) and
+/// the storage behaves identically to the [`CsrGraph`] it was saved from —
+/// the determinism ledger holds bit-for-bit across backends.
 ///
 /// ```no_run
 /// use ugraph::{GraphStorage, MappedCsrGraph};
@@ -865,26 +563,10 @@ pub struct MappedCsrGraph {
 
 impl MappedCsrGraph {
     /// Open a v3 snapshot by memory-mapping it read-only (falling back to an
-    /// aligned heap read if mapping is unavailable). Validates the checksum
-    /// and all structural invariants before returning.
+    /// aligned heap read if mapping is unavailable). Validates the framing,
+    /// the checksum and the linear CSR invariants before returning.
     pub fn open(path: impl AsRef<Path>) -> Result<MappedCsrGraph> {
         Self::from_mapped_bytes(MappedBytes::map_file(path.as_ref())?)
-    }
-
-    /// Open a v3 snapshot through the read-to-heap fallback, never mapping.
-    /// Behaviorally identical to [`MappedCsrGraph::open`]; the bytes are a
-    /// private RAM copy instead of a kernel mapping.
-    pub fn open_heap(path: impl AsRef<Path>) -> Result<MappedCsrGraph> {
-        Self::from_mapped_bytes(MappedBytes::read_file_to_heap(path.as_ref())?)
-    }
-
-    /// Open a v3 snapshot by decoding it into owned arrays — the portable
-    /// path every platform supports (and the automatic representation where
-    /// zero-copy reinterpretation is not).
-    pub fn open_eager(path: impl AsRef<Path>) -> Result<MappedCsrGraph> {
-        let bytes = std::fs::read(path.as_ref())?;
-        let (graph, weights) = decode_owned(&bytes)?;
-        Ok(MappedCsrGraph { repr: Repr::Owned { graph, weights }, memory_mapped: false })
     }
 
     /// Validate an in-memory snapshot and wrap it as a storage — used by
@@ -899,11 +581,13 @@ impl MappedCsrGraph {
             #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
             {
                 let layout = parse_v3_layout(&bytes)?;
-                verify_open(&bytes, &layout)?;
-                return Ok(MappedCsrGraph {
-                    repr: Repr::ZeroCopy { bytes, layout },
-                    memory_mapped,
-                });
+                let graph =
+                    MappedCsrGraph { repr: Repr::ZeroCopy { bytes, layout }, memory_mapped };
+                check_linear_invariants(&graph, Parallelism::auto)?;
+                if let Some(weights) = graph.edge_weights() {
+                    validate_weights(&graph, weights)?;
+                }
+                return Ok(graph);
             }
         }
         let (graph, weights) = decode_owned(&bytes)?;
@@ -1060,11 +744,13 @@ mod tests {
         let g = rmat(8, 600, 7);
         let path = temp_path("agree");
         write_binary_v3_file(&g, None, &path).unwrap();
-        for mapped in [
-            MappedCsrGraph::open(&path).unwrap(),
-            MappedCsrGraph::open_heap(&path).unwrap(),
-            MappedCsrGraph::open_eager(&path).unwrap(),
-        ] {
+        let bytes = std::fs::read(&path).unwrap();
+        let opened: [Box<dyn GraphStorage>; 3] = [
+            Box::new(MappedCsrGraph::open(&path).unwrap()),
+            Box::new(MappedCsrGraph::from_bytes(&bytes).unwrap()),
+            Box::new(decode_binary_v3(&bytes).unwrap().graph),
+        ];
+        for mapped in opened {
             assert_eq!(mapped.vertex_count(), g.vertex_count());
             assert_eq!(mapped.edge_count(), g.edge_count());
             assert_eq!(mapped.offsets(), g.offsets());

@@ -280,6 +280,23 @@ impl std::fmt::Display for Parallelism {
 /// declare a wider decomposition with [`Parallelism::with_width`].
 pub const DEFAULT_WIDTH: usize = 32;
 
+/// Inputs smaller than this many bytes are scanned on the calling thread:
+/// below it, starting workers costs more than the scan. The one size gate of
+/// the snapshot checksum and the CSR validator.
+pub(crate) const SERIAL_BELOW_BYTES: usize = 8 << 20;
+
+/// The parallelism of a scan over `bytes` bytes: [`Parallelism::Serial`]
+/// below [`SERIAL_BELOW_BYTES`], else `parallelism()`. Small scans never ask
+/// for it, so they never pay for [`Parallelism::auto`]'s queries of the
+/// machine.
+pub(crate) fn for_scan(bytes: usize, parallelism: impl FnOnce() -> Parallelism) -> Parallelism {
+    if bytes < SERIAL_BELOW_BYTES {
+        Parallelism::Serial
+    } else {
+        parallelism()
+    }
+}
+
 /// The deterministic chunk size for an input of `len` items under a
 /// chunk-count target of `width`: the smallest size that covers `len` with at
 /// most `width.max(1)` chunks.

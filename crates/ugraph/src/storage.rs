@@ -16,6 +16,8 @@
 use crate::csr::{CsrGraph, EdgeRef, NeighborIter};
 use crate::error::{GraphError, Result};
 use crate::ids::{EdgeId, VertexId};
+use crate::par::{self, map_reduce_chunks, Parallelism};
+use std::ops::Range;
 
 /// Read-only access to a simple undirected graph in canonical CSR form.
 ///
@@ -177,66 +179,23 @@ pub trait GraphStorage: Sync {
     /// Checked invariants:
     /// 1. `offsets` starts at 0, is non-decreasing, ends at `2|E|`, and
     ///    `targets`/`edge_ids` have exactly that length.
-    /// 2. Every endpoint pair is canonical (`u < v`) and in bounds.
-    /// 3. Each neighbor list is strictly sorted (sorted + no duplicates, which
-    ///    also rules out self loops since a loop would duplicate `v` itself).
+    /// 2. Each neighbor list is strictly sorted (sorted + no duplicates, which
+    ///    also rules out self loops since a loop would duplicate `v` itself)
+    ///    and holds only in-bounds targets; every edge id is in bounds.
+    /// 3. Every endpoint pair is canonical (`u < v`) and in bounds.
     /// 4. Every half-edge's edge id points back at an endpoint pair containing
     ///    both the owning vertex and the stored target, and each edge id
     ///    appears exactly twice.
+    ///
+    /// 1–3 are the linear checks every v3 snapshot open runs too; 4 is the
+    /// random-access cross-link pass that only this method runs.
     fn check_invariants(&self) -> Result<()> {
-        let broken = |what: &'static str, message: String| {
-            Err(GraphError::BrokenInvariant { what, message })
-        };
-        let offsets = self.offsets();
-        if offsets.is_empty() {
-            return broken("offsets", "offsets array is empty".into());
-        }
-        let n = self.vertex_count();
-        let half_edges = 2 * self.edge_count();
-        if offsets.first() != Some(&0) {
-            return broken("offsets", "offsets must start at 0".into());
-        }
-        if let Some(w) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return broken("offsets", format!("offsets decrease at vertex {w}"));
-        }
-        if offsets[n] != half_edges {
-            return broken(
-                "offsets",
-                format!("offsets end at {} but the graph has {half_edges} half-edges", offsets[n]),
-            );
-        }
-        if self.targets().len() != half_edges || self.edge_ids().len() != half_edges {
-            return broken(
-                "adjacency",
-                format!(
-                    "targets/edge_ids have lengths {}/{}, expected {half_edges}",
-                    self.targets().len(),
-                    self.edge_ids().len()
-                ),
-            );
-        }
-        for (i, &[u, v]) in self.endpoint_pairs().iter().enumerate() {
-            if u >= v {
-                return broken("endpoints", format!("edge {i} is not canonical: (v{u}, v{v})"));
-            }
-            if (v as usize) >= n {
-                return broken("endpoints", format!("edge {i} endpoint v{v} out of bounds"));
-            }
-        }
+        check_linear_invariants(self, Parallelism::auto)?;
+        let endpoints = self.endpoint_pairs();
         let mut seen = vec![0u8; self.edge_count()];
         for v in self.vertices() {
-            let nbrs = self.neighbor_slice(v);
-            if let Some(w) = nbrs.windows(2).position(|w| w[0] >= w[1]) {
-                return broken(
-                    "neighbor order",
-                    format!("neighbors of {v:?} are not strictly sorted at position {w}"),
-                );
-            }
             for (t, e) in self.neighbors(v) {
-                if e.index() >= self.edge_count() {
-                    return broken("edge ids", format!("{v:?} references {e:?} out of bounds"));
-                }
-                let [a, b] = self.endpoint_pairs()[e.index()];
+                let [a, b] = endpoints[e.index()];
                 if (a, b) != (v.0.min(t.0), v.0.max(t.0)) {
                     return broken(
                         "edge ids",
@@ -256,6 +215,137 @@ pub trait GraphStorage: Sync {
         }
         Ok(())
     }
+}
+
+fn broken(what: &'static str, message: String) -> Result<()> {
+    Err(GraphError::BrokenInvariant { what, message })
+}
+
+/// The linear CSR checks, invariants 1–3 of
+/// [`GraphStorage::check_invariants`]: each array is scanned front to back,
+/// and no check follows an id into another array. After `Ok`, every
+/// accessor of `graph` is panic-free; only the cross-link between
+/// half-edges and endpoint pairs is left unchecked. The v3 snapshot open
+/// runs this alone over the arrays it maps.
+///
+/// Each scan is chunked through [`par::map_reduce_chunks`]: a chunk scans
+/// its range front to back and the per-chunk results merge in chunk order
+/// with [`Result::and`], so the error reported is the one a serial scan hits
+/// first, at every thread count. Arrays smaller than
+/// [`par::SERIAL_BELOW_BYTES`] in total are scanned serially.
+pub(crate) fn check_linear_invariants<G: GraphStorage + ?Sized>(
+    graph: &G,
+    parallelism: impl FnOnce() -> Parallelism,
+) -> Result<()> {
+    let (offsets, targets, edge_ids, endpoints) =
+        (graph.offsets(), graph.targets(), graph.edge_ids(), graph.endpoint_pairs());
+    let Some(&last) = offsets.last() else {
+        return broken("offsets", "offsets array is empty".into());
+    };
+    let (n, m) = (offsets.len() - 1, endpoints.len());
+    let half_edges = 2 * m;
+    let bytes = std::mem::size_of_val(offsets)
+        + std::mem::size_of_val(targets)
+        + std::mem::size_of_val(edge_ids)
+        + std::mem::size_of_val(endpoints);
+    let parallelism = par::for_scan(bytes, parallelism);
+    let scan = |len, check: &(dyn Fn(Range<usize>) -> Result<()> + Sync)| {
+        map_reduce_chunks(parallelism, len, check, Result::and).unwrap_or(Ok(()))
+    };
+
+    // Each scan folds its chunk to a verdict in one loop with no early exit
+    // (so it vectorizes), and walks the chunk again for the first fault only
+    // when the verdict fails. Offsets go first: every later walk trusts them
+    // as block boundaries.
+    if offsets[0] != 0 {
+        return broken("offsets", "offsets must start at 0".into());
+    }
+    scan(n, &|vertices| {
+        let window = &offsets[vertices.start..=vertices.end];
+        if window.iter().zip(window.iter().skip(1)).fold(true, |ok, (a, b)| ok & (a <= b)) {
+            return Ok(());
+        }
+        let i = window.windows(2).position(|w| w[0] > w[1]).expect("the verdict failed");
+        broken("offsets", format!("offsets decrease at vertex {}", vertices.start + i))
+    })?;
+    if last != half_edges {
+        return broken(
+            "offsets",
+            format!("offsets end at {last} but the graph has {half_edges} half-edges"),
+        );
+    }
+    if targets.len() != half_edges || edge_ids.len() != half_edges {
+        return broken(
+            "adjacency",
+            format!(
+                "targets/edge_ids have lengths {}/{}, expected {half_edges}",
+                targets.len(),
+                edge_ids.len()
+            ),
+        );
+    }
+    // Targets and edge ids, chunked over vertices so each chunk sees whole
+    // blocks. The verdict counts descents (`t[i] <= t[i - 1]`) over the
+    // chunk's span: the blocks are strictly sorted iff every descent sits
+    // where a block starts, and sorted blocks are in bounds iff the span's
+    // largest target is.
+    scan(n, &|vertices| {
+        let (first, end) = (offsets[vertices.start], offsets[vertices.end]);
+        let span = &targets[first..end];
+        let (mut max, mut descents) = (span.first().map_or(0, |t| t.0), 0usize);
+        for (a, b) in span.iter().zip(span.iter().skip(1)) {
+            max = max.max(b.0);
+            descents += usize::from(b <= a);
+        }
+        let at_block_starts = offsets[vertices.start..vertices.end]
+            .windows(2)
+            .filter(|w| w[0] < w[1] && w[1] < end && targets[w[1]] <= targets[w[1] - 1])
+            .count();
+        let ids_in_bounds =
+            edge_ids[first..end].iter().map(|e| e.0).max().map_or(true, |max| (max as usize) < m);
+        if (max as usize) < n && descents == at_block_starts && ids_in_bounds {
+            return Ok(());
+        }
+        for v in vertices {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            for i in start..end {
+                let t = targets[i];
+                if t.index() >= n {
+                    return broken(
+                        "adjacency",
+                        format!("target {t:?} at half-edge {i} out of bounds"),
+                    );
+                }
+                if i > start && t <= targets[i - 1] {
+                    return broken(
+                        "neighbor order",
+                        format!("neighbors of v{v} are not strictly sorted at half-edge {i}"),
+                    );
+                }
+                if edge_ids[i].index() >= m {
+                    let e = edge_ids[i];
+                    return broken("edge ids", format!("{e:?} at half-edge {i} out of bounds"));
+                }
+            }
+        }
+        unreachable!("the verdict failed")
+    })?;
+    scan(m, &|range| {
+        let pairs = &endpoints[range.clone()];
+        if pairs.iter().fold(true, |ok, &[u, v]| ok & (u < v) & ((v as usize) < n)) {
+            return Ok(());
+        }
+        for i in range {
+            let [u, v] = endpoints[i];
+            if u >= v {
+                return broken("endpoints", format!("edge {i} is not canonical: (v{u}, v{v})"));
+            }
+            if v as usize >= n {
+                return broken("endpoints", format!("edge {i} endpoint v{v} out of bounds"));
+            }
+        }
+        unreachable!("the verdict failed")
+    })
 }
 
 /// Generic helpers that would make [`GraphStorage`] non-dyn-compatible if
@@ -400,6 +490,82 @@ mod tests {
         let g = triangle_plus_tail();
         let dynamic: &dyn GraphStorage = &g;
         assert_eq!(dynamic.to_csr_graph(), g);
+    }
+
+    #[test]
+    fn linear_checks_report_the_first_fault_at_every_thread_count() {
+        // A cycle whose four arrays hold 32 bytes per vertex: past the size
+        // under which the checks run serially, so `Threads(4)` runs chunks
+        // on separate workers.
+        let n = par::SERIAL_BELOW_BYTES / 32 + 1;
+        let mut b = GraphBuilder::new();
+        b.extend_edges((0..n as u32).map(|v| (v, (v + 1) % n as u32)));
+        let g = b.build();
+        let check = |g: &CsrGraph, p| match check_linear_invariants(g, || p) {
+            Err(GraphError::BrokenInvariant { what, message }) => (what, message),
+            other => panic!("expected a broken invariant, got {other:?}"),
+        };
+        assert!(check_linear_invariants(&g, || Parallelism::Threads(4)).is_ok());
+
+        // Two faults of each scan, one in the first chunk and one in the
+        // last: the earlier one is reported, whichever chunk finishes first.
+        let (early, late) = (3, n - 3);
+        let mut targets = g.targets().to_vec();
+        let (a, z) = (g.offsets()[early], g.offsets()[late]);
+        targets.swap(a, a + 1);
+        targets.swap(z, z + 1);
+        let order = CsrGraph::from_raw_parts(
+            g.offsets().to_vec(),
+            targets,
+            g.edge_ids().to_vec(),
+            g.endpoint_pairs().to_vec(),
+        );
+        let mut endpoints = g.endpoint_pairs().to_vec();
+        endpoints[early].reverse();
+        endpoints[late][1] = n as u32;
+        let ends = CsrGraph::from_raw_parts(
+            g.offsets().to_vec(),
+            g.targets().to_vec(),
+            g.edge_ids().to_vec(),
+            endpoints,
+        );
+        for (graph, what, at) in [
+            (&order, "neighbor order", format!("v{early} ")),
+            (&ends, "endpoints", format!("edge {early} ")),
+        ] {
+            let serial = check(graph, Parallelism::Serial);
+            assert_eq!(serial.0, what);
+            assert!(serial.1.contains(&at), "{}", serial.1);
+            assert_eq!(check(graph, Parallelism::Threads(4)), serial);
+        }
+    }
+
+    #[test]
+    fn target_verdict_agrees_with_a_block_by_block_scan() {
+        // The targets scan decides by counting descents; a plain walk over
+        // every block must agree on each single-target corruption.
+        let g = crate::generators::rmat(9, 3_000, 5);
+        let n = g.vertex_count();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..500 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let at = (state >> 33) as usize % g.targets().len();
+            let value = (state >> 13) as u32 % (n as u32 + 2);
+            let mut targets = g.targets().to_vec();
+            targets[at] = VertexId(value);
+            let expected = g.offsets().windows(2).all(|w| {
+                let block = &targets[w[0]..w[1]];
+                block.windows(2).all(|p| p[0] < p[1]) && block.iter().all(|t| t.index() < n)
+            });
+            let corrupt = CsrGraph::from_raw_parts(
+                g.offsets().to_vec(),
+                targets,
+                g.edge_ids().to_vec(),
+                g.endpoint_pairs().to_vec(),
+            );
+            let verdict = check_linear_invariants(&corrupt, || Parallelism::Serial);
+            assert_eq!(verdict.is_ok(), expected, "v{value} at half-edge {at}: {verdict:?}");
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 use graph_terrain::{Measure, SimplificationConfig, TerrainPipeline};
 use terrain::{builtin_exporters, Exporter, JsonScene, Obj, Ply, RenderScene, Svg, TreemapSvg};
 use ugraph::io::{
-    encode_binary_v3, fnv1a64, restamp_v3_checksum, GraphFormat, GraphSource, MappedCsrGraph,
+    decode_binary_v3, encode_binary_v3, fnv1a64, restamp_v3_checksum, GraphFormat, GraphSource,
+    MappedCsrGraph,
 };
-use ugraph::{CsrGraph, GraphBuilder};
+use ugraph::{CsrGraph, GraphBuilder, GraphError, GraphStorage};
 
 /// The quickstart graph: a K5 and a K4 bridged through two extra authors.
 fn quickstart_graph() -> CsrGraph {
@@ -334,4 +335,138 @@ fn doctored_v3_snapshots_fail_for_the_right_reason() {
     blob[56] = 0xff;
     restamp_v3_checksum(&mut blob);
     expect_v3_rejected(&blob, "offsets[0] != 0");
+}
+
+/// Byte range of the payload of the section tagged `tag` in a v3 snapshot,
+/// found by walking the section framing.
+fn v3_section(blob: &[u8], tag: u32) -> std::ops::Range<usize> {
+    let mut pos = 8;
+    loop {
+        let at = |i: usize| u64::from_le_bytes(blob[i..i + 8].try_into().unwrap()) as usize;
+        let len = at(pos + 8);
+        if blob[pos..pos + 4] == tag.to_le_bytes() {
+            return pos + 16..pos + 16 + len;
+        }
+        pos += 16 + len.next_multiple_of(8);
+    }
+}
+
+fn put_u32(blob: &mut [u8], section: &std::ops::Range<usize>, i: usize, value: u32) {
+    let at = section.start + 4 * i;
+    blob[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+fn put_u64(blob: &mut [u8], section: &std::ops::Range<usize>, i: usize, value: u64) {
+    let at = section.start + 8 * i;
+    blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+fn read_u32(blob: &[u8], section: &std::ops::Range<usize>, i: usize) -> u32 {
+    let at = section.start + 4 * i;
+    u32::from_le_bytes(blob[at..at + 4].try_into().unwrap())
+}
+
+/// The variant name and `what` of a structural rejection.
+fn rejection(err: &GraphError) -> (&'static str, &'static str) {
+    match err {
+        GraphError::BrokenInvariant { what, .. } => ("BrokenInvariant", what),
+        GraphError::NonFiniteScalar { what, .. } => ("NonFiniteScalar", what),
+        other => panic!("unexpected rejection {other:?}"),
+    }
+}
+
+#[test]
+fn each_structural_fault_is_rejected_alike_by_both_v3_openers() {
+    // One corruption per case, behind a re-stamped checksum, so only the
+    // structural checks stand between the bytes and the accessors. The
+    // expected variant and `what` are those the fused-sweep opener reported.
+    let graph = quickstart_graph();
+    let (n, m) = (graph.vertex_count() as u32, graph.edge_count() as u32);
+    let weights: Vec<f64> = (0..m).map(|i| 1.0 + f64::from(i)).collect();
+    let clean = encode_binary_v3(&graph, Some(&weights)).unwrap();
+    let offsets = v3_section(&clean, 2);
+    let targets = v3_section(&clean, 3);
+    let edge_ids = v3_section(&clean, 4);
+    let endpoints = v3_section(&clean, 5);
+    let weight_bytes = v3_section(&clean, 6);
+    // Vertex 0 of the quickstart graph has the block [1, 2, 3, 4].
+    assert_eq!(graph.offsets()[1], 4);
+    type Doctor<'a> = Box<dyn Fn(&mut Vec<u8>) + 'a>;
+    let cases: Vec<(&str, Doctor, (&str, &str))> = vec![
+        (
+            "offsets[0] != 0",
+            Box::new(|b| put_u64(b, &offsets, 0, 1)),
+            ("BrokenInvariant", "offsets"),
+        ),
+        (
+            "a decreasing offset",
+            Box::new(|b| put_u64(b, &offsets, 2, 0)),
+            ("BrokenInvariant", "offsets"),
+        ),
+        (
+            "offsets ending before 2m",
+            Box::new(|b| put_u64(b, &offsets, n as usize, u64::from(2 * m - 1))),
+            ("BrokenInvariant", "offsets"),
+        ),
+        (
+            "a target >= n",
+            Box::new(|b| put_u32(b, &targets, 3, n + 7)),
+            ("BrokenInvariant", "adjacency"),
+        ),
+        (
+            "two swapped targets in one block",
+            Box::new(|b| {
+                let (first, second) = (read_u32(b, &targets, 1), read_u32(b, &targets, 2));
+                put_u32(b, &targets, 1, second);
+                put_u32(b, &targets, 2, first);
+            }),
+            ("BrokenInvariant", "neighbor order"),
+        ),
+        (
+            "an edge id >= m",
+            Box::new(|b| put_u32(b, &edge_ids, 5, m)),
+            ("BrokenInvariant", "edge ids"),
+        ),
+        (
+            "a non-canonical endpoint pair",
+            Box::new(|b| {
+                let (u, v) = (read_u32(b, &endpoints, 6), read_u32(b, &endpoints, 7));
+                put_u32(b, &endpoints, 6, v);
+                put_u32(b, &endpoints, 7, u);
+            }),
+            ("BrokenInvariant", "endpoints"),
+        ),
+        (
+            "an endpoint >= n",
+            Box::new(|b| put_u32(b, &endpoints, 2 * (m as usize - 1) + 1, n)),
+            ("BrokenInvariant", "endpoints"),
+        ),
+        (
+            "a NaN weight",
+            Box::new(|b| put_u64(b, &weight_bytes, 4, f64::NAN.to_bits())),
+            ("NonFiniteScalar", "edge weights"),
+        ),
+    ];
+    for (name, doctor, expected) in &cases {
+        let mut blob = clean.clone();
+        doctor(&mut blob);
+        restamp_v3_checksum(&mut blob);
+        let mapped = MappedCsrGraph::from_bytes(&blob).expect_err(name);
+        assert_eq!(rejection(&mapped), *expected, "{name} via from_bytes: {mapped}");
+        let decoded = decode_binary_v3(&blob).expect_err(name);
+        assert_eq!(rejection(&decoded), *expected, "{name} via decode_binary_v3: {decoded}");
+    }
+
+    // The documented asymmetry: two in-bounds edge ids swapped between
+    // half-edges break only the cross-link, which the mapped open defers
+    // to `check_invariants` and the owned decode runs.
+    let mut blob = clean.clone();
+    let (first, second) = (read_u32(&blob, &edge_ids, 0), read_u32(&blob, &edge_ids, 1));
+    put_u32(&mut blob, &edge_ids, 0, second);
+    put_u32(&mut blob, &edge_ids, 1, first);
+    restamp_v3_checksum(&mut blob);
+    let mapped = MappedCsrGraph::from_bytes(&blob).expect("mislinked ids pass the mapped open");
+    assert_eq!(rejection(&mapped.check_invariants().unwrap_err()), ("BrokenInvariant", "edge ids"));
+    let decoded = decode_binary_v3(&blob).expect_err("mislinked ids fail the owned decode");
+    assert_eq!(rejection(&decoded), ("BrokenInvariant", "edge ids"), "{decoded}");
 }
